@@ -1,0 +1,85 @@
+"""Golden CLI output: each command reruns in-process against a saved fixture.
+
+The fixtures under tests/golden/ hold the stdout (`<name>.out`) and stderr
+(`<name>.err`) of the commands below as produced by the dense-product
+operator assembly, so any change to how operators are built must leave
+the printed results unchanged.  Outputs listed as BYTES must match byte
+for byte.  The NUMERIC ones carry eigensolver round-off (imaginary parts
+of real levels, residual norms near machine precision) that differs
+between BLAS builds; their cells are compared to 1e-12 instead.
+
+Regenerate the fixtures with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from jtrwa.cli import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TOL = 1e-12
+
+BYTES = {
+    "table1": (["table1"], 1),
+    "converge": (["converge", "--kappa2", "0.5"], 0),
+    "spectrum-full": (["spectrum", "--total-nmax", "40", "--kappa2", "0.37"], 0),
+    "spectrum-rwa": (["spectrum", "--model", "rwa", "--total-nmax", "20", "--kappa2", "0.37"], 0),
+    "spectrum-rotated": (
+        ["spectrum", "--model", "rotated", "--total-nmax", "20", "--kappa2", "0.37"], 0),
+}
+NUMERIC = {
+    "spectrum-nonhermitian": (
+        ["spectrum", "--model", "nonhermitian", "--total-nmax", "20", "--gamma", "0.3"], 0),
+    "pseudoherm": (["pseudoherm"], 0),
+    "reality-scan": (["reality-scan"], 0),
+    "transform-residual": (["transform-residual"], 0),
+}
+
+
+def _run(args):
+    return CliRunner().invoke(cli, args, catch_exceptions=False)
+
+
+def _cells(text):
+    return [cell for line in text.splitlines() for cell in line.replace(" = ", ",").split(",")]
+
+
+def _same_cell(got, want):
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return got == want
+    return abs(g - w) <= TOL * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("name", sorted(BYTES))
+def test_output_is_byte_identical(name):
+    args, code = BYTES[name]
+    result = _run(args)
+    assert result.exit_code == code
+    assert result.stdout == (GOLDEN / f"{name}.out").read_text()
+    assert result.stderr == (GOLDEN / f"{name}.err").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC))
+def test_output_matches_numerically(name):
+    args, code = NUMERIC[name]
+    result = _run(args)
+    assert result.exit_code == code
+    for stream in ("out", "err"):
+        got = _cells(getattr(result, f"std{stream}"))
+        want = _cells((GOLDEN / f"{name}.{stream}").read_text())
+        assert len(got) == len(want)
+        bad = [(g, w) for g, w in zip(got, want) if not _same_cell(g, w)]
+        assert not bad, f"{name}.{stream}: {bad[:5]}"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (args, _) in {**BYTES, **NUMERIC}.items():
+        result = _run(args)
+        (GOLDEN / f"{name}.out").write_text(result.stdout)
+        (GOLDEN / f"{name}.err").write_text(result.stderr)
+        print(f"{name}: exit {result.exit_code}")
