@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 import click
 import numpy as np
 
-from .fockspace import BasisSpec, make_basis
+from .fockspace import BasisSpec, make_basis, pauli_ops
 from .models import (
     ModelParams,
-    ResonanceError,
     build_full_jt,
     build_nonhermitian,
     build_rotated,
@@ -35,7 +34,6 @@ from .pseudoherm import (
     parity_op,
     reality_scan,
 )
-from .fockspace import pauli_ops
 from .reference import EXACT_TOL, TABLE1_KAPPA2, published_row
 from .spectra import (
     benchmark_rwa_energy,
@@ -47,7 +45,6 @@ from .spectra import (
 from .transforms import residual_study
 
 FORMATS = ("csv", "json", "pretty")
-COMMANDS = ("table1", "spectrum", "converge", "transform-residual", "pseudoherm", "reality-scan")
 MODELS = {
     "full": build_full_jt,
     "rwa": build_rwa,
@@ -59,11 +56,14 @@ SLOPE_RANGE = (2.7, 3.3)
 IDENTITY_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 TABLE1_SCHEDULE = (10, 20, 30, 40)
+NON_NEGATIVE = click.FloatRange(min=0.0)
+POSITIVE = click.FloatRange(min=0.0, min_open=True)
+MAX_GRID_POINTS = 10_000  # longest accepted "start:stop:step" grid, checked before np.arange
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated per-invocation configuration shared by the command runners."""
+    """Per-invocation configuration shared by the command runners, checked by click."""
 
     command: str
     params: ModelParams
@@ -76,18 +76,6 @@ class RunConfig:
     tol: float = 1e-8
     schedule: tuple[int, ...] = TABLE1_SCHEDULE
     model: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.k_low < 1:
-            raise ValueError("k_low must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if any(n < 1 for n in self.schedule):
-            raise ValueError("schedule cutoffs must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,10 +94,14 @@ def parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise click.UsageError(f"grid endpoints must be numbers, got {text!r}") from None
+    if not np.all(np.isfinite((start, stop, step))):
+        raise click.UsageError(f"grid endpoints and step must be finite, got {text!r}")
     if step <= 0:
         raise click.UsageError("grid step must be positive")
     if stop < start:
         raise click.UsageError("grid stop must not precede start")
+    if (stop - start) / step + 0.5 > MAX_GRID_POINTS:
+        raise click.UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return tuple(float(v) for v in np.arange(start, stop + 0.5 * step, step))
 
 
@@ -309,10 +301,7 @@ RUNNERS = {
 
 
 def execute(cfg: RunConfig) -> int:
-    try:
-        result = RUNNERS[cfg.command](cfg)
-    except (ResonanceError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    result = RUNNERS[cfg.command](cfg)
     emit(result, cfg)
     return result.exit_code
 
@@ -348,21 +337,25 @@ def _basis_spec(nmax: int, total_nmax: int | None) -> BasisSpec:
     return BasisSpec.per_mode(nmax)
 
 
-def _kappa_from_kappa2(kappa2: float) -> float:
-    if kappa2 < 0:
-        raise click.UsageError("--kappa2 must be non-negative")
-    return float(np.sqrt(kappa2))
+class _CommandGroup(click.Group):
+    """Reports a ValueError (ResonanceError included) from any command as a usage error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_CommandGroup)
 def cli() -> None:
     """Spectral toolkit for the two-level, two-mode vibronic model."""
 
 
 @cli.command("table1")
 @_common_options
-@click.option("--kappa2", type=float, default=None, help="Single squared coupling instead of the benchmark grid.")
-@click.option("--tol", type=float, default=1e-8, show_default=True, help="Ground-energy convergence tolerance.")
+@click.option("--kappa2", type=NON_NEGATIVE, default=None, help="Single squared coupling instead of the benchmark grid.")
+@click.option("--tol", type=POSITIVE, default=1e-8, show_default=True, help="Ground-energy convergence tolerance.")
 def table1_command(omega, omega0, fmt, out, kappa2, tol):
     """Reproduce the published benchmark table and self-check the exact column.
 
@@ -371,8 +364,6 @@ def table1_command(omega, omega0, fmt, out, kappa2, tol):
     energy, and the published references.  Exits 1 if any exact energy
     misses its published value by more than 5e-3.
     """
-    if kappa2 is not None and kappa2 < 0:
-        raise click.UsageError("--kappa2 must be non-negative")
     cfg = RunConfig(
         command="table1",
         params=ModelParams(omega=omega, omega0=omega0),
@@ -388,11 +379,11 @@ def table1_command(omega, omega0, fmt, out, kappa2, tol):
 @_common_options
 @_basis_options
 @click.option("--model", type=click.Choice(sorted(MODELS)), default="full", show_default=True)
-@click.option("--kappa2", type=float, default=0.0, show_default=True, help="Squared coupling.")
+@click.option("--kappa2", type=NON_NEGATIVE, default=0.0, show_default=True, help="Squared coupling.")
 @click.option("--gamma", type=float, default=0.0, show_default=True, help="Imaginary coupling magnitude.")
 def spectrum_command(omega, omega0, fmt, out, nmax, total_nmax, model, kappa2, gamma):
     """Diagonalize one model Hamiltonian and list its eigenvalues."""
-    params = ModelParams(omega=omega, omega0=omega0, kappa=_kappa_from_kappa2(kappa2), gamma=gamma)
+    params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
     cfg = RunConfig(
         command="spectrum",
         params=params,
@@ -407,9 +398,9 @@ def spectrum_command(omega, omega0, fmt, out, nmax, total_nmax, model, kappa2, g
 @cli.command("converge")
 @_common_options
 @click.option("--model", type=click.Choice(sorted(MODELS)), default="full", show_default=True)
-@click.option("--kappa2", type=float, default=0.0, show_default=True)
+@click.option("--kappa2", type=NON_NEGATIVE, default=0.0, show_default=True)
 @click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=POSITIVE, default=1e-8, show_default=True)
 @click.option("--grid", default="10:40:10", show_default=True, help="Total-number cutoff schedule start:stop:step.")
 def converge_command(omega, omega0, fmt, out, model, kappa2, gamma, tol, grid):
     """Track the ground energy across a total-number cutoff schedule.
@@ -422,7 +413,7 @@ def converge_command(omega, omega0, fmt, out, model, kappa2, gamma, tol, grid):
         if abs(value - round(value)) > 1e-9 or value < 1:
             raise click.UsageError("cutoff schedule must consist of integers >= 1")
         schedule.append(int(round(value)))
-    params = ModelParams(omega=omega, omega0=omega0, kappa=_kappa_from_kappa2(kappa2), gamma=gamma)
+    params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
     cfg = RunConfig(
         command="converge",
         params=params,
@@ -448,16 +439,13 @@ def transform_residual_command(omega, omega0, fmt, out, nmax, total_nmax, grid):
     Exits 1 if the fitted log-log slope leaves [2.7, 3.3]; an empty or
     malformed grid is a usage error (exit 2).
     """
-    parsed = parse_grid(grid) if grid is not None else None
-    if parsed is not None and len(parsed) == 0:
-        raise click.UsageError("coupling grid is empty")
     cfg = RunConfig(
         command="transform-residual",
         params=ModelParams(omega=omega, omega0=omega0),
         basis_spec=_basis_spec(nmax, total_nmax),
         fmt=fmt,
         out=out,
-        grid=parsed,
+        grid=parse_grid(grid) if grid is not None else None,
     )
     sys.exit(execute(cfg))
 
@@ -488,7 +476,7 @@ def pseudoherm_command(omega, omega0, fmt, out, nmax, total_nmax, grid):
 @_common_options
 @_basis_options
 @click.option("--grid", default="0:0.5:0.005", show_default=True, help="Gamma grid start:stop:step.")
-@click.option("--k-low", type=int, default=4, show_default=True, help="Number of low-lying levels to watch.")
+@click.option("--k-low", type=click.IntRange(min=1), default=4, show_default=True, help="Number of low-lying levels to watch.")
 def reality_scan_command(omega, omega0, fmt, out, nmax, total_nmax, grid, k_low):
     """Scan the imaginary coupling and report where low-lying reality breaks."""
     cfg = RunConfig(

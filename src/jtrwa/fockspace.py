@@ -11,6 +11,10 @@ Two truncation schemes are supported:
 * total-number: a shared bound n1 + n2 <= N, which closes exactly under
   any operation that conserves the total boson number.
 
+Operators are assembled sparse, as products of CSR ladder and Pauli
+matrices filled by index arithmetic on that order, and stored dense in an
+OperatorMatrix for the dense eigensolvers and matrix exponentials.
+
 All constructed operators carry a reference to their basis and are
 immutable after construction (the entry arrays are marked read-only), so
 they can be shared freely between concurrent workers.
@@ -18,10 +22,12 @@ they can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy import sparse
 
 SPIN_UP = 1
 SPIN_DOWN = -1
@@ -136,8 +142,10 @@ def make_basis(spec: BasisSpec) -> Basis:
 class OperatorMatrix:
     """Dense complex matrix tagged with its basis and a structure hint.
 
-    The constructor takes ownership of `entries` and marks the stored
-    array read-only; pass a copy if the caller needs to keep mutating it.
+    Builders assemble sparse and densify once into this class, whose dense
+    `entries` feed the solvers, expm and the symmetry checks.  The
+    constructor takes ownership of `entries` and marks the stored array
+    read-only; pass a copy if the caller needs to keep mutating it.
     """
 
     basis: Basis
@@ -216,6 +224,39 @@ def identity_op(basis: Basis) -> OperatorMatrix:
     return OperatorMatrix(basis, np.eye(basis.dimension), Hermiticity.HERMITIAN)
 
 
+def _placed(basis: Basis, cols, spin, n1, n2, values) -> sparse.csr_array:
+    """CSR matrix with values[i] in column cols[i] and the row of state (spin, n1, n2)[i].
+
+    A row is the spin block offset, plus the states of all lower n1 rows, plus n2.
+    """
+    spec, dim = basis.spec, basis.dimension
+    if spec.truncation is Truncation.TOTAL_NUMBER:
+        below = n1 * (spec.n_max_1 + 1) - n1 * (n1 - 1) // 2  # row m holds N - m + 1 states
+    else:
+        below = n1 * (spec.n_max_2 + 1)
+    rows = np.where(spin == SPIN_UP, 0, dim // 2) + below + n2
+    return sparse.csr_array((values.astype(np.complex128), (rows, cols)), shape=(dim, dim))
+
+
+SparseOps = namedtuple("SparseOps", "a1 a1d a2 a2d sp sm s0")
+
+
+def sparse_ops(basis: Basis) -> SparseOps:
+    """Ladder and Pauli matrices of `basis` as CSR, with no per-state loop.
+
+    a|n> = sqrt(n)|n-1> per mode, sigma_plus|down> = |up> and sigma_0 =
+    diag(spin), each the identity on the other factors; every dagger
+    (a1d, a2d, sm) is the conjugate transpose of its partner.
+    """
+    spin, n1, n2 = np.array(basis.states).T
+    k1, k2, kd = np.flatnonzero(n1), np.flatnonzero(n2), np.flatnonzero(spin == SPIN_DOWN)
+    a1 = _placed(basis, k1, spin[k1], n1[k1] - 1, n2[k1], np.sqrt(n1[k1]))
+    a2 = _placed(basis, k2, spin[k2], n1[k2], n2[k2] - 1, np.sqrt(n2[k2]))
+    sp = _placed(basis, kd, SPIN_UP, n1[kd], n2[kd], np.ones(kd.size))
+    s0 = _placed(basis, np.arange(basis.dimension), spin, n1, n2, spin)
+    return SparseOps(a1, a1.conj().T, a2, a2.conj().T, sp, sp.conj().T, s0)
+
+
 def boson_ops(basis: Basis, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Annihilation and creation matrices for one mode.
 
@@ -224,28 +265,16 @@ def boson_ops(basis: Basis, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    dim = basis.dimension
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for k, (spin, n1, n2) in enumerate(basis.states):
-        if mode == 1 and n1 >= 1:
-            a[basis.index(spin, n1 - 1, n2), k] = np.sqrt(n1)
-        elif mode == 2 and n2 >= 1:
-            a[basis.index(spin, n1, n2 - 1), k] = np.sqrt(n2)
-    ann = OperatorMatrix(basis, a)
+    ops = sparse_ops(basis)
+    ann = OperatorMatrix(basis, (ops.a1 if mode == 1 else ops.a2).toarray())
     return ann, ann.dagger()
 
 
 def pauli_ops(basis: Basis) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """(sigma_plus, sigma_minus, sigma_0), each tensored with the boson identity."""
-    dim = basis.dimension
-    sp = np.zeros((dim, dim), dtype=np.complex128)
-    s0 = np.zeros((dim, dim), dtype=np.complex128)
-    for k, (spin, n1, n2) in enumerate(basis.states):
-        s0[k, k] = float(spin)
-        if spin == SPIN_DOWN:
-            sp[basis.index(SPIN_UP, n1, n2), k] = 1.0
-    sigma_plus = OperatorMatrix(basis, sp)
-    return sigma_plus, sigma_plus.dagger(), OperatorMatrix(basis, s0, Hermiticity.HERMITIAN)
+    ops = sparse_ops(basis)
+    sigma_plus = OperatorMatrix(basis, ops.sp.toarray())
+    return sigma_plus, sigma_plus.dagger(), OperatorMatrix(basis, ops.s0.toarray(), Hermiticity.HERMITIAN)
 
 
 def number_projector(
@@ -255,15 +284,12 @@ def number_projector(
     max_total: int | None = None,
 ) -> OperatorMatrix:
     """Diagonal 0/1 projector onto states satisfying every given occupation bound."""
-    diag = np.ones(basis.dimension)
-    for k, (_, n1, n2) in enumerate(basis.states):
-        if max_n1 is not None and n1 > max_n1:
-            diag[k] = 0.0
-        if max_n2 is not None and n2 > max_n2:
-            diag[k] = 0.0
-        if max_total is not None and n1 + n2 > max_total:
-            diag[k] = 0.0
-    return OperatorMatrix(basis, np.diag(diag), Hermiticity.HERMITIAN)
+    _, n1, n2 = np.array(basis.states).T
+    keep = np.ones(basis.dimension, dtype=bool)
+    for bound, value in ((max_n1, n1), (max_n2, n2), (max_total, n1 + n2)):
+        if bound is not None:
+            keep &= value <= bound
+    return OperatorMatrix(basis, np.diag(keep.astype(float)), Hermiticity.HERMITIAN)
 
 
 def interior_projector(basis: Basis, margin: int = 1) -> OperatorMatrix:

@@ -2,6 +2,8 @@
 
 Every builder is a pure function of (params, basis) returning an
 OperatorMatrix; results are immutable and safe to build concurrently.
+The operator expressions are sparse products of the elementary CSR
+matrices of fockspace.sparse_ops, densified once into the result.
 
 Convention: sigma_0 = diag(1, -1), so the bare spin splitting is
 2*omega0 and the spin-flip ladder frequencies relative to the boson
@@ -15,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, boson_ops, pauli_ops
+from .fockspace import Basis, Hermiticity, OperatorMatrix, SparseOps, sparse_ops
 
 
 class ResonanceError(ValueError):
@@ -38,6 +41,9 @@ class ModelParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("omega", "omega0", "kappa", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.gamma < 0:
@@ -68,17 +74,9 @@ def spin_ladder_detunings(params: ModelParams) -> tuple[float, float]:
     return plus, minus
 
 
-def _elementary(basis: Basis):
-    a1, a1d = boson_ops(basis, 1)
-    a2, a2d = boson_ops(basis, 2)
-    sp, sm, s0 = pauli_ops(basis)
-    return a1.entries, a1d.entries, a2.entries, a2d.entries, sp.entries, sm.entries, s0.entries
-
-
-def _free_part(params: ModelParams, basis: Basis) -> np.ndarray:
-    a1, a1d, a2, a2d, _, _, s0 = _elementary(basis)
-    number = a1d @ a1 + a2d @ a2
-    return params.omega * (number + np.eye(basis.dimension)) + params.omega0 * s0
+def _free_part(params: ModelParams, o: SparseOps) -> sparse.sparray:
+    number = o.a1d @ o.a1 + o.a2d @ o.a2
+    return params.omega * (number + sparse.eye_array(number.shape[0])) + params.omega0 * o.s0
 
 
 def _coupling_hint(coupling: complex) -> Hermiticity:
@@ -91,16 +89,18 @@ def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:
     H = omega (a1+a1 + a2+a2 + 1) + omega0 sigma0
         + kappa [(a1 + a2+) sigma+ + (a1+ + a2) sigma-]
     """
-    a1, a1d, a2, a2d, sp, sm, _ = _elementary(basis)
-    h = _free_part(params, basis) + params.kappa * ((a1 + a2d) @ sp + (a1d + a2) @ sm)
-    return OperatorMatrix(basis, h, _coupling_hint(params.kappa))
+    o = sparse_ops(basis)
+    h = _free_part(params, o) + params.kappa * ((o.a1 + o.a2d) @ o.sp + (o.a1d + o.a2) @ o.sm)
+    return OperatorMatrix(basis, h.toarray(), _coupling_hint(params.kappa))
+
+
+def _rwa(params: ModelParams, o: SparseOps) -> sparse.sparray:
+    return _free_part(params, o) + params.kappa * ((o.a1 + o.a2) @ o.sp + (o.a1d + o.a2d) @ o.sm)
 
 
 def build_rwa(params: ModelParams, basis: Basis) -> OperatorMatrix:
     """Rotating-wave form: both modes couple through number-conserving terms only."""
-    a1, a1d, a2, a2d, sp, sm, _ = _elementary(basis)
-    h = _free_part(params, basis) + params.kappa * ((a1 + a2) @ sp + (a1d + a2d) @ sm)
-    return OperatorMatrix(basis, h, _coupling_hint(params.kappa))
+    return OperatorMatrix(basis, _rwa(params, sparse_ops(basis)).toarray(), _coupling_hint(params.kappa))
 
 
 def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -108,9 +108,9 @@ def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
 
     Only mode 1 couples, with strength sqrt(2)*kappa; mode 2 is a spectator.
     """
-    a1, a1d, _, _, sp, sm, _ = _elementary(basis)
-    h = _free_part(params, basis) + np.sqrt(2.0) * params.kappa * (a1 @ sp + a1d @ sm)
-    return OperatorMatrix(basis, h, _coupling_hint(params.kappa))
+    o = sparse_ops(basis)
+    h = _free_part(params, o) + np.sqrt(2.0) * params.kappa * (o.a1 @ o.sp + o.a1d @ o.sm)
+    return OperatorMatrix(basis, h.toarray(), _coupling_hint(params.kappa))
 
 
 def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -119,10 +119,10 @@ def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
     Not Hermitian for gamma > 0: the adjoint is the same builder with
     gamma -> -gamma.
     """
-    a1, a1d, _, _, sp, sm, _ = _elementary(basis)
-    h = _free_part(params, basis) + 1j * np.sqrt(2.0) * params.gamma * (a1 @ sp + a1d @ sm)
+    o = sparse_ops(basis)
+    h = _free_part(params, o) + 1j * np.sqrt(2.0) * params.gamma * (o.a1 @ o.sp + o.a1d @ o.sm)
     hint = Hermiticity.HERMITIAN if params.gamma == 0.0 else Hermiticity.GENERAL
-    return OperatorMatrix(basis, h, hint)
+    return OperatorMatrix(basis, h.toarray(), hint)
 
 
 def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -133,15 +133,16 @@ def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
     deliberately not constructed (transforms.residual_study measures it).
     """
     plus, minus = spin_ladder_detunings(params)
-    a1, a1d, a2, a2d, sp, sm, s0 = _elementary(basis)
+    o = sparse_ops(basis)
+    a1, a1d, a2, a2d, sp, sm, s0 = o
     k2 = params.kappa * params.kappa
 
-    h = build_rwa(params, basis).entries.copy()
+    h = _rwa(params, o)
     h += (k2 / plus) * (a1d @ a2d + a1 @ a2) @ s0
-    h += (k2 / minus) * (a1d @ a2 + a1 @ a2d) @ s0
+    h += (k2 / minus) * (a1d @ a2 + a2d @ a1) @ s0  # a2+ a1 is the truncated adjoint of a1+ a2
     h += (params.omega * k2 / (plus * minus)) * (a2d @ a2d + a2 @ a2 + 2.0 * (a2d @ a2)) @ s0
     h += (k2 / minus) * (sp @ sm) - (k2 / plus) * (sm @ sp)
-    return OperatorMatrix(basis, h, _coupling_hint(params.kappa))
+    return OperatorMatrix(basis, h.toarray(), _coupling_hint(params.kappa))
 
 
 def conserved_excitation_op(basis: Basis) -> OperatorMatrix:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, SPIN_DOWN, SPIN_UP
+from .fockspace import Basis, Hermiticity, OperatorMatrix, pauli_ops, sparse_ops
 from .models import ModelParams, build_nonhermitian
 from .spectra import diagonalize
 
@@ -62,13 +62,8 @@ def time_reversal_op(basis: Basis) -> AntilinearOp:
 
     Applying it twice to any real vector gives minus the vector.
     """
-    dim = basis.dimension
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for k, (spin, n1, n2) in enumerate(basis.states):
-        if spin == SPIN_UP:
-            m[basis.index(SPIN_DOWN, n1, n2), k] = 1.0
-        else:
-            m[basis.index(SPIN_UP, n1, n2), k] = -1.0
+    o = sparse_ops(basis)
+    m = (o.sm - o.sp).toarray()  # |up> -> |down>, |down> -> -|up>
     return AntilinearOp(OperatorMatrix(basis, m, Hermiticity.UNITARY), conjugates=True)
 
 
@@ -124,8 +119,6 @@ def check_combined_symmetry(h: OperatorMatrix) -> float:
     their ratio; for the imaginary-coupling Hamiltonian P sigma0 commutes
     with h for every gamma.
     """
-    from .fockspace import pauli_ops
-
     _, _, s0 = pauli_ops(h.basis)
     g = parity_op(h.basis).entries @ s0.entries
     return float(np.linalg.norm(h.entries @ g - g @ h.entries, "fro"))

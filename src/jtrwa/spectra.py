@@ -105,6 +105,8 @@ def converge_ground(
     one within `tol`; if the schedule is exhausted first, the spectrum of
     the last cutoff is returned with converged=False and the full history.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     schedule = list(cutoff_schedule)
     if not schedule:
         raise ValueError("cutoff schedule must not be empty")

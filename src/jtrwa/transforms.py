@@ -15,15 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .fockspace import (
-    Basis,
-    Hermiticity,
-    OperatorMatrix,
-    Truncation,
-    boson_ops,
-    interior_projector,
-    pauli_ops,
-)
+from .fockspace import Basis, Hermiticity, OperatorMatrix, Truncation, interior_projector, sparse_ops
 from .models import ModelParams, build_full_jt, build_second_order, spin_ladder_detunings
 
 
@@ -57,12 +49,11 @@ def decoupling_generator(params: ModelParams, basis: Basis) -> OperatorMatrix:
     is anti-Hermitian for real kappa.
     """
     plus, minus = spin_ladder_detunings(params)
-    a2, a2d = boson_ops(basis, 2)
-    sp, sm, _ = pauli_ops(basis)
-    t = (params.kappa / plus) * (sp.entries @ a2d.entries - sm.entries @ a2.entries)
-    t -= (params.kappa / minus) * (sm.entries @ a2d.entries - sp.entries @ a2.entries)
+    o = sparse_ops(basis)
+    t = (params.kappa / plus) * (o.sp @ o.a2d - o.sm @ o.a2)
+    t -= (params.kappa / minus) * (o.sm @ o.a2d - o.sp @ o.a2)
     hint = Hermiticity.ANTI_HERMITIAN if complex(params.kappa).imag == 0.0 else Hermiticity.GENERAL
-    return OperatorMatrix(basis, t, hint)
+    return OperatorMatrix(basis, t.toarray(), hint)
 
 
 def mode_rotation(basis: Basis) -> OperatorMatrix:
@@ -80,10 +71,9 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
             "use a total-number basis for exact closure",
             stacklevel=2,
         )
-    a1, a1d = boson_ops(basis, 1)
-    a2, a2d = boson_ops(basis, 2)
-    g = (np.pi / 4.0) * (a1d.entries @ a2.entries - a2d.entries @ a1.entries)
-    return OperatorMatrix(basis, expm(g), Hermiticity.UNITARY)
+    o = sparse_ops(basis)
+    g = (np.pi / 4.0) * (o.a1d @ o.a2 - o.a2d @ o.a1)
+    return OperatorMatrix(basis, expm(g.toarray()), Hermiticity.UNITARY)
 
 
 def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:

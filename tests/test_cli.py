@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import click
+import pytest
 from click.testing import CliRunner
 
-from jtrwa.cli import cli
+from jtrwa.cli import MAX_GRID_POINTS, cli, parse_grid
 
 
 def run_cli(args, out=None):
@@ -122,6 +124,55 @@ def test_table1_flags_the_misprinted_benchmark_entry(tmp_path):
 def test_table1_negative_kappa2_is_usage_error():
     result = run_cli(["table1", "--kappa2", "-0.3"])
     assert result.exit_code == 2
+
+
+def test_second_order_spectrum_on_total_number_basis():
+    result = run_cli(["spectrum", "--model", "second-order", "--total-nmax", "30", "--kappa2", "0.3"])
+    assert result.exit_code == 0
+    assert "dimension = 992" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--kappa2", "nan"],
+        ["spectrum", "--omega", "inf"],
+        ["spectrum", "--model", "nonhermitian", "--gamma", "nan"],
+        ["table1", "--kappa2", "inf"],
+        ["reality-scan", "--grid", "0:inf:0.1"],
+        ["pseudoherm", "--grid", "nan:0.3:0.1"],
+        ["converge", "--grid", "10:40:nan"],
+        ["converge", "--tol", "nan"],
+    ],
+)
+def test_non_finite_input_is_usage_error(args):
+    result = run_cli(args)
+    assert result.exit_code == 2
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "finite" in errors[0]
+
+
+def test_grid_length_is_capped():
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+    with pytest.raises(click.UsageError, match="more than"):
+        parse_grid(f"1:{MAX_GRID_POINTS + 1}:1")
+    with pytest.raises(click.UsageError, match="more than"):
+        parse_grid("0:1:1e-300")
+
+
+@pytest.mark.parametrize(
+    "args", [["reality-scan", "--k-low", "0"], ["converge", "--tol", "0"], ["spectrum", "--kappa2", "-1"]]
+)
+def test_out_of_range_option_is_usage_error(args):
+    result = run_cli(args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+
+
+def test_oversized_grid_is_usage_error():
+    result = run_cli(["reality-scan", "--grid", "0:1e12:1"])
+    assert result.exit_code == 2
+    assert "more than" in result.stderr
 
 
 def test_spectrum_lists_sorted_eigenvalues(tmp_path):

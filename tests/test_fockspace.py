@@ -67,6 +67,29 @@ def test_annihilation_matrix_element():
     assert a1.entries[row, col] == 1.0
 
 
+@pytest.mark.parametrize(
+    "spec", [BasisSpec.per_mode(4, 3), BasisSpec.per_mode(2, 5), BasisSpec.total_number(6)]
+)
+def test_elementary_operators_match_state_by_state_fill(spec):
+    # reference: fill each matrix element through the basis index map
+    basis = make_basis(spec)
+    dim = basis.dimension
+    a1, a2, sp, s0 = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
+    for k, (spin, n1, n2) in enumerate(basis.states):
+        s0[k, k] = spin
+        if n1 >= 1:
+            a1[basis.index(spin, n1 - 1, n2), k] = np.sqrt(n1)
+        if n2 >= 1:
+            a2[basis.index(spin, n1, n2 - 1), k] = np.sqrt(n2)
+        if spin == SPIN_DOWN:
+            sp[basis.index(SPIN_UP, n1, n2), k] = 1.0
+    assert np.array_equal(boson_ops(basis, 1)[0].entries, a1)
+    assert np.array_equal(boson_ops(basis, 2)[0].entries, a2)
+    sigma_plus, _, sigma_0 = pauli_ops(basis)
+    assert np.array_equal(sigma_plus.entries, sp)
+    assert np.array_equal(sigma_0.entries, s0)
+
+
 def test_creation_is_exact_adjoint():
     basis = make_basis(BasisSpec.total_number(3))
     for mode in (1, 2):

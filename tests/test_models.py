@@ -16,8 +16,10 @@ from jtrwa import (
     conserved_excitation_op,
     diagonalize,
     make_basis,
+    pauli_ops,
     spin_ladder_detunings,
 )
+from jtrwa.transforms import decoupling_generator
 
 BUILDERS = (build_full_jt, build_rwa, build_rotated, build_second_order)
 
@@ -202,3 +204,62 @@ def test_ground_energy_is_flat_in_kappa_at_zero():
         build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=step), make_basis(basis_specs[0]))
     ).ground_energy
     assert abs((e1 - e0) / step) <= 1e-3
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.total_number(12), BasisSpec.per_mode(6, 5)])
+def test_second_order_is_hermitian_on_both_truncations(spec):
+    # a1+ a2 is paired with its truncated adjoint a2+ a1; a1 a2+ differs
+    # from it on the total-number boundary and broke the Hermitian hint
+    params = ModelParams(omega=1.0, omega0=0.15, kappa=np.sqrt(0.3))
+    h = build_second_order(params, make_basis(spec))
+    assert h.validate() <= 1e-12
+
+
+def _dense_products(name, params, basis):
+    """The operator expressions of the builders as dense matrix products."""
+    a1, a1d = (op.entries for op in boson_ops(basis, 1))
+    a2, a2d = (op.entries for op in boson_ops(basis, 2))
+    sp, sm, s0 = (op.entries for op in pauli_ops(basis))
+    kappa = params.kappa
+    free = params.omega * (a1d @ a1 + a2d @ a2 + np.eye(basis.dimension)) + params.omega0 * s0
+    rwa = free + kappa * ((a1 + a2) @ sp + (a1d + a2d) @ sm)
+    if name == "full":
+        return free + kappa * ((a1 + a2d) @ sp + (a1d + a2) @ sm)
+    if name == "rwa":
+        return rwa
+    if name == "rotated":
+        return free + np.sqrt(2.0) * kappa * (a1 @ sp + a1d @ sm)
+    if name == "nonhermitian":
+        return free + 1j * np.sqrt(2.0) * params.gamma * (a1 @ sp + a1d @ sm)
+    plus, minus = spin_ladder_detunings(params)
+    if name == "generator":
+        t = (kappa / plus) * (sp @ a2d - sm @ a2)
+        t -= (kappa / minus) * (sm @ a2d - sp @ a2)
+        return t
+    k2 = kappa * kappa
+    h = rwa.copy()
+    h += (k2 / plus) * (a1d @ a2d + a1 @ a2) @ s0
+    h += (k2 / minus) * (a1d @ a2 + a2d @ a1) @ s0
+    h += (params.omega * k2 / (plus * minus)) * (a2d @ a2d + a2 @ a2 + 2.0 * (a2d @ a2)) @ s0
+    h += (k2 / minus) * (sp @ sm) - (k2 / plus) * (sm @ sp)
+    return h
+
+
+SPARSE_ASSEMBLED = {
+    "full": build_full_jt,
+    "rwa": build_rwa,
+    "rotated": build_rotated,
+    "nonhermitian": build_nonhermitian,
+    "second-order": build_second_order,
+    "generator": decoupling_generator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_ASSEMBLED))
+@pytest.mark.parametrize("spec", [BasisSpec.total_number(7), BasisSpec.per_mode(4, 3)])
+@pytest.mark.parametrize("kappa", [0.43, 0.3 - 0.2j])
+def test_sparse_assembly_equals_dense_products(name, spec, kappa):
+    basis = make_basis(spec)
+    params = ModelParams(omega=1.2, omega0=0.17, kappa=kappa, gamma=0.31)
+    built = SPARSE_ASSEMBLED[name](params, basis).entries
+    assert np.array_equal(built, _dense_products(name, params, basis))
