@@ -3,16 +3,19 @@
 Every command emits one table (CSV by default, JSON/pretty on request)
 with a mandatory header row; floats are fixed at 9 significant digits so
 identical configurations produce byte-identical output.  Summary lines go
-to stderr so CSV on stdout stays clean.
+to stderr so CSV on stdout stays clean.  Each command is declared once,
+by `command(name, *options)`.
 
-Exit codes: 0 success, 1 acceptance-threshold failure, 2 usage error.
+Exit codes: 0 success, 1 acceptance-threshold failure or eigensolver
+failure, 2 usage error (a problem too large for memory included).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -59,30 +62,7 @@ TABLE1_SCHEDULE = (10, 20, 30, 40)
 NON_NEGATIVE = click.FloatRange(min=0.0)
 POSITIVE = click.FloatRange(min=0.0, min_open=True)
 MAX_GRID_POINTS = 10_000  # longest accepted "start:stop:step" grid, checked before np.arange
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation configuration shared by the command runners, checked by click."""
-
-    command: str
-    params: ModelParams
-    basis_spec: BasisSpec | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    kappa2: float | None = None
-    grid: tuple[float, ...] | None = None
-    k_low: int = 4
-    tol: float = 1e-8
-    schedule: tuple[int, ...] = TABLE1_SCHEDULE
-    model: str = "full"
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    rows: list
-    summary: dict
-    exit_code: int
+RESIDUAL_KAPPAS = (0.01, 0.02, 0.04, 0.08)  # default transform-residual coupling grid
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -105,6 +85,18 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.arange(start, stop + 0.5 * step, step))
 
 
+def _schedule(text: str) -> tuple[int, ...]:
+    """Parse a total-number cutoff schedule: a grid of integers >= 1."""
+    values = parse_grid(text)
+    if any(abs(v - round(v)) > 1e-9 or v < 1 for v in values):
+        raise click.UsageError("cutoff schedule must consist of integers >= 1")
+    return tuple(int(round(v)) for v in values)
+
+
+def _kappa_grid(text: str | None) -> tuple[float, ...]:
+    return parse_grid(text) if text is not None else RESIDUAL_KAPPAS
+
+
 def _format_value(value) -> str:
     if value is None:
         return ""
@@ -113,75 +105,140 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _format_summary_value(value) -> str:
-    return "none" if value is None else _format_value(value)
+def _emit(command: str, rows: list, summary: dict, exit_code: int, fmt: str, out: str | None) -> int:
+    """Write a command's table to stdout or `out` and its summary lines, and pass its exit code on.
 
-
-def render(result: CommandResult, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
-        payload = {"command": cfg.command, "rows": result.rows, "summary": result.summary}
-        return json.dumps(payload, indent=2) + "\n"
-    if not result.rows:
-        return ""
-    columns = list(result.rows[0].keys())
-    if cfg.fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_format_value(row[c]) for c in columns) for row in result.rows]
-        return "\n".join(lines) + "\n"
-    # pretty
-    table = [[_format_value(row[c]) for c in columns] for row in result.rows]
-    widths = [max(len(c), *(len(r[i]) for r in table)) for i, c in enumerate(columns)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
-    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]
-    for key, value in result.summary.items():
-        lines.append(f"{key} = {_format_summary_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def emit(result: CommandResult, cfg: RunConfig) -> None:
-    text = render(result, cfg)
-    if cfg.out:
-        with open(cfg.out, "w") as handle:
+    The summary goes to stderr, except in the pretty format, which appends it to the table.
+    """
+    notes = [f"{key} = {'none' if value is None else _format_value(value)}" for key, value in summary.items()]
+    lines = []
+    if fmt == "json":
+        lines = [json.dumps({"command": command, "rows": rows, "summary": summary}, indent=2)]
+    elif rows:
+        columns = list(rows[0])
+        table = [columns] + [[_format_value(row[c]) for c in columns] for row in rows]
+        if fmt == "csv":
+            lines = [",".join(cells) for cells in table]
+        else:
+            widths = [max(map(len, column)) for column in zip(*table)]
+            lines = ["  ".join(v.ljust(w) for v, w in zip(cells, widths)) for cells in table] + notes
+    text = "".join(line + "\n" for line in lines)
+    if out:
+        with open(out, "w") as handle:
             handle.write(text)
     else:
         click.echo(text, nl=False)
-    if cfg.fmt != "pretty":
-        for key, value in result.summary.items():
-            click.echo(f"{key} = {_format_summary_value(value)}", err=True)
+    if fmt != "pretty":
+        for note in notes:
+            click.echo(note, err=True)
+    return exit_code
 
 
-def _basis_from(cfg: RunConfig) -> BasisSpec:
-    return cfg.basis_spec if cfg.basis_spec is not None else BasisSpec.per_mode(8)
+def _basis(nmax: int, total_nmax: int | None):
+    return make_basis(BasisSpec.total_number(total_nmax) if total_nmax is not None else BasisSpec.per_mode(nmax))
 
 
-# ---------------------------------------------------------------- table1
+class _CommandGroup(click.Group):
+    """Reports an eigensolver failure with exit 1, and a ValueError (ResonanceError
+    included) or a problem too large for memory as a usage error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except np.linalg.LinAlgError as exc:
+            click.echo(f"eigensolver failed: {exc}", err=True)
+            sys.exit(1)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except MemoryError as exc:
+            raise click.UsageError(f"problem too large for memory: {exc}") from exc
 
 
-def run_table1(cfg: RunConfig) -> CommandResult:
-    kappa2_values = [cfg.kappa2] if cfg.kappa2 is not None else list(TABLE1_KAPPA2)
-    schedule = total_number_schedule(cfg.schedule)
-    benchmark_regime = cfg.params.omega == 1.0 and cfg.params.omega0 == 0.0
+@click.group(cls=_CommandGroup)
+def cli() -> None:
+    """Spectral toolkit for the two-level, two-mode vibronic model."""
 
+
+def command(name: str, *options):
+    """Declare the CLI command `name` with its click options, `--format` and `--out` among them.
+
+    The decorated body takes the other option values and returns (rows, summary, exit code).
+    The process exits only after the body has returned, so the traceback that the exit
+    carries holds none of the body's arrays.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(fmt: str, out: str | None, **values):
+            sys.exit(_emit(name, *body(**values), fmt, out))
+
+        for option in reversed(options):
+            run = option(run)
+        cli.command(name)(run)
+        return body
+
+    return register
+
+
+def _common(omega0: float = 0.0) -> tuple:
+    return (
+        click.option("--omega", type=float, default=1.0, show_default=True, help="Oscillator frequency."),
+        click.option("--omega0", type=float, default=omega0, show_default=True, help="Level-splitting parameter."),
+        click.option("--format", "fmt", type=click.Choice(FORMATS), default="csv", show_default=True),
+        click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the table to a file."),
+    )
+
+
+def _grid(default: str | None, description: str, parse=parse_grid):
+    """The --grid option, its text turned into values by `parse` when click reads it."""
+    return click.option(
+        "--grid", default=default, show_default=True, help=description, callback=lambda _ctx, _param, text: parse(text)
+    )
+
+
+BASIS = (
+    click.option("--nmax", type=int, default=8, show_default=True, help="Per-mode Fock cutoff."),
+    click.option("--total-nmax", type=int, default=None, help="Total-number cutoff (overrides --nmax)."),
+)
+MODEL = click.option("--model", type=click.Choice(sorted(MODELS)), default="full", show_default=True)
+
+
+@command(
+    "table1",
+    *_common(),
+    click.option("--kappa2", type=NON_NEGATIVE, default=None, help="Single squared coupling instead of the benchmark grid."),
+    click.option("--tol", type=POSITIVE, default=1e-8, show_default=True, help="Ground-energy convergence tolerance."),
+)
+def table1_command(omega, omega0, kappa2, tol):
+    """Reproduce the published benchmark table and self-check the exact column.
+
+    Emits, per coupling and level, the closed-form eigenvalue, the empirical
+    fit that matches the published RWA column, the cutoff-converged exact
+    energy, and the published references.  Exits 1 if any exact energy
+    misses its published value by more than 5e-3.
+    """
+    base = ModelParams(omega=omega, omega0=omega0)
+    schedule = total_number_schedule(TABLE1_SCHEDULE)
+    benchmark_regime = omega == 1.0 and omega0 == 0.0
     rows = []
     worst_delta = 0.0
     threshold_failed = False
-    for kappa2 in kappa2_values:
-        params = replace(cfg.params, kappa=float(np.sqrt(kappa2)))
-        spectrum = converge_ground(build_full_jt, params, schedule, cfg.tol)
+    for k2 in [kappa2] if kappa2 is not None else TABLE1_KAPPA2:
+        params = replace(base, kappa=float(np.sqrt(k2)))
+        spectrum = converge_ground(build_full_jt, params, schedule, tol)
         exact = (spectrum.ground_energy, spectrum.first_excited_energy())
         closed_form = rwa_level_ladder(params, 2)
-        published = published_row(kappa2) if benchmark_regime else None
+        published = published_row(k2) if benchmark_regime else None
         for level, name in enumerate(("ground", "excited")):
             pub_rwa = pub_exact = delta = None
             if published is not None:
                 pub_rwa, pub_exact = published[2 * level], published[2 * level + 1]
                 delta = abs(exact[level] - pub_exact)
                 worst_delta = max(worst_delta, delta)
-                if delta > EXACT_TOL:
-                    threshold_failed = True
+                threshold_failed |= delta > EXACT_TOL
             rows.append(
                 {
-                    "kappa2": float(kappa2),
+                    "kappa2": float(k2),
                     "level": name,
                     "e_rwa_closed_form": closed_form[level],
                     "e_rwa_fit": benchmark_rwa_energy(level, params),
@@ -191,304 +248,116 @@ def run_table1(cfg: RunConfig) -> CommandResult:
                     "abs_delta": delta,
                 }
             )
-    summary = {"worst_abs_delta": worst_delta, "tolerance": EXACT_TOL}
-    return CommandResult(rows, summary, 1 if threshold_failed else 0)
+    return rows, {"worst_abs_delta": worst_delta, "tolerance": EXACT_TOL}, int(threshold_failed)
 
 
-# ---------------------------------------------------------------- spectrum
-
-
-def run_spectrum(cfg: RunConfig) -> CommandResult:
-    basis = make_basis(_basis_from(cfg))
-    spectrum = diagonalize(MODELS[cfg.model](cfg.params, basis))
+@command(
+    "spectrum",
+    *_common(),
+    *BASIS,
+    MODEL,
+    click.option("--kappa2", type=NON_NEGATIVE, default=0.0, show_default=True, help="Squared coupling."),
+    click.option("--gamma", type=float, default=0.0, show_default=True, help="Imaginary coupling magnitude."),
+)
+def spectrum_command(omega, omega0, nmax, total_nmax, model, kappa2, gamma):
+    """Diagonalize one model Hamiltonian and list its eigenvalues."""
+    params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
+    basis = _basis(nmax, total_nmax)
+    spectrum = diagonalize(MODELS[model](params, basis))
     rows = [
         {"index": k, "re_energy": float(v.real), "im_energy": float(v.imag)}
         for k, v in enumerate(spectrum.eigenvalues)
     ]
-    return CommandResult(rows, {"dimension": basis.dimension, "model": cfg.model}, 0)
+    return rows, {"dimension": basis.dimension, "model": model}, 0
 
 
-# ---------------------------------------------------------------- converge
-
-
-def run_converge(cfg: RunConfig) -> CommandResult:
-    schedule = total_number_schedule(cfg.schedule)
-    spectrum = converge_ground(MODELS[cfg.model], cfg.params, schedule, cfg.tol)
-    rows = [{"cutoff": c, "ground_energy": e} for c, e in spectrum.cutoff_history]
-    summary = {"converged": spectrum.converged, "tol": cfg.tol}
-    return CommandResult(rows, summary, 0 if spectrum.converged else 1)
-
-
-# ------------------------------------------------------- transform-residual
-
-
-def run_transform_residual(cfg: RunConfig) -> CommandResult:
-    basis = make_basis(_basis_from(cfg))
-    grid = cfg.grid if cfg.grid is not None else (0.01, 0.02, 0.04, 0.08)
-    report = residual_study(cfg.params, basis, grid)
-    rows = [
-        {"kappa": k, "residual_fro": f, "residual_spec": s}
-        for k, f, s in zip(report.kappa_values, report.residual_norms, report.residual_norms_spectral)
-    ]
-    in_range = SLOPE_RANGE[0] <= report.fitted_slope <= SLOPE_RANGE[1]
-    summary = {
-        "fitted_slope": report.fitted_slope,
-        "slope_range": f"{SLOPE_RANGE[0]}..{SLOPE_RANGE[1]}",
-    }
-    return CommandResult(rows, summary, 0 if in_range else 1)
-
-
-# ---------------------------------------------------------------- pseudoherm
-
-
-def run_pseudoherm(cfg: RunConfig) -> CommandResult:
-    basis = make_basis(_basis_from(cfg))
-    grid = cfg.grid if cfg.grid is not None else (0.1, 0.2, 0.3)
-    _, _, sigma0 = pauli_ops(basis)
-    parity = parity_op(basis)
-    rows = []
-    failed = False
-    for gamma in grid:
-        h = build_nonhermitian(replace(cfg.params, gamma=float(gamma)), basis)
-        closure = conjugation_closure(diagonalize(h).eigenvalues)
-        row = {
-            "gamma": float(gamma),
-            "sigma0_residual": check_pseudo_hermitian(h, sigma0),
-            "parity_residual": check_pseudo_hermitian(h, parity),
-            "combined_commutator": check_combined_symmetry(h),
-            "conjugation_closure": closure,
-            "pt_residual": check_pt(h),
-        }
-        rows.append(row)
-        if (
-            row["sigma0_residual"] > IDENTITY_TOL
-            or row["parity_residual"] > IDENTITY_TOL
-            or row["combined_commutator"] > IDENTITY_TOL
-            or closure > CLOSURE_TOL
-        ):
-            failed = True
-    summary = {"identity_tol": IDENTITY_TOL, "closure_tol": CLOSURE_TOL}
-    return CommandResult(rows, summary, 1 if failed else 0)
-
-
-# --------------------------------------------------------------- reality-scan
-
-
-def run_reality_scan(cfg: RunConfig) -> CommandResult:
-    basis = make_basis(_basis_from(cfg))
-    grid = cfg.grid if cfg.grid is not None else parse_grid("0:0.5:0.005")
-    try:
-        report = reality_scan(cfg.params, basis, grid, k=cfg.k_low)
-    except np.linalg.LinAlgError as exc:
-        click.echo(f"eigensolver failed: {exc}", err=True)
-        return CommandResult([], {}, 1)
-    rows = [
-        {"gamma": g, "max_imag_lowk": m}
-        for g, m in zip(report.gamma_values, report.max_imag_lowk)
-    ]
-    summary = {"detected_threshold": report.detected_threshold, "k": report.k}
-    return CommandResult(rows, summary, 0)
-
-
-RUNNERS = {
-    "table1": run_table1,
-    "spectrum": run_spectrum,
-    "converge": run_converge,
-    "transform-residual": run_transform_residual,
-    "pseudoherm": run_pseudoherm,
-    "reality-scan": run_reality_scan,
-}
-
-
-def execute(cfg: RunConfig) -> int:
-    result = RUNNERS[cfg.command](cfg)
-    emit(result, cfg)
-    return result.exit_code
-
-
-# ------------------------------------------------------------------ click UI
-
-
-def _common_options(func):
-    options = [
-        click.option("--omega", type=float, default=1.0, show_default=True, help="Oscillator frequency."),
-        click.option("--omega0", type=float, default=0.0, show_default=True, help="Level-splitting parameter."),
-        click.option("--format", "fmt", type=click.Choice(FORMATS), default="csv", show_default=True),
-        click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the table to a file."),
-    ]
-    for option in reversed(options):
-        func = option(func)
-    return func
-
-
-def _basis_options(func):
-    options = [
-        click.option("--nmax", type=int, default=8, show_default=True, help="Per-mode Fock cutoff."),
-        click.option("--total-nmax", type=int, default=None, help="Total-number cutoff (overrides --nmax)."),
-    ]
-    for option in reversed(options):
-        func = option(func)
-    return func
-
-
-def _basis_spec(nmax: int, total_nmax: int | None) -> BasisSpec:
-    if total_nmax is not None:
-        return BasisSpec.total_number(total_nmax)
-    return BasisSpec.per_mode(nmax)
-
-
-class _CommandGroup(click.Group):
-    """Reports a ValueError (ResonanceError included) from any command as a usage error."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-
-
-@click.group(cls=_CommandGroup)
-def cli() -> None:
-    """Spectral toolkit for the two-level, two-mode vibronic model."""
-
-
-@cli.command("table1")
-@_common_options
-@click.option("--kappa2", type=NON_NEGATIVE, default=None, help="Single squared coupling instead of the benchmark grid.")
-@click.option("--tol", type=POSITIVE, default=1e-8, show_default=True, help="Ground-energy convergence tolerance.")
-def table1_command(omega, omega0, fmt, out, kappa2, tol):
-    """Reproduce the published benchmark table and self-check the exact column.
-
-    Emits, per coupling and level, the closed-form eigenvalue, the empirical
-    fit that matches the published RWA column, the cutoff-converged exact
-    energy, and the published references.  Exits 1 if any exact energy
-    misses its published value by more than 5e-3.
-    """
-    cfg = RunConfig(
-        command="table1",
-        params=ModelParams(omega=omega, omega0=omega0),
-        fmt=fmt,
-        out=out,
-        kappa2=kappa2,
-        tol=tol,
-    )
-    sys.exit(execute(cfg))
-
-
-@cli.command("spectrum")
-@_common_options
-@_basis_options
-@click.option("--model", type=click.Choice(sorted(MODELS)), default="full", show_default=True)
-@click.option("--kappa2", type=NON_NEGATIVE, default=0.0, show_default=True, help="Squared coupling.")
-@click.option("--gamma", type=float, default=0.0, show_default=True, help="Imaginary coupling magnitude.")
-def spectrum_command(omega, omega0, fmt, out, nmax, total_nmax, model, kappa2, gamma):
-    """Diagonalize one model Hamiltonian and list its eigenvalues."""
-    params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
-    cfg = RunConfig(
-        command="spectrum",
-        params=params,
-        basis_spec=_basis_spec(nmax, total_nmax),
-        fmt=fmt,
-        out=out,
-        model=model,
-    )
-    sys.exit(execute(cfg))
-
-
-@cli.command("converge")
-@_common_options
-@click.option("--model", type=click.Choice(sorted(MODELS)), default="full", show_default=True)
-@click.option("--kappa2", type=NON_NEGATIVE, default=0.0, show_default=True)
-@click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--tol", type=POSITIVE, default=1e-8, show_default=True)
-@click.option("--grid", default="10:40:10", show_default=True, help="Total-number cutoff schedule start:stop:step.")
-def converge_command(omega, omega0, fmt, out, model, kappa2, gamma, tol, grid):
+@command(
+    "converge",
+    *_common(),
+    MODEL,
+    click.option("--kappa2", type=NON_NEGATIVE, default=0.0, show_default=True),
+    click.option("--gamma", type=float, default=0.0, show_default=True),
+    click.option("--tol", type=POSITIVE, default=1e-8, show_default=True),
+    _grid("10:40:10", "Total-number cutoff schedule start:stop:step.", _schedule),
+)
+def converge_command(omega, omega0, model, kappa2, gamma, tol, grid):
     """Track the ground energy across a total-number cutoff schedule.
 
     Exits 1 when the schedule ends before the tolerance is reached.
     """
-    values = parse_grid(grid)
-    schedule = []
-    for value in values:
-        if abs(value - round(value)) > 1e-9 or value < 1:
-            raise click.UsageError("cutoff schedule must consist of integers >= 1")
-        schedule.append(int(round(value)))
     params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
-    cfg = RunConfig(
-        command="converge",
-        params=params,
-        fmt=fmt,
-        out=out,
-        tol=tol,
-        schedule=tuple(schedule),
-        model=model,
-    )
-    sys.exit(execute(cfg))
+    spectrum = converge_ground(MODELS[model], params, total_number_schedule(grid), tol)
+    rows = [{"cutoff": c, "ground_energy": e} for c, e in spectrum.cutoff_history]
+    return rows, {"converged": spectrum.converged, "tol": tol}, int(not spectrum.converged)
 
 
-@cli.command("transform-residual")
-@click.option("--omega", type=float, default=1.0, show_default=True, help="Oscillator frequency.")
-@click.option("--omega0", type=float, default=0.2, show_default=True, help="Level-splitting parameter.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="csv", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the table to a file.")
-@_basis_options
-@click.option("--grid", default=None, help="Coupling grid start:stop:step (default 0.01,0.02,0.04,0.08).")
-def transform_residual_command(omega, omega0, fmt, out, nmax, total_nmax, grid):
+@command(
+    "transform-residual",
+    *_common(omega0=0.2),
+    *BASIS,
+    _grid(None, "Coupling grid start:stop:step (default 0.01,0.02,0.04,0.08).", _kappa_grid),
+)
+def transform_residual_command(omega, omega0, nmax, total_nmax, grid):
     """Measure the decoupling-transform remainder and fit its coupling power.
 
     Exits 1 if the fitted log-log slope leaves [2.7, 3.3]; an empty or
     malformed grid is a usage error (exit 2).
     """
-    cfg = RunConfig(
-        command="transform-residual",
-        params=ModelParams(omega=omega, omega0=omega0),
-        basis_spec=_basis_spec(nmax, total_nmax),
-        fmt=fmt,
-        out=out,
-        grid=parse_grid(grid) if grid is not None else None,
-    )
-    sys.exit(execute(cfg))
+    params = ModelParams(omega=omega, omega0=omega0)
+    report = residual_study(params, _basis(nmax, total_nmax), grid)
+    rows = [
+        {"kappa": k, "residual_fro": f, "residual_spec": s}
+        for k, f, s in zip(report.kappa_values, report.residual_norms, report.residual_norms_spectral)
+    ]
+    in_range = SLOPE_RANGE[0] <= report.fitted_slope <= SLOPE_RANGE[1]
+    summary = {"fitted_slope": report.fitted_slope, "slope_range": f"{SLOPE_RANGE[0]}..{SLOPE_RANGE[1]}"}
+    return rows, summary, int(not in_range)
 
 
-@cli.command("pseudoherm")
-@_common_options
-@_basis_options
-@click.option("--grid", default="0.1:0.3:0.1", show_default=True, help="Gamma grid start:stop:step.")
-def pseudoherm_command(omega, omega0, fmt, out, nmax, total_nmax, grid):
+@command("pseudoherm", *_common(), *BASIS, _grid("0.1:0.3:0.1", "Gamma grid start:stop:step."))
+def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     """Verify the pseudo-Hermiticity identities of the imaginary-coupling model.
 
     Reports, per gamma, the two metric residuals, the combined-symmetry
     commutator, the conjugation closure of the spectrum, and the
     parity/time-reversal residual.  Exits 1 if an identity fails.
     """
-    cfg = RunConfig(
-        command="pseudoherm",
-        params=ModelParams(omega=omega, omega0=omega0),
-        basis_spec=_basis_spec(nmax, total_nmax),
-        fmt=fmt,
-        out=out,
-        grid=parse_grid(grid),
-    )
-    sys.exit(execute(cfg))
+    base = ModelParams(omega=omega, omega0=omega0)
+    basis = _basis(nmax, total_nmax)
+    _, _, sigma0 = pauli_ops(basis)
+    parity = parity_op(basis)
+    rows = []
+    failed = False
+    for gamma in grid:
+        h = build_nonhermitian(replace(base, gamma=float(gamma)), basis)
+        row = {
+            "gamma": float(gamma),
+            "sigma0_residual": check_pseudo_hermitian(h, sigma0),
+            "parity_residual": check_pseudo_hermitian(h, parity),
+            "combined_commutator": check_combined_symmetry(h),
+            "conjugation_closure": conjugation_closure(diagonalize(h).eigenvalues),
+            "pt_residual": check_pt(h),
+        }
+        rows.append(row)
+        identities = ("sigma0_residual", "parity_residual", "combined_commutator")
+        failed |= any(row[key] > IDENTITY_TOL for key in identities) or row["conjugation_closure"] > CLOSURE_TOL
+    return rows, {"identity_tol": IDENTITY_TOL, "closure_tol": CLOSURE_TOL}, int(failed)
 
 
-@cli.command("reality-scan")
-@_common_options
-@_basis_options
-@click.option("--grid", default="0:0.5:0.005", show_default=True, help="Gamma grid start:stop:step.")
-@click.option("--k-low", type=click.IntRange(min=1), default=4, show_default=True, help="Number of low-lying levels to watch.")
-def reality_scan_command(omega, omega0, fmt, out, nmax, total_nmax, grid, k_low):
+@command(
+    "reality-scan",
+    *_common(),
+    *BASIS,
+    _grid("0:0.5:0.005", "Gamma grid start:stop:step."),
+    click.option(
+        "--k-low", type=click.IntRange(min=1), default=4, show_default=True, help="Number of low-lying levels to watch."
+    ),
+)
+def reality_scan_command(omega, omega0, nmax, total_nmax, grid, k_low):
     """Scan the imaginary coupling and report where low-lying reality breaks."""
-    cfg = RunConfig(
-        command="reality-scan",
-        params=ModelParams(omega=omega, omega0=omega0),
-        basis_spec=_basis_spec(nmax, total_nmax),
-        fmt=fmt,
-        out=out,
-        grid=parse_grid(grid),
-        k_low=k_low,
-    )
-    sys.exit(execute(cfg))
+    report = reality_scan(ModelParams(omega=omega, omega0=omega0), _basis(nmax, total_nmax), grid, k=k_low)
+    rows = [{"gamma": g, "max_imag_lowk": m} for g, m in zip(report.gamma_values, report.max_imag_lowk)]
+    return rows, {"detected_threshold": report.detected_threshold, "k": report.k}, 0
 
 
 def main() -> None:

@@ -3,9 +3,11 @@ import subprocess
 import sys
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from jtrwa import cli as cli_module
 from jtrwa.cli import MAX_GRID_POINTS, cli, parse_grid
 
 
@@ -246,3 +248,30 @@ def test_pretty_format_renders_table():
     assert result.exit_code == 0
     assert "e_exact_computed" in result.output
     assert "worst_abs_delta" in result.output
+
+
+def _raise(exc):
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "target, args",
+    [("diagonalize", ["spectrum", "--nmax", "2"]), ("reality_scan", ["reality-scan", "--nmax", "2"])],
+)
+def test_eigensolver_failure_exits_one(monkeypatch, target, args):
+    monkeypatch.setattr(f"jtrwa.cli.{target}", _raise(np.linalg.LinAlgError("Eigenvalues did not converge")))
+    result = run_cli(args)
+    assert result.exit_code == 1
+    assert result.stderr == "eigensolver failed: Eigenvalues did not converge\n"
+    assert result.stdout == ""
+
+
+def test_out_of_memory_is_usage_error(monkeypatch):
+    monkeypatch.setitem(cli_module.MODELS, "full", _raise(MemoryError("Unable to allocate 14.6 TiB")))
+    result = run_cli(["spectrum", "--nmax", "2"])
+    assert result.exit_code == 2
+    assert result.stderr == "Error: problem too large for memory: Unable to allocate 14.6 TiB\n"
+    assert "Traceback" not in result.output

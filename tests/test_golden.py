@@ -3,10 +3,13 @@
 The fixtures under tests/golden/ hold the stdout (`<name>.out`) and stderr
 (`<name>.err`) of the commands below as produced by the dense-product
 operator assembly, so any change to how operators are built must leave
-the printed results unchanged.  Outputs listed as BYTES must match byte
-for byte.  The NUMERIC ones carry eigensolver round-off (imaginary parts
-of real levels, residual norms near machine precision) that differs
-between BLAS builds; their cells are compared to 1e-12 instead.
+the printed results unchanged.  The `--help`, json and pretty fixtures
+were saved before the commands were declared through `command()`; they
+pin every command and option name, default, help text and output format.
+Outputs listed as BYTES must match byte for byte.  The NUMERIC ones
+carry eigensolver round-off (imaginary parts of real levels, residual
+norms near machine precision) that differs between BLAS builds; their
+cells are compared to 1e-12 instead.
 
 Regenerate the fixtures with `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -28,6 +31,13 @@ BYTES = {
     "spectrum-rwa": (["spectrum", "--model", "rwa", "--total-nmax", "20", "--kappa2", "0.37"], 0),
     "spectrum-rotated": (
         ["spectrum", "--model", "rotated", "--total-nmax", "20", "--kappa2", "0.37"], 0),
+    "table1-json": (["table1", "--kappa2", "0.5", "--format", "json"], 0),
+    "table1-pretty": (["table1", "--kappa2", "0.5", "--format", "pretty"], 0),
+    "help": (["--help"], 0),
+    **{
+        f"help-{name}": ([name, "--help"], 0)
+        for name in ("table1", "spectrum", "converge", "transform-residual", "pseudoherm", "reality-scan")
+    },
 }
 NUMERIC = {
     "spectrum-nonhermitian": (
@@ -39,7 +49,8 @@ NUMERIC = {
 
 
 def _run(args):
-    return CliRunner().invoke(cli, args, catch_exceptions=False)
+    # a fixed terminal width keeps the --help fixtures independent of the terminal running the tests
+    return CliRunner().invoke(cli, args, catch_exceptions=False, terminal_width=80)
 
 
 def _cells(text):
