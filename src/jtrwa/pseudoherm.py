@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .fockspace import Basis, Hermiticity, OperatorMatrix, pauli_ops, sparse_ops
 from .models import ModelParams, build_nonhermitian
@@ -131,6 +130,7 @@ def conjugation_closure(eigenvalues: np.ndarray) -> float:
     a lexicographic sort may order differently in the two sets) do not
     produce spurious mismatches.
     """
+    from scipy.optimize import linear_sum_assignment  # deferred: importing it costs ~0.3 s
     vals = np.asarray(eigenvalues, dtype=np.complex128)
     cost = np.abs(vals[:, None] - vals.conj()[None, :])
     rows, cols = linear_sum_assignment(cost)

@@ -1,9 +1,14 @@
 """Eigensolvers, cutoff-convergence sweeps, and the closed-form level formulas.
 
-The dense solver is the reference path: Hermitian-hinted operators go
-through eigh (after the hint is validated), everything else through the
-general complex solver.  Eigenvalues are always sorted by real part, then
-imaginary part.
+diagonalize solves sector by sector: the blocks of an operator's nonzero
+pattern are its conserved-quantity sectors (J = n1 - n2 + sigma0/2 for the
+full model, 2x2 Jaynes-Cummings blocks for the rotated and imaginary-coupling
+forms).  Hermitian-hinted operators go through eigh (after the hint is
+validated), everything else through the general complex solver; the dense
+solve of the whole matrix is the test oracle.  Eigenvalues are sorted by real
+part, then imaginary part, where real parts within LEVEL_GAP of each other
+(relative to the spectral radius) are one level: exactly degenerate levels
+are ordered by imaginary part, not by round-off.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .fockspace import Basis, BasisSpec, Hermiticity, OperatorMatrix, SPIN_DOWN,
 from .models import ModelParams
 
 DEGENERACY_GAP = 1e-6
+LEVEL_GAP = 1e-9  # relative; far above eigensolver round-off, far below level spacings
 
 
 @dataclass(frozen=True)
@@ -53,31 +59,68 @@ class Spectrum:
         return float(above[0])
 
 
+def _sectors(entries: np.ndarray) -> list[np.ndarray]:
+    """Members of every block of one size as a (count, size) index array, per size.
+
+    The blocks are the connected components of the symmetrized nonzero pattern
+    (min-label propagation with pointer jumping); entries between blocks are zero.
+    """
+    rows, cols = np.nonzero(entries)
+    src, dst = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    labels = np.arange(entries.shape[0])
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, src, labels[dst])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    _, block, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.lexsort((labels, counts[block]))
+    sizes, numbers = np.unique(counts, return_counts=True)
+    ends = np.cumsum(sizes * numbers)
+    return [order[end - size * number:end].reshape(number, size)
+            for size, number, end in zip(sizes, numbers, ends)]
+
+
+def _level_order(vals: np.ndarray) -> np.ndarray:
+    """Indices sorting by level (real parts chained within the gap), then imaginary part."""
+    by_real = np.argsort(vals.real, kind="stable")
+    real = vals.real[by_real]
+    gap = LEVEL_GAP * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    level = np.concatenate(([0], np.cumsum(np.diff(real) > gap)))
+    return by_real[np.lexsort((vals.imag[by_real], level))]
+
+
 def _sorted_eigensystem(entries: np.ndarray, hermitian: bool, want_vectors: bool):
-    if hermitian:
-        work = entries.real if not np.any(entries.imag) else entries
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(work)
+    vals = np.empty(len(entries), dtype=np.complex128)
+    vecs = np.zeros(entries.shape, dtype=np.complex128) if want_vectors else None
+    for members in _sectors(entries):
+        rows, cols = members[:, :, None], members[:, None, :]
+        stack = entries[rows, cols]
+        if hermitian:
+            stack = stack.real if not np.any(stack.imag) else stack
+            solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
         else:
-            vals, vecs = np.linalg.eigvalsh(work), None
-        vals = vals.astype(np.complex128)
-        return vals, None if vecs is None else vecs.astype(np.complex128)
-    if want_vectors:
-        vals, vecs = np.linalg.eig(entries)
-    else:
-        vals, vecs = np.linalg.eigvals(entries), None
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    return vals, None if vecs is None else vecs[:, order]
+            solve = np.linalg.eig if want_vectors else np.linalg.eigvals
+        if want_vectors:
+            vals[members], vecs[rows, cols] = solve(stack)
+        else:
+            vals[members] = solve(stack)
+    order = _level_order(vals)
+    return vals[order], None if vecs is None else vecs[:, order]
 
 
 def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of an operator, Hermitian path when the hint permits.
+    """Full spectrum of an operator, solved block by block.
 
-    A Hermitian hint is validated before eigh is trusted with the matrix.
-    Solver non-convergence propagates as numpy.linalg.LinAlgError rather
-    than being silently truncated.  Eigenpair residuals ||Hv - lambda v||
-    are recorded when vectors are requested.
+    The blocks of the nonzero pattern (the conserved-quantity sectors) of
+    one size are solved by one stacked LAPACK call; a matrix with one block
+    is the dense solve.  A Hermitian hint is validated before eigh is
+    trusted with the matrix.  Solver non-convergence propagates as
+    numpy.linalg.LinAlgError rather than being silently truncated.
+    Eigenpair residuals ||Hv - lambda v|| are computed on the full operator
+    when vectors are requested.
     """
     hermitian = op.hint is Hermiticity.HERMITIAN
     if hermitian:

@@ -27,6 +27,16 @@ def test_module_entry_point_help():
     assert "vibronic" in proc.stdout
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # the assignment solver is imported by conjugation_closure, its one caller
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jtrwa.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_reality_scan_header_and_zero_row(tmp_path):
     out = tmp_path / "scan.csv"
     result = run_cli(["reality-scan", "--grid", "0:0.1:0.05", "--nmax", "4"], out)

@@ -163,6 +163,30 @@ def test_hint_validation_catches_lies():
     identity_op(basis).validate()
 
 
+@pytest.mark.parametrize("hint", [Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN])
+def test_hint_deviation_equals_the_dense_formula(hint):
+    basis = make_basis(BasisSpec.per_mode(3, 2))
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    sparse_entries = np.where(rng.random((24, 24)) < 0.1, dense, 0.0)
+    hermitian = 0.5 * (dense + dense.conj().T)
+    anti = 0.5 * (dense - dense.conj().T)
+    near = (hermitian if hint is Hermiticity.HERMITIAN else anti) + 1e-14 * sparse_entries
+    for m in (dense, sparse_entries, hermitian, anti, near, np.zeros((24, 24))):
+        if hint is Hermiticity.HERMITIAN:
+            reference = np.abs(m - m.conj().T).max()
+        else:
+            reference = np.abs(m + m.conj().T).max()
+        op = OperatorMatrix(basis, m, hint)
+        if reference > 1e-12:
+            message = f"matrix violates {hint.value} hint: deviation {reference:.3e} > 1.0e-12"
+            with pytest.raises(ValueError) as failure:
+                op.validate()
+            assert str(failure.value) == message
+        else:
+            assert op.validate() == reference
+
+
 def test_entries_are_immutable():
     basis = make_basis(BasisSpec.per_mode(1, 1))
     op = identity_op(basis)

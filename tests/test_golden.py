@@ -6,6 +6,10 @@ operator assembly, so any change to how operators are built must leave
 the printed results unchanged.  The `--help`, json and pretty fixtures
 were saved before the commands were declared through `command()`; they
 pin every command and option name, default, help text and output format.
+When `diagonalize` began solving sector by sector, the three table1
+fixtures were regenerated (numeric cells moved by at most 4e-14, the text
+is unchanged) and so was spectrum-nonhermitian (the same rows, reordered
+by imaginary part within each level of equal real part).
 Outputs listed as BYTES must match byte for byte.  The NUMERIC ones
 carry eigensolver round-off (imaginary parts of real levels, residual
 norms near machine precision) that differs between BLAS builds; their

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from jtrwa import (
     BasisSpec,
@@ -15,7 +17,11 @@ from jtrwa import (
     block_solve,
     boson_ops,
     build_full_jt,
+    build_nonhermitian,
     build_rotated,
+    build_rwa,
+    build_second_order,
+    conserved_excitation_op,
     converge_ground,
     diagonalize,
     enumerate_rwa_levels,
@@ -24,6 +30,15 @@ from jtrwa import (
     rwa_level_ladder,
     total_number_schedule,
 )
+from jtrwa.spectra import LEVEL_GAP, _sectors
+
+BUILDERS = {
+    "full": build_full_jt,
+    "rwa": build_rwa,
+    "rotated": build_rotated,
+    "nonhermitian": build_nonhermitian,
+    "second-order": build_second_order,
+}
 
 
 def test_diagonal_matrix_spectrum_is_sorted_diagonal():
@@ -68,6 +83,92 @@ def test_lying_hermitian_hint_is_caught():
     m[1, 0] = 1.0
     with pytest.raises(ValueError, match="hermitian"):
         diagonalize(OperatorMatrix(basis, m, Hermiticity.HERMITIAN))
+
+
+def test_full_model_splits_into_one_block_per_angular_momentum():
+    basis = make_basis(BasisSpec.total_number(6))
+    h = build_full_jt(ModelParams(omega=1.0, omega0=0.1, kappa=0.4), basis)
+    j = np.diag(conserved_excitation_op(basis).entries).real
+    blocks = [members for stack in _sectors(h.entries) for members in stack]
+    assert all(np.unique(j[members]).size == 1 for members in blocks)
+    assert len(blocks) == np.unique(j).size == 14
+    assert sorted(k for members in blocks for k in members) == list(range(basis.dimension))
+
+
+def test_one_block_is_the_dense_solve():
+    basis = make_basis(BasisSpec.per_mode(3, 2))
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    m = m + m.conj().T
+    spectrum = diagonalize(OperatorMatrix(basis, m, Hermiticity.HERMITIAN))
+    assert np.array_equal(spectrum.eigenvalues.real, np.linalg.eigvalsh(m))
+
+
+def test_degenerate_real_parts_are_ordered_by_imaginary_part_in_any_basis_order():
+    # 2x2 blocks [[a, ib], [ib, a]] have eigenvalues a +/- ib: several blocks
+    # share each real part a, so only the ordering rule can place them
+    basis = make_basis(BasisSpec.per_mode(3, 2))
+    m = np.zeros((24, 24), dtype=complex)
+    for k, (a, b) in enumerate([(1.5, 0.3), (1.5, 0.7), (2.5, 0.2), (1.5, 0.5), (2.5, 0.9),
+                                (0.5, 0.4), (2.5, 0.6), (0.5, 0.1), (1.5, 0.2), (2.5, 0.3)]):
+        m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, 1j * b], [1j * b, a]]
+    m[20:, 20:] = np.diag([1.5, 2.5, 0.5, 1.5])
+    expected = diagonalize(OperatorMatrix(basis, m)).eigenvalues
+    real = np.round(expected.real, 9)
+    assert np.all(np.diff(real) >= 0)
+    for level in np.unique(real):
+        assert np.all(np.diff(expected.imag[real == level]) >= 0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        p = rng.permutation(24)
+        got = diagonalize(OperatorMatrix(basis, m[np.ix_(p, p)])).eigenvalues
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(sorted(BUILDERS)),
+    omega=st.floats(0.2, 2.0),
+    omega0=st.floats(-1.0, 1.0),
+    kappa=st.floats(0.0, 1.0),
+    imaginary=st.booleans(),
+    total=st.booleans(),
+    cutoff=st.integers(1, 12),
+    second_cutoff=st.integers(1, 12),
+)
+def test_sector_spectra_match_the_dense_oracle(
+    model, omega, omega0, kappa, imaginary, total, cutoff, second_cutoff
+):
+    # the non-Hermitian builder's coupling i*gamma is imaginary by construction
+    assume(min(abs(omega + 2 * omega0), abs(omega - 2 * omega0)) > 0.05)
+    if imaginary or model == "nonhermitian":
+        # exceptional points of the 2x2 Jaynes-Cummings blocks, where an eigenvalue is
+        # defective and two backward-stable solves differ by ~sqrt(machine epsilon)
+        n = np.arange(1, 14)
+        assume(np.abs((omega - 2 * omega0) ** 2 - 8 * kappa**2 * n).min() > 1e-6)
+    coupling = 1j * kappa if imaginary else kappa
+    params = (ModelParams(omega, omega0, gamma=kappa) if model == "nonhermitian"
+              else ModelParams(omega, omega0, kappa=coupling))
+    spec = BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff, second_cutoff)
+    op = BUILDERS[model](params, make_basis(spec))
+    spectrum = diagonalize(op, want_vectors=True)
+    vals = spectrum.eigenvalues
+    if op.hint is Hermiticity.HERMITIAN:
+        assert np.abs(vals.imag).max() == 0.0
+        assert np.abs(vals.real - np.linalg.eigvalsh(op.entries)).max() <= 1e-10
+    else:
+        dense = np.linalg.eigvals(op.entries)
+        cost = np.abs(vals[:, None] - dense[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-10
+        # ordering rule: a level ends where sorted real parts jump by more than the gap;
+        # levels ascend, and inside a level the imaginary parts ascend
+        real = np.sort(vals.real)
+        starts = real[1:][np.diff(real) > LEVEL_GAP * max(1.0, np.abs(vals).max())]
+        step = np.diff(np.searchsorted(starts, vals.real, side="right"))
+        assert np.all(step >= 0)
+        assert np.all(np.diff(vals.imag)[step == 0] >= 0)
+    assert spectrum.residual_norms.max() <= 1e-10
 
 
 def test_converge_zero_coupling_stops_at_second_cutoff():
