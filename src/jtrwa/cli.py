@@ -127,10 +127,12 @@ def _emit(command: str, rows: list, summary: dict, exit_code: int, fmt: str, out
         with open(out, "w") as handle:
             handle.write(text)
     else:
-        click.echo(text, nl=False)
+        # explicit streams: click.echo's default-stream cache never drops a stream it wraps,
+        # so it would keep the captured streams of every in-process (CliRunner) invocation
+        click.echo(text, file=click.get_text_stream("stdout"), nl=False)
     if fmt != "pretty":
         for note in notes:
-            click.echo(note, err=True)
+            click.echo(note, file=click.get_text_stream("stderr"))
     return exit_code
 
 
@@ -146,7 +148,7 @@ class _CommandGroup(click.Group):
         try:
             return super().invoke(ctx)
         except np.linalg.LinAlgError as exc:
-            click.echo(f"eigensolver failed: {exc}", err=True)
+            click.echo(f"eigensolver failed: {exc}", file=click.get_text_stream("stderr"))
             sys.exit(1)
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc

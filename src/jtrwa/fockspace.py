@@ -12,8 +12,9 @@ Two truncation schemes are supported:
   any operation that conserves the total boson number.
 
 Operators are assembled sparse, as products of CSR ladder and Pauli
-matrices filled by index arithmetic on that order, and stored dense in an
-OperatorMatrix for the dense eigensolvers and matrix exponentials.
+matrices filled by index arithmetic on that order (models caches those
+products per basis), and stored dense in an OperatorMatrix for the
+eigensolvers and matrix exponentials.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (the entry arrays are marked read-only), so
@@ -167,15 +168,22 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.basis, self.entries.conj().T, self.hint)
 
-    def validate(self, tol: float = 1e-12) -> float:
-        """Check the structure hint; returns the deviation, raises if violated."""
+    def validate(self, tol: float = 1e-12, blocks=None) -> float:
+        """Check the structure hint; returns the deviation, raises if violated.
+
+        `blocks` may hold stacked (count, size, size) diagonal blocks that contain every nonzero.
+        """
         m = self.entries
         if self.hint in (Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN):
-            # max |m -/+ m^dagger| over the nonzeros: entries zero in both m and m^dagger add 0
-            rows, cols = np.nonzero(m)
-            entry, mirror = m[rows, cols], m[cols, rows].conj()
-            diff = entry - mirror if self.hint is Hermiticity.HERMITIAN else entry + mirror
-            dev = np.abs(diff).max(initial=0.0)
+            # max |m -/+ m^dagger| over the nonzeros, or the blocks: entries zero in m and m^dagger add 0
+            if blocks is None:
+                rows, cols = np.nonzero(m)
+                pairs = [(m[rows, cols], m[cols, rows].conj())]
+            else:
+                pairs = [(stack, stack.conj().swapaxes(1, 2)) for stack in blocks]
+            hermitian = self.hint is Hermiticity.HERMITIAN
+            dev = max(np.abs(entry - mirror if hermitian else entry + mirror).max(initial=0.0)
+                      for entry, mirror in pairs)
         elif self.hint is Hermiticity.UNITARY:
             dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         else:
@@ -188,38 +196,6 @@ class OperatorMatrix:
         """Sparse COO view (rows, cols, values) of the nonzero entries."""
         rows, cols = np.nonzero(self.entries)
         return rows, cols, self.entries[rows, cols]
-
-    def _check_same_basis(self, other: "OperatorMatrix") -> None:
-        if self.basis != other.basis:
-            raise ValueError("operators live on different bases")
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_basis(other)
-        hint = self.hint if self.hint is other.hint and self.hint in (
-            Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN) else Hermiticity.GENERAL
-        return OperatorMatrix(self.basis, self.entries + other.entries, hint)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "OperatorMatrix":
-        hint = self.hint if self.hint in (Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN) \
-            else Hermiticity.GENERAL
-        return OperatorMatrix(self.basis, -self.entries, hint)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        scalar = complex(scalar)
-        if scalar.imag == 0.0 and self.hint in (Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN):
-            hint = self.hint
-        else:
-            hint = Hermiticity.GENERAL
-        return OperatorMatrix(self.basis, scalar * self.entries, hint)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same_basis(other)
-        return OperatorMatrix(self.basis, self.entries @ other.entries)
 
 
 def identity_op(basis: Basis) -> OperatorMatrix:

@@ -1,9 +1,13 @@
 """Hamiltonian builders for the two-level, two-mode vibronic model.
 
-Every builder is a pure function of (params, basis) returning an
-OperatorMatrix; results are immutable and safe to build concurrently.
-The operator expressions are sparse products of the elementary CSR
-matrices of fockspace.sparse_ops, densified once into the result.
+Every model is affine in its parameters: a short table of sparse terms
+(products of the elementary CSR matrices of fockspace.sparse_ops), each
+scaled by a coefficient such as omega, omega0, kappa or kappa^2/(omega +
+2 omega0).  The terms are built once per (basis, model) and kept in a
+bounded cache (model_terms), so a coupling scan on one basis only scales
+cached terms; each builder sums coefficient * term and densifies once.
+Builders are pure functions of (params, basis) returning an immutable
+OperatorMatrix, and are safe to call concurrently.
 
 Convention: sigma_0 = diag(1, -1), so the bare spin splitting is
 2*omega0 and the spin-flip ladder frequencies relative to the boson
@@ -15,6 +19,7 @@ omega = +/-2*omega0 with a ResonanceError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -74,9 +79,43 @@ def spin_ladder_detunings(params: ModelParams) -> tuple[float, float]:
     return plus, minus
 
 
-def _free_part(params: ModelParams, o: SparseOps) -> sparse.sparray:
-    number = o.a1d @ o.a1 + o.a2d @ o.a2
-    return params.omega * (number + sparse.eye_array(number.shape[0])) + params.omega0 * o.s0
+TERM_CACHE_SIZE = 16  # (basis, model) entries; each holds O(nnz) sparse terms
+
+
+def _free(o: SparseOps) -> tuple[sparse.sparray, sparse.sparray]:
+    """The terms scaled by omega and omega0: N + 1 and sigma0."""
+    return o.a1d @ o.a1 + o.a2d @ o.a2 + sparse.eye_array(o.s0.shape[0]), o.s0
+
+
+# Each model as its sparse terms; its builder gives one coefficient per term, in this order.
+_TERMS = {
+    "full": lambda o: (*_free(o), (o.a1 + o.a2d) @ o.sp + (o.a1d + o.a2) @ o.sm),
+    "rwa": lambda o: (*_free(o), (o.a1 + o.a2) @ o.sp + (o.a1d + o.a2d) @ o.sm),
+    "jaynes-cummings": lambda o: (*_free(o), o.a1 @ o.sp + o.a1d @ o.sm),
+    "second-order": lambda o: (
+        *_TERMS["rwa"](o),
+        (o.a1d @ o.a2d + o.a1 @ o.a2) @ o.s0,
+        (o.a1d @ o.a2 + o.a2d @ o.a1) @ o.s0,  # a2+ a1 is the truncated adjoint of a1+ a2
+        (o.a2d @ o.a2d + o.a2 @ o.a2 + 2.0 * (o.a2d @ o.a2)) @ o.s0,
+        o.sp @ o.sm,
+        o.sm @ o.sp,
+    ),
+    "generator": lambda o: (o.sp @ o.a2d - o.sm @ o.a2, o.sm @ o.a2d - o.sp @ o.a2),
+}
+
+
+@lru_cache(maxsize=TERM_CACHE_SIZE)
+def model_terms(basis: Basis, model: str) -> tuple[sparse.coo_array, ...]:
+    """The sparse terms of `model` on `basis`, built on first use and shared: do not modify them."""
+    return tuple(term.tocoo() for term in _TERMS[model](sparse_ops(basis)))
+
+
+def assemble(basis: Basis, model: str, coefficients, hint: Hermiticity) -> OperatorMatrix:
+    """Sum of coefficient * term over the cached terms of `model`, densified once."""
+    h = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
+    for coefficient, term in zip(coefficients, model_terms(basis, model), strict=True):
+        h[term.row, term.col] += coefficient * term.data
+    return OperatorMatrix(basis, h, hint)
 
 
 def _coupling_hint(coupling: complex) -> Hermiticity:
@@ -89,18 +128,12 @@ def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:
     H = omega (a1+a1 + a2+a2 + 1) + omega0 sigma0
         + kappa [(a1 + a2+) sigma+ + (a1+ + a2) sigma-]
     """
-    o = sparse_ops(basis)
-    h = _free_part(params, o) + params.kappa * ((o.a1 + o.a2d) @ o.sp + (o.a1d + o.a2) @ o.sm)
-    return OperatorMatrix(basis, h.toarray(), _coupling_hint(params.kappa))
-
-
-def _rwa(params: ModelParams, o: SparseOps) -> sparse.sparray:
-    return _free_part(params, o) + params.kappa * ((o.a1 + o.a2) @ o.sp + (o.a1d + o.a2d) @ o.sm)
+    return assemble(basis, "full", (params.omega, params.omega0, params.kappa), _coupling_hint(params.kappa))
 
 
 def build_rwa(params: ModelParams, basis: Basis) -> OperatorMatrix:
     """Rotating-wave form: both modes couple through number-conserving terms only."""
-    return OperatorMatrix(basis, _rwa(params, sparse_ops(basis)).toarray(), _coupling_hint(params.kappa))
+    return assemble(basis, "rwa", (params.omega, params.omega0, params.kappa), _coupling_hint(params.kappa))
 
 
 def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -108,9 +141,8 @@ def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
 
     Only mode 1 couples, with strength sqrt(2)*kappa; mode 2 is a spectator.
     """
-    o = sparse_ops(basis)
-    h = _free_part(params, o) + np.sqrt(2.0) * params.kappa * (o.a1 @ o.sp + o.a1d @ o.sm)
-    return OperatorMatrix(basis, h.toarray(), _coupling_hint(params.kappa))
+    coefficients = (params.omega, params.omega0, np.sqrt(2.0) * params.kappa)
+    return assemble(basis, "jaynes-cummings", coefficients, _coupling_hint(params.kappa))
 
 
 def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -119,10 +151,9 @@ def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
     Not Hermitian for gamma > 0: the adjoint is the same builder with
     gamma -> -gamma.
     """
-    o = sparse_ops(basis)
-    h = _free_part(params, o) + 1j * np.sqrt(2.0) * params.gamma * (o.a1 @ o.sp + o.a1d @ o.sm)
+    coefficients = (params.omega, params.omega0, 1j * np.sqrt(2.0) * params.gamma)
     hint = Hermiticity.HERMITIAN if params.gamma == 0.0 else Hermiticity.GENERAL
-    return OperatorMatrix(basis, h.toarray(), hint)
+    return assemble(basis, "jaynes-cummings", coefficients, hint)
 
 
 def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -133,16 +164,10 @@ def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
     deliberately not constructed (transforms.residual_study measures it).
     """
     plus, minus = spin_ladder_detunings(params)
-    o = sparse_ops(basis)
-    a1, a1d, a2, a2d, sp, sm, s0 = o
     k2 = params.kappa * params.kappa
-
-    h = _rwa(params, o)
-    h += (k2 / plus) * (a1d @ a2d + a1 @ a2) @ s0
-    h += (k2 / minus) * (a1d @ a2 + a2d @ a1) @ s0  # a2+ a1 is the truncated adjoint of a1+ a2
-    h += (params.omega * k2 / (plus * minus)) * (a2d @ a2d + a2 @ a2 + 2.0 * (a2d @ a2)) @ s0
-    h += (k2 / minus) * (sp @ sm) - (k2 / plus) * (sm @ sp)
-    return OperatorMatrix(basis, h.toarray(), _coupling_hint(params.kappa))
+    coefficients = (params.omega, params.omega0, params.kappa,
+                    k2 / plus, k2 / minus, params.omega * k2 / (plus * minus), k2 / minus, -(k2 / plus))
+    return assemble(basis, "second-order", coefficients, _coupling_hint(params.kappa))
 
 
 def conserved_excitation_op(basis: Basis) -> OperatorMatrix:

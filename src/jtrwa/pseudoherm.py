@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, pauli_ops, sparse_ops
+from .fockspace import Basis, Hermiticity, OperatorMatrix, sparse_ops
 from .models import ModelParams, build_nonhermitian
 from .spectra import diagonalize
 
@@ -94,21 +94,20 @@ def check_pt(h: OperatorMatrix) -> float:
 
 
 def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float:
-    """Frobenius norm of eta h eta^-1 - h^dagger for an invertible Hermitian metric."""
+    """Frobenius norm of eta h eta^-1 - h^dagger, elementwise d_i h_ij / d_j for a diagonal metric eta = diag(d)."""
     if h.basis != eta.basis:
         raise ValueError("Hamiltonian and metric live on different bases")
     e = eta.entries
     dev = np.abs(e - e.conj().T).max()
     if dev > 1e-12:
         raise ValueError(f"metric is not Hermitian (deviation {dev:.3e})")
-    try:
-        condition = np.linalg.cond(e)
-    except np.linalg.LinAlgError:
-        condition = np.inf
-    if not np.isfinite(condition) or condition > 1e12:
+    d = np.diagonal(e)
+    if np.count_nonzero(e) != np.count_nonzero(d):
+        raise ValueError("metric is not diagonal; only diagonal metrics are supported")
+    if not 0 < np.abs(d).max() <= 1e12 * np.abs(d).min():  # condition number max|d| / min|d|
         raise ValueError("metric is singular or numerically non-invertible")
-    eta_inv = np.linalg.inv(e)
-    return float(np.linalg.norm(e @ h.entries @ eta_inv - h.entries.conj().T, "fro"))
+    m = h.entries
+    return float(np.linalg.norm(d[:, None] * m / d[None, :] - m.conj().T, "fro"))
 
 
 def check_combined_symmetry(h: OperatorMatrix) -> float:
@@ -116,11 +115,11 @@ def check_combined_symmetry(h: OperatorMatrix) -> float:
 
     Pseudo-Hermiticity with respect to two metrics implies symmetry under
     their ratio; for the imaginary-coupling Hamiltonian P sigma0 commutes
-    with h for every gamma.
+    with h for every gamma.  With P sigma0 = diag(g) it is h_ij (g_j - g_i).
     """
-    _, _, s0 = pauli_ops(h.basis)
-    g = parity_op(h.basis).entries @ s0.entries
-    return float(np.linalg.norm(h.entries @ g - g @ h.entries, "fro"))
+    spin, n1, n2 = np.array(h.basis.states).T
+    g = spin * (-1.0) ** (n1 + n2)
+    return float(np.linalg.norm(h.entries * (g[None, :] - g[:, None]), "fro"))
 
 
 def conjugation_closure(eigenvalues: np.ndarray) -> float:

@@ -92,44 +92,41 @@ def _level_order(vals: np.ndarray) -> np.ndarray:
     return by_real[np.lexsort((vals.imag[by_real], level))]
 
 
-def _sorted_eigensystem(entries: np.ndarray, hermitian: bool, want_vectors: bool):
-    vals = np.empty(len(entries), dtype=np.complex128)
-    vecs = np.zeros(entries.shape, dtype=np.complex128) if want_vectors else None
-    for members in _sectors(entries):
-        rows, cols = members[:, :, None], members[:, None, :]
-        stack = entries[rows, cols]
+def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
+    """Full spectrum of an operator, solved block by block.
+
+    The blocks of the nonzero pattern (the conserved-quantity sectors) of
+    one size are solved by one stacked LAPACK call; a matrix with one block
+    is the dense solve.  A Hermitian hint is validated on the stacked blocks,
+    which hold every nonzero, before eigh is trusted with the matrix.  Solver
+    non-convergence propagates as numpy.linalg.LinAlgError rather than being
+    silently truncated.  Eigenpair residuals ||Hv - lambda v|| are computed
+    block by block when vectors are requested.
+    """
+    entries, dim = op.entries, op.dimension
+    blocks = [(members, entries[members[:, :, None], members[:, None, :]]) for members in _sectors(entries)]
+    hermitian = op.hint is Hermiticity.HERMITIAN
+    if hermitian:
+        op.validate(blocks=[stack for _, stack in blocks])
+    vals = np.empty(dim, dtype=np.complex128)
+    vecs = np.zeros((dim, dim), dtype=np.complex128) if want_vectors else None
+    residuals = np.empty(dim) if want_vectors else None
+    for members, stack in blocks:
         if hermitian:
             stack = stack.real if not np.any(stack.imag) else stack
             solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
         else:
             solve = np.linalg.eig if want_vectors else np.linalg.eigvals
         if want_vectors:
-            vals[members], vecs[rows, cols] = solve(stack)
+            w, v = solve(stack)
+            vals[members], vecs[members[:, :, None], members[:, None, :]] = w, v
+            residuals[members] = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
         else:
             vals[members] = solve(stack)
     order = _level_order(vals)
-    return vals[order], None if vecs is None else vecs[:, order]
-
-
-def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of an operator, solved block by block.
-
-    The blocks of the nonzero pattern (the conserved-quantity sectors) of
-    one size are solved by one stacked LAPACK call; a matrix with one block
-    is the dense solve.  A Hermitian hint is validated before eigh is
-    trusted with the matrix.  Solver non-convergence propagates as
-    numpy.linalg.LinAlgError rather than being silently truncated.
-    Eigenpair residuals ||Hv - lambda v|| are computed on the full operator
-    when vectors are requested.
-    """
-    hermitian = op.hint is Hermiticity.HERMITIAN
-    if hermitian:
-        op.validate()
-    vals, vecs = _sorted_eigensystem(op.entries, hermitian, want_vectors)
-    residuals = None
-    if vecs is not None:
-        residuals = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
-    return Spectrum(vals, op.basis, eigenvectors=vecs, residual_norms=residuals)
+    if want_vectors:
+        vecs, residuals = vecs[:, order], residuals[order]
+    return Spectrum(vals[order], op.basis, eigenvectors=vecs, residual_norms=residuals)
 
 
 def total_number_schedule(cutoffs: Iterable[int]) -> list[BasisSpec]:

@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import click
 import numpy as np
@@ -73,6 +75,30 @@ def test_transform_residual_defaults_pass_slope_gate(tmp_path):
     assert lines[0] == "kappa,residual_fro,residual_spec"
     kappas = [float(line.split(",")[0]) for line in lines[1:]]
     assert kappas == [0.01, 0.02, 0.04, 0.08]
+    assert "fitted_slope" in result.output
+
+
+def test_in_process_runs_release_their_captured_streams(monkeypatch):
+    # every CliRunner invocation captures output in fresh stream objects; writing
+    # through click's cached default streams kept each of them alive for good
+    streams = []
+    emit = cli_module._emit
+
+    def recording(*args):
+        streams.extend(weakref.ref(stream) for stream in (sys.stdout, sys.stderr))
+        return emit(*args)
+
+    monkeypatch.setattr(cli_module, "_emit", recording)
+    for _ in range(3):
+        assert run_cli(["spectrum", "--nmax", "1"]).exit_code == 0
+    gc.collect()
+    assert len(streams) == 6 and all(ref() is None for ref in streams)
+
+
+def test_transform_residual_default_grid_passes_at_omega0_one():
+    # the guard bounds kappa by the spin-flip detunings omega +/- 2 omega0 (here 3 and -1)
+    result = run_cli(["transform-residual", "--omega0", "1.0"])
+    assert result.exit_code == 0
     assert "fitted_slope" in result.output
 
 

@@ -204,13 +204,6 @@ def test_triplet_view_roundtrip():
     assert len(vals) == np.count_nonzero(a1.entries)
 
 
-def test_operations_demand_matching_bases():
-    a = identity_op(make_basis(BasisSpec.per_mode(1, 1)))
-    b = identity_op(make_basis(BasisSpec.per_mode(2, 2)))
-    with pytest.raises(ValueError, match="different bases"):
-        _ = a @ b
-
-
 def test_number_projector_bounds():
     basis = make_basis(BasisSpec.per_mode(3, 3))
     proj = number_projector(basis, max_n1=1, max_total=2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
     BasisSpec,
@@ -17,8 +18,10 @@ from jtrwa import (
     diagonalize,
     make_basis,
     pauli_ops,
+    reality_scan,
     spin_ladder_detunings,
 )
+from jtrwa import models
 from jtrwa.transforms import decoupling_generator
 
 BUILDERS = (build_full_jt, build_rwa, build_rotated, build_second_order)
@@ -263,3 +266,42 @@ def test_sparse_assembly_equals_dense_products(name, spec, kappa):
     params = ModelParams(omega=1.2, omega0=0.17, kappa=kappa, gamma=0.31)
     built = SPARSE_ASSEMBLED[name](params, basis).entries
     assert np.array_equal(built, _dense_products(name, params, basis))
+
+
+CACHE_SPECS = [BasisSpec.total_number(n) for n in (2, 4, 5)] + [BasisSpec.per_mode(3, 2)]
+CACHE_KEYS = [(name, spec) for name in sorted(SPARSE_ASSEMBLED) for spec in CACHE_SPECS]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    first=st.permutations(CACHE_KEYS),
+    second=st.permutations(CACHE_KEYS),
+    kappa=st.complex_numbers(max_magnitude=2.0),
+    gamma=st.floats(0.0, 2.0),
+)
+def test_cached_terms_match_dense_products_past_the_cache_size(first, second, kappa, gamma):
+    # 24 (model, basis) pairs against a 16-entry cache: the second pass
+    # mixes evicted and cached terms
+    assert len(CACHE_KEYS) > models.TERM_CACHE_SIZE
+    params = ModelParams(omega=1.2, omega0=0.17, kappa=kappa, gamma=gamma)
+    for name, spec in first + second:
+        basis = make_basis(spec)
+        built = SPARSE_ASSEMBLED[name](params, basis).entries
+        assert np.array_equal(built, _dense_products(name, params, basis))
+    assert models.model_terms.cache_info().currsize <= models.TERM_CACHE_SIZE
+
+
+def test_reality_scan_assembles_its_basis_once(monkeypatch):
+    sparse_ops, calls = models.sparse_ops, []
+
+    def counting(basis):
+        calls.append(basis)
+        return sparse_ops(basis)
+
+    monkeypatch.setattr(models, "sparse_ops", counting)
+    models.model_terms.cache_clear()
+    basis = make_basis(BasisSpec.per_mode(8, 8))
+    report = reality_scan(ModelParams(omega=1.0, omega0=0.2), basis, np.linspace(0.0, 0.5, 101))
+    assert len(report.gamma_values) == 101
+    assert calls == [basis]
+    assert models.model_terms.cache_info().currsize == 1  # only the Jaynes-Cummings terms, built lazily

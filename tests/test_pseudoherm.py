@@ -4,6 +4,7 @@ import pytest
 from jtrwa import (
     BasisSpec,
     ModelParams,
+    OperatorMatrix,
     boson_ops,
     build_full_jt,
     build_nonhermitian,
@@ -123,6 +124,23 @@ def test_non_hermitian_metric_rejected():
         check_pseudo_hermitian(_h(0.2), OperatorMatrix(BASIS, m))
 
 
+def test_non_diagonal_metric_rejected():
+    m = np.eye(BASIS.dimension, dtype=complex)
+    m[0, 1] = m[1, 0] = 0.5
+    with pytest.raises(ValueError, match="not diagonal"):
+        check_pseudo_hermitian(_h(0.2), OperatorMatrix(BASIS, m))
+
+
+def test_elementwise_metric_checks_match_the_dense_formulas():
+    h = _h(0.3, omega0=0.25).entries + 0.01 * np.triu(np.ones((BASIS.dimension,) * 2))
+    op = OperatorMatrix(BASIS, h)
+    d = np.random.default_rng(2).uniform(0.5, 2.0, BASIS.dimension) * np.sign(np.diag(parity_op(BASIS).entries))
+    dense = np.linalg.norm(np.diag(d) @ h @ np.linalg.inv(np.diag(d)) - h.conj().T, "fro")
+    assert abs(check_pseudo_hermitian(op, OperatorMatrix(BASIS, np.diag(d))) - dense) <= 1e-12 * dense
+    g = parity_op(BASIS).entries @ pauli_ops(BASIS)[2].entries
+    assert check_combined_symmetry(op) == pytest.approx(np.linalg.norm(h @ g - g @ h, "fro"), rel=1e-14)
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5])
 def test_combined_symmetry_commutes(gamma):
     assert check_combined_symmetry(_h(gamma, omega0=0.3)) <= 1e-12
@@ -136,7 +154,7 @@ def test_combined_symmetry_for_real_coupling_model():
 def test_combined_symmetry_broken_by_displacement_term():
     a1, a1d = boson_ops(BASIS, 1)
     h = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=0.3), BASIS)
-    perturbed = h + 0.05 * (a1 + a1d)
+    perturbed = OperatorMatrix(BASIS, h.entries + 0.05 * (a1.entries + a1d.entries))
     assert check_combined_symmetry(perturbed) > 1e-3
 
 

@@ -405,3 +405,44 @@ def test_closed_form_and_fit_disagree_at_small_quantum_numbers():
     assert fit == pytest.approx(0.90455, abs=1e-4)
     assert closed == pytest.approx(0.329180, abs=1e-6)
     assert abs(closed - fit) > 0.5
+
+
+@pytest.mark.parametrize("hint", [Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN])
+def test_blockwise_hint_deviation_equals_validate(hint):
+    # diagonalize checks the hint on its stacked sector blocks instead of a
+    # second nonzero scan; deviation and message must be those of validate()
+    basis = make_basis(BasisSpec.per_mode(3, 2))
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    scattered = np.where(rng.random((24, 24)) < 0.05, dense, 0.0)
+    h = build_full_jt(ModelParams(omega=1.0, omega0=0.2, kappa=0.3 + 0.1j), basis).entries
+    if hint is Hermiticity.ANTI_HERMITIAN:
+        h = 1j * h
+    in_pattern = np.where(h != 0, dense, 0.0)
+    matrices = [dense, scattered, h, h + 1e-14 * in_pattern, h + 1e-9 * in_pattern, np.zeros((24, 24))]
+    for m in matrices:
+        op = OperatorMatrix(basis, m, hint)
+        blocks = [m[members[:, :, None], members[:, None, :]] for members in _sectors(m)]
+        try:
+            expected = op.validate()
+        except ValueError as failure:
+            with pytest.raises(ValueError) as blockwise:
+                op.validate(blocks=blocks)
+            assert str(blockwise.value) == str(failure)
+            if hint is Hermiticity.HERMITIAN:
+                with pytest.raises(ValueError) as solving:
+                    diagonalize(op)
+                assert str(solving.value) == str(failure)
+        else:
+            assert op.validate(blocks=blocks) == expected
+
+
+@pytest.mark.parametrize("model", sorted(BUILDERS))
+def test_blockwise_residuals_match_the_dense_formula(model):
+    basis = make_basis(BasisSpec.total_number(8))
+    params = ModelParams(omega=1.0, omega0=0.15, kappa=0.45, gamma=0.2)
+    op = BUILDERS[model](params, basis)
+    spectrum = diagonalize(op, want_vectors=True)
+    vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+    dense = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
+    assert np.abs(spectrum.residual_norms - dense).max() <= 1e-12

@@ -181,3 +181,13 @@ def test_residual_study_grid_validation(grid, message):
     basis = make_basis(BasisSpec.per_mode(3, 3))
     with pytest.raises(ValueError, match=message):
         residual_study(STUDY_PARAMS, basis, grid)
+
+
+def test_residual_study_guard_follows_the_spin_flip_detunings():
+    # the denominators are omega +/- 2 omega0: at omega0 = 1 they are 3 and -1,
+    # so the default grid up to 0.08 lies inside the guard 0.15
+    params = ModelParams(omega=1.0, omega0=1.0)
+    report = residual_study(params, make_basis(BasisSpec.per_mode(8, 8)), (0.01, 0.02, 0.04, 0.08))
+    assert 2.7 <= report.fitted_slope <= 3.3
+    with pytest.raises(ValueError, match="guard 0.15"):
+        residual_study(params, make_basis(BasisSpec.per_mode(3, 3)), (0.1, 0.16))
