@@ -20,7 +20,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .fockspace import BasisSpec, make_basis, pauli_ops
+from .fockspace import BasisSpec, Hermiticity, OperatorMatrix, make_basis
 from .models import (
     ModelParams,
     build_full_jt,
@@ -326,7 +326,7 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     """
     base = ModelParams(omega=omega, omega0=omega0)
     basis = _basis(nmax, total_nmax)
-    _, _, sigma0 = pauli_ops(basis)
+    sigma0 = OperatorMatrix(basis, np.diag([float(spin) for spin, _, _ in basis.states]), Hermiticity.HERMITIAN)
     parity = parity_op(basis)
     rows = []
     failed = False

@@ -11,10 +11,10 @@ Two truncation schemes are supported:
 * total-number: a shared bound n1 + n2 <= N, which closes exactly under
   any operation that conserves the total boson number.
 
-Operators are assembled sparse, as products of CSR ladder and Pauli
-matrices filled by index arithmetic on that order (models caches those
-products per basis), and stored dense in an OperatorMatrix for the
-eigensolvers and matrix exponentials.
+Operators are assembled sparse, as Terms: sums of products of ladder,
+Pauli and identity column maps built by index arithmetic on that order
+(models caches their triplets per basis), and stored dense in an
+OperatorMatrix for the eigensolvers and matrix exponentials.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (the entry arrays are marked read-only), so
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
 SPIN_UP = 1
 SPIN_DOWN = -1
@@ -192,47 +191,84 @@ class OperatorMatrix:
             raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {tol:.1e}")
         return float(dev)
 
-    def to_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse COO view (rows, cols, values) of the nonzero entries."""
-        rows, cols = np.nonzero(self.entries)
-        return rows, cols, self.entries[rows, cols]
-
 
 def identity_op(basis: Basis) -> OperatorMatrix:
     return OperatorMatrix(basis, np.eye(basis.dimension), Hermiticity.HERMITIAN)
 
 
-def _placed(basis: Basis, cols, spin, n1, n2, values) -> sparse.csr_array:
-    """CSR matrix with values[i] in column cols[i] and the row of state (spin, n1, n2)[i].
+class Term:
+    """Sum of monomials, each a partial column map: column j goes to row target[j] times value[j].
 
-    A row is the spin block offset, plus the states of all lower n1 rows, plus n2.
+    Target -1 leaves the basis; the extra last column is that outside state
+    (target -1, value 0), so a product chases indices with no special case.
     """
-    spec, dim = basis.spec, basis.dimension
-    if spec.truncation is Truncation.TOTAL_NUMBER:
-        below = n1 * (spec.n_max_1 + 1) - n1 * (n1 - 1) // 2  # row m holds N - m + 1 states
-    else:
-        below = n1 * (spec.n_max_2 + 1)
-    rows = np.where(spin == SPIN_UP, 0, dim // 2) + below + n2
-    return sparse.csr_array((values.astype(np.complex128), (rows, cols)), shape=(dim, dim))
+
+    def __init__(self, monomials) -> None:
+        self.monomials = tuple(monomials)
+
+    def __matmul__(self, other: "Term") -> "Term":
+        return Term((t1[t2], v1[t2] * v2) for t1, v1 in self.monomials for t2, v2 in other.monomials)
+
+    def __add__(self, other: "Term") -> "Term":
+        return Term(self.monomials + other.monomials)
+
+    def __sub__(self, other: "Term") -> "Term":
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar: complex) -> "Term":
+        return Term((t, scalar * v) for t, v in self.monomials)
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) in row-major order; entries at one position are summed in monomial order."""
+        dim = self.monomials[0][0].size - 1
+        rows = np.concatenate([t[:-1] for t, _ in self.monomials])
+        values = np.concatenate([v[:-1] for _, v in self.monomials])
+        keep = rows >= 0
+        cols = np.tile(np.arange(dim), len(self.monomials))[keep]
+        positions, slot = np.unique(rows[keep] * dim + cols, return_inverse=True)
+        summed = np.zeros(positions.size, dtype=values.dtype)
+        np.add.at(summed, slot, values[keep])
+        return positions // dim, positions % dim, summed
+
+    def dense(self) -> np.ndarray:
+        rows, cols, values = self.triplets()
+        m = np.zeros((self.monomials[0][0].size - 1,) * 2, dtype=np.complex128)
+        m[rows, cols] = values
+        return m
 
 
-SparseOps = namedtuple("SparseOps", "a1 a1d a2 a2d sp sm s0")
+ElementaryOps = namedtuple("ElementaryOps", "a1 a1d a2 a2d sp sm s0 eye")
 
 
-def sparse_ops(basis: Basis) -> SparseOps:
-    """Ladder and Pauli matrices of `basis` as CSR, with no per-state loop.
+def elementary_ops(basis: Basis) -> ElementaryOps:
+    """Ladder, Pauli and identity operators of `basis` as terms, with no per-state loop.
 
     a|n> = sqrt(n)|n-1> per mode, sigma_plus|down> = |up> and sigma_0 =
-    diag(spin), each the identity on the other factors; every dagger
-    (a1d, a2d, sm) is the conjugate transpose of its partner.
+    diag(spin), each the identity on the other factors; every dagger (a1d,
+    a2d, sm) is the conjugate transpose of its partner.  In the basis order,
+    lowering n2 steps one state back, lowering n1 steps back over the states
+    with n1 - 1 (of the same spin), and raising the spin over half the basis.
     """
+    spec, dim = basis.spec, basis.dimension
     spin, n1, n2 = np.array(basis.states).T
-    k1, k2, kd = np.flatnonzero(n1), np.flatnonzero(n2), np.flatnonzero(spin == SPIN_DOWN)
-    a1 = _placed(basis, k1, spin[k1], n1[k1] - 1, n2[k1], np.sqrt(n1[k1]))
-    a2 = _placed(basis, k2, spin[k2], n1[k2], n2[k2] - 1, np.sqrt(n2[k2]))
-    sp = _placed(basis, kd, SPIN_UP, n1[kd], n2[kd], np.ones(kd.size))
-    s0 = _placed(basis, np.arange(basis.dimension), spin, n1, n2, spin)
-    return SparseOps(a1, a1.conj().T, a2, a2.conj().T, sp, sp.conj().T, s0)
+    shrinks = spec.truncation is Truncation.TOTAL_NUMBER  # then N + 1 - m states have n1 = m
+
+    def term(cols, rows, values) -> Term:
+        target, value = np.full(dim + 1, -1), np.zeros(dim + 1)
+        target[cols], value[cols] = rows, values
+        return Term([(target, value)])
+
+    def step_back(cols, step, values) -> tuple[Term, Term]:  # column k to row k - step; real values
+        return term(cols, cols - step, values), term(cols - step, cols, values)
+
+    k1, k2, kd, every = np.flatnonzero(n1), np.flatnonzero(n2), np.flatnonzero(spin == SPIN_DOWN), np.arange(dim)
+    return ElementaryOps(
+        *step_back(k1, spec.n_max_2 + 1 - shrinks * (n1[k1] - 1), np.sqrt(n1[k1])),
+        *step_back(k2, 1, np.sqrt(n2[k2])),
+        *step_back(kd, dim // 2, 1.0),
+        term(every, every, spin),
+        term(every, every, 1.0),
+    )
 
 
 def boson_ops(basis: Basis, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -243,16 +279,16 @@ def boson_ops(basis: Basis, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    ops = sparse_ops(basis)
-    ann = OperatorMatrix(basis, (ops.a1 if mode == 1 else ops.a2).toarray())
+    ops = elementary_ops(basis)
+    ann = OperatorMatrix(basis, (ops.a1 if mode == 1 else ops.a2).dense())
     return ann, ann.dagger()
 
 
 def pauli_ops(basis: Basis) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """(sigma_plus, sigma_minus, sigma_0), each tensored with the boson identity."""
-    ops = sparse_ops(basis)
-    sigma_plus = OperatorMatrix(basis, ops.sp.toarray())
-    return sigma_plus, sigma_plus.dagger(), OperatorMatrix(basis, ops.s0.toarray(), Hermiticity.HERMITIAN)
+    ops = elementary_ops(basis)
+    sigma_plus = OperatorMatrix(basis, ops.sp.dense())
+    return sigma_plus, sigma_plus.dagger(), OperatorMatrix(basis, ops.s0.dense(), Hermiticity.HERMITIAN)
 
 
 def number_projector(

@@ -1,11 +1,11 @@
 """Hamiltonian builders for the two-level, two-mode vibronic model.
 
 Every model is affine in its parameters: a short table of sparse terms
-(products of the elementary CSR matrices of fockspace.sparse_ops), each
+(products of the elementary operators of fockspace.elementary_ops), each
 scaled by a coefficient such as omega, omega0, kappa or kappa^2/(omega +
-2 omega0).  The terms are built once per (basis, model) and kept in a
-bounded cache (model_terms), so a coupling scan on one basis only scales
-cached terms; each builder sums coefficient * term and densifies once.
+2 omega0).  The terms are built once per (basis, model) as numpy (rows, cols,
+values) triplets in a bounded cache (model_terms), so a coupling scan on one
+basis only scales cached terms; each builder sums coefficient * term densely.
 Builders are pure functions of (params, basis) returning an immutable
 OperatorMatrix, and are safe to call concurrently.
 
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, SparseOps, sparse_ops
+from .fockspace import Basis, ElementaryOps, Hermiticity, OperatorMatrix, Term, elementary_ops
 
 
 class ResonanceError(ValueError):
@@ -82,9 +81,9 @@ def spin_ladder_detunings(params: ModelParams) -> tuple[float, float]:
 TERM_CACHE_SIZE = 16  # (basis, model) entries; each holds O(nnz) sparse terms
 
 
-def _free(o: SparseOps) -> tuple[sparse.sparray, sparse.sparray]:
+def _free(o: ElementaryOps) -> tuple[Term, Term]:
     """The terms scaled by omega and omega0: N + 1 and sigma0."""
-    return o.a1d @ o.a1 + o.a2d @ o.a2 + sparse.eye_array(o.s0.shape[0]), o.s0
+    return o.a1d @ o.a1 + o.a2d @ o.a2 + o.eye, o.s0
 
 
 # Each model as its sparse terms; its builder gives one coefficient per term, in this order.
@@ -105,16 +104,16 @@ _TERMS = {
 
 
 @lru_cache(maxsize=TERM_CACHE_SIZE)
-def model_terms(basis: Basis, model: str) -> tuple[sparse.coo_array, ...]:
-    """The sparse terms of `model` on `basis`, built on first use and shared: do not modify them."""
-    return tuple(term.tocoo() for term in _TERMS[model](sparse_ops(basis)))
+def model_terms(basis: Basis, model: str) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(rows, cols, values) of each term of `model` on `basis`, built on first use and shared: do not modify."""
+    return tuple(term.triplets() for term in _TERMS[model](elementary_ops(basis)))
 
 
 def assemble(basis: Basis, model: str, coefficients, hint: Hermiticity) -> OperatorMatrix:
     """Sum of coefficient * term over the cached terms of `model`, densified once."""
     h = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
-    for coefficient, term in zip(coefficients, model_terms(basis, model), strict=True):
-        h[term.row, term.col] += coefficient * term.data
+    for coefficient, (rows, cols, values) in zip(coefficients, model_terms(basis, model), strict=True):
+        h[rows, cols] += coefficient * values
     return OperatorMatrix(basis, h, hint)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, sparse_ops
+from .fockspace import Basis, Hermiticity, OperatorMatrix, elementary_ops
 from .models import ModelParams, build_nonhermitian
 from .spectra import diagonalize
 
@@ -61,8 +61,8 @@ def time_reversal_op(basis: Basis) -> AntilinearOp:
 
     Applying it twice to any real vector gives minus the vector.
     """
-    o = sparse_ops(basis)
-    m = (o.sm - o.sp).toarray()  # |up> -> |down>, |down> -> -|up>
+    o = elementary_ops(basis)
+    m = (o.sm - o.sp).dense()  # |up> -> |down>, |down> -> -|up>
     return AntilinearOp(OperatorMatrix(basis, m, Hermiticity.UNITARY), conjugates=True)
 
 

@@ -13,10 +13,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, Truncation, interior_projector, sparse_ops
+from .fockspace import Basis, Hermiticity, OperatorMatrix, Truncation, elementary_ops, interior_projector
 from .models import ModelParams, assemble, build_full_jt, build_second_order, spin_ladder_detunings
+from .spectra import _sectors
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,19 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
             "use a total-number basis for exact closure",
             stacklevel=2,
         )
-    o = sparse_ops(basis)
+    o = elementary_ops(basis)
     g = (np.pi / 4.0) * (o.a1d @ o.a2 - o.a2d @ o.a1)
-    return OperatorMatrix(basis, expm(g.toarray()), Hermiticity.UNITARY)
+    return OperatorMatrix(basis, expm(g.dense()), Hermiticity.UNITARY)
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) sector by sector: one stacked scipy call per block size, exact zeros between blocks."""
+    from scipy.linalg import expm as dense_expm  # deferred: importing scipy.linalg costs ~0.3 s
+    out = np.zeros_like(m, dtype=np.complex128)
+    for members in _sectors(m):
+        square = (members[:, :, None], members[:, None, :])
+        out[square] = dense_expm(m[square])
+    return out
 
 
 def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:

@@ -39,6 +39,14 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported by transforms.expm, scipy.optimize by conjugation_closure
+    code = "import sys, jtrwa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
 def test_reality_scan_header_and_zero_row(tmp_path):
     out = tmp_path / "scan.csv"
     result = run_cli(["reality-scan", "--grid", "0:0.1:0.05", "--nmax", "4"], out)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
     BasisSpec,
@@ -14,6 +15,7 @@ from jtrwa import (
     number_projector,
     pauli_ops,
 )
+from jtrwa.fockspace import ElementaryOps, elementary_ops
 
 
 def test_per_mode_dimension():
@@ -88,6 +90,32 @@ def test_elementary_operators_match_state_by_state_fill(spec):
     sigma_plus, _, sigma_0 = pauli_ops(basis)
     assert np.array_equal(sigma_plus.entries, sp)
     assert np.array_equal(sigma_0.entries, s0)
+
+
+SPECS = st.one_of(
+    st.builds(BasisSpec.per_mode, st.integers(1, 4), st.integers(1, 4)),
+    st.builds(BasisSpec.total_number, st.integers(1, 5)),
+)
+WORDS = st.lists(st.sampled_from(ElementaryOps._fields), min_size=1, max_size=4)
+SCALARS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SPECS, words=st.lists(st.tuples(SCALARS, WORDS), min_size=1, max_size=3))
+def test_term_algebra_equals_dense_products(spec, words):
+    # sum of c * (f1 @ f2 @ ...): index chasing against dense products of the factors
+    ops = elementary_ops(make_basis(spec))
+    term = expected = None
+    for scalar, word in words:
+        factors = [getattr(ops, name) for name in word]
+        product, dense = factors[0], factors[0].dense()
+        for factor in factors[1:]:
+            product, dense = product @ factor, dense @ factor.dense()
+        term = scalar * product if term is None else term + scalar * product
+        expected = scalar * dense if expected is None else expected + scalar * dense
+    assert np.array_equal(term.dense(), expected)
+    rows, cols, _ = term.triplets()
+    assert np.all(np.diff(rows * spec.dimension + cols) > 0)  # one entry per position, row-major
 
 
 def test_creation_is_exact_adjoint():
@@ -192,16 +220,6 @@ def test_entries_are_immutable():
     op = identity_op(basis)
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
-
-
-def test_triplet_view_roundtrip():
-    basis = make_basis(BasisSpec.per_mode(2, 1))
-    a1, _ = boson_ops(basis, 1)
-    rows, cols, vals = a1.to_triplets()
-    rebuilt = np.zeros_like(a1.entries)
-    rebuilt[rows, cols] = vals
-    assert np.array_equal(rebuilt, a1.entries)
-    assert len(vals) == np.count_nonzero(a1.entries)
 
 
 def test_number_projector_bounds():

@@ -292,13 +292,13 @@ def test_cached_terms_match_dense_products_past_the_cache_size(first, second, ka
 
 
 def test_reality_scan_assembles_its_basis_once(monkeypatch):
-    sparse_ops, calls = models.sparse_ops, []
+    elementary_ops, calls = models.elementary_ops, []
 
     def counting(basis):
         calls.append(basis)
-        return sparse_ops(basis)
+        return elementary_ops(basis)
 
-    monkeypatch.setattr(models, "sparse_ops", counting)
+    monkeypatch.setattr(models, "elementary_ops", counting)
     models.model_terms.cache_clear()
     basis = make_basis(BasisSpec.per_mode(8, 8))
     report = reality_scan(ModelParams(omega=1.0, omega0=0.2), basis, np.linspace(0.0, 0.5, 101))

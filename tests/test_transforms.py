@@ -18,6 +18,7 @@ from jtrwa import (
     mode_rotation,
     residual_study,
 )
+from jtrwa import transforms
 
 STUDY_PARAMS = ModelParams(omega=1.0, omega0=0.2)
 STUDY_GRID = (0.01, 0.02, 0.04, 0.08)
@@ -118,6 +119,15 @@ def test_exponential_of_generator_is_unitary():
     e = expm(t.entries)
     eye = np.eye(basis.dimension)
     assert np.linalg.norm(e.conj().T @ e - eye) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(8, 8), BasisSpec.total_number(9)])
+@pytest.mark.parametrize("kappa", [0.37, 0.3 - 0.2j, 0.0])
+def test_blockwise_expm_matches_dense_expm(spec, kappa):
+    from scipy.linalg import expm
+
+    t = decoupling_generator(ModelParams(omega=1.0, omega0=0.2, kappa=kappa), make_basis(spec))
+    assert np.abs(transforms.expm(t.entries) - expm(t.entries)).max() <= 1e-14
 
 
 def test_conjugate_with_zero_generator_is_identity():
