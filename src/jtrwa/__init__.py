@@ -19,7 +19,6 @@ from .fockspace import (
     identity_op,
     interior_projector,
     make_basis,
-    number_projector,
     pauli_ops,
 )
 from .models import (
@@ -34,7 +33,6 @@ from .models import (
     spin_ladder_detunings,
 )
 from .pseudoherm import (
-    AntilinearOp,
     RealityReport,
     check_combined_symmetry,
     check_pseudo_hermitian,
@@ -43,7 +41,6 @@ from .pseudoherm import (
     parity_op,
     pt_transform,
     reality_scan,
-    time_reversal_op,
 )
 from .spectra import (
     BlockSolution,
@@ -71,7 +68,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntilinearOp",
     "Basis",
     "BasisSpec",
     "BlockSolution",
@@ -110,7 +106,6 @@ __all__ = [
     "interior_projector",
     "make_basis",
     "mode_rotation",
-    "number_projector",
     "parity_op",
     "pauli_ops",
     "pt_transform",
@@ -119,6 +114,5 @@ __all__ = [
     "rwa_energy",
     "rwa_level_ladder",
     "spin_ladder_detunings",
-    "time_reversal_op",
     "total_number_schedule",
 ]

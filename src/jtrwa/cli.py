@@ -326,7 +326,7 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     """
     base = ModelParams(omega=omega, omega0=omega0)
     basis = _basis(nmax, total_nmax)
-    sigma0 = OperatorMatrix(basis, np.diag([float(spin) for spin, _, _ in basis.states]), Hermiticity.HERMITIAN)
+    sigma0 = OperatorMatrix(basis, np.diag(basis.spin), Hermiticity.HERMITIAN)
     parity = parity_op(basis)
     rows = []
     failed = False

@@ -11,10 +11,13 @@ Two truncation schemes are supported:
 * total-number: a shared bound n1 + n2 <= N, which closes exactly under
   any operation that conserves the total boson number.
 
-Operators are assembled sparse, as Terms: sums of products of ladder,
-Pauli and identity column maps built by index arithmetic on that order
-(models caches their triplets per basis), and stored dense in an
-OperatorMatrix for the eigensolvers and matrix exponentials.
+A Basis holds the quantum numbers of its states as three read-only
+integer arrays, spin, n1 and n2, in that order.  Operators are assembled
+sparse, as Terms: sums of products of ladder, Pauli and identity column
+maps built by index arithmetic on those arrays (models caches their
+triplets per basis), and stored dense in an OperatorMatrix for the
+eigensolvers and matrix exponentials.  Diagonal operators (sigma_0,
+parity, the conserved excitation number) are formulas of the arrays.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (the entry arrays are marked read-only), so
@@ -24,8 +27,9 @@ they can be shared freely between concurrent workers.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +47,6 @@ class Hermiticity(Enum):
 
     HERMITIAN = "hermitian"
     ANTI_HERMITIAN = "anti-hermitian"
-    UNITARY = "unitary"
     GENERAL = "general"
 
 
@@ -92,24 +95,35 @@ class BasisSpec:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Enumerated basis with a bijective index map state <-> position."""
+    """Enumerated basis: state k is |spin[k], n1[k], n2[k]>, in the canonical order.
+
+    The three quantum-number arrays are read-only.  The tuple view `states`
+    and the state -> position map behind `index`/`contains` are built on
+    first use.
+    """
 
     spec: BasisSpec
-    states: tuple[tuple[int, int, int], ...]
-    _index: dict = field(repr=False)
+    spin: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return self.spin.size
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.spin.tolist(), self.n1.tolist(), self.n2.tolist()))
+
+    @cached_property
+    def _index(self) -> dict:
+        return dict(zip(self.states, range(self.dimension)))
 
     def index(self, spin: int, n1: int, n2: int) -> int:
         try:
             return self._index[(spin, n1, n2)]
         except KeyError:
             raise ValueError(f"state (s={spin}, n1={n1}, n2={n2}) outside basis") from None
-
-    def state(self, k: int) -> tuple[int, int, int]:
-        return self.states[k]
 
     def contains(self, spin: int, n1: int, n2: int) -> bool:
         return (spin, n1, n2) in self._index
@@ -122,20 +136,15 @@ class Basis:
 
 
 def make_basis(spec: BasisSpec) -> Basis:
-    """Enumerate the basis states of `spec` in the fixed canonical order."""
-    states: list[tuple[int, int, int]] = []
-    for spin in (SPIN_UP, SPIN_DOWN):
-        for n1 in range(spec.n_max_1 + 1):
-            if spec.truncation is Truncation.TOTAL_NUMBER:
-                n2_top = spec.n_max_2 - n1
-            else:
-                n2_top = spec.n_max_2
-            for n2 in range(n2_top + 1):
-                states.append((spin, n1, n2))
-    index = {state: k for k, state in enumerate(states)}
-    basis = Basis(spec, tuple(states), index)
-    assert basis.dimension == spec.dimension
-    return basis
+    """The quantum numbers of the basis states of `spec` in the fixed canonical order."""
+    n1, n2 = (axis.ravel() for axis in np.indices((spec.n_max_1 + 1, spec.n_max_2 + 1)))
+    if spec.truncation is Truncation.TOTAL_NUMBER:
+        inside = n1 + n2 <= spec.n_max_1
+        n1, n2 = n1[inside], n2[inside]
+    arrays = np.repeat((SPIN_UP, SPIN_DOWN), n1.size), np.tile(n1, 2), np.tile(n2, 2)
+    for array in arrays:
+        array.setflags(write=False)
+    return Basis(spec, *arrays)
 
 
 @dataclass(frozen=True)
@@ -172,21 +181,18 @@ class OperatorMatrix:
 
         `blocks` may hold stacked (count, size, size) diagonal blocks that contain every nonzero.
         """
-        m = self.entries
-        if self.hint in (Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN):
-            # max |m -/+ m^dagger| over the nonzeros, or the blocks: entries zero in m and m^dagger add 0
-            if blocks is None:
-                rows, cols = np.nonzero(m)
-                pairs = [(m[rows, cols], m[cols, rows].conj())]
-            else:
-                pairs = [(stack, stack.conj().swapaxes(1, 2)) for stack in blocks]
-            hermitian = self.hint is Hermiticity.HERMITIAN
-            dev = max(np.abs(entry - mirror if hermitian else entry + mirror).max(initial=0.0)
-                      for entry, mirror in pairs)
-        elif self.hint is Hermiticity.UNITARY:
-            dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        else:
+        if self.hint is Hermiticity.GENERAL:
             return 0.0
+        m = self.entries
+        # max |m -/+ m^dagger| over the nonzeros, or the blocks: entries zero in m and m^dagger add 0
+        if blocks is None:
+            rows, cols = np.nonzero(m)
+            pairs = [(m[rows, cols], m[cols, rows].conj())]
+        else:
+            pairs = [(stack, stack.conj().swapaxes(1, 2)) for stack in blocks]
+        hermitian = self.hint is Hermiticity.HERMITIAN
+        dev = max(np.abs(entry - mirror if hermitian else entry + mirror).max(initial=0.0)
+                  for entry, mirror in pairs)
         if dev > tol:
             raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {tol:.1e}")
         return float(dev)
@@ -250,7 +256,7 @@ def elementary_ops(basis: Basis) -> ElementaryOps:
     with n1 - 1 (of the same spin), and raising the spin over half the basis.
     """
     spec, dim = basis.spec, basis.dimension
-    spin, n1, n2 = np.array(basis.states).T
+    spin, n1, n2 = basis.spin, basis.n1, basis.n2
     shrinks = spec.truncation is Truncation.TOTAL_NUMBER  # then N + 1 - m states have n1 = m
 
     def term(cols, rows, values) -> Term:
@@ -291,19 +297,14 @@ def pauli_ops(basis: Basis) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMat
     return sigma_plus, sigma_plus.dagger(), OperatorMatrix(basis, ops.s0.dense(), Hermiticity.HERMITIAN)
 
 
-def number_projector(
-    basis: Basis,
-    max_n1: int | None = None,
-    max_n2: int | None = None,
-    max_total: int | None = None,
-) -> OperatorMatrix:
-    """Diagonal 0/1 projector onto states satisfying every given occupation bound."""
-    _, n1, n2 = np.array(basis.states).T
-    keep = np.ones(basis.dimension, dtype=bool)
-    for bound, value in ((max_n1, n1), (max_n2, n2), (max_total, n1 + n2)):
-        if bound is not None:
-            keep &= value <= bound
-    return OperatorMatrix(basis, np.diag(keep.astype(float)), Hermiticity.HERMITIAN)
+def interior(basis: Basis, margin: int) -> np.ndarray:
+    """Mask of the states that lie `margin` or more occupation layers inside the truncation."""
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
+    spec = basis.spec
+    if spec.truncation is Truncation.TOTAL_NUMBER:
+        return basis.n1 + basis.n2 <= spec.n_max_1 - margin
+    return (basis.n1 <= spec.n_max_1 - margin) & (basis.n2 <= spec.n_max_2 - margin)
 
 
 def interior_projector(basis: Basis, margin: int = 1) -> OperatorMatrix:
@@ -312,9 +313,4 @@ def interior_projector(basis: Basis, margin: int = 1) -> OperatorMatrix:
     Operator identities of the untruncated algebra hold exactly on this
     interior; errors accumulate only in the discarded boundary layers.
     """
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    spec = basis.spec
-    if spec.truncation is Truncation.TOTAL_NUMBER:
-        return number_projector(basis, max_total=spec.n_max_1 - margin)
-    return number_projector(basis, max_n1=spec.n_max_1 - margin, max_n2=spec.n_max_2 - margin)
+    return OperatorMatrix(basis, np.diag(interior(basis, margin)), Hermiticity.HERMITIAN)

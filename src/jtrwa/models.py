@@ -175,5 +175,4 @@ def conserved_excitation_op(basis: Basis) -> OperatorMatrix:
     Half-integer eigenvalues; commutes with build_full_jt for any params and
     labels its degenerate sectors.
     """
-    diag = np.array([n1 - n2 + 0.5 * spin for (spin, n1, n2) in basis.states])
-    return OperatorMatrix(basis, np.diag(diag), Hermiticity.HERMITIAN)
+    return OperatorMatrix(basis, np.diag(basis.n1 - basis.n2 + 0.5 * basis.spin), Hermiticity.HERMITIAN)

@@ -1,11 +1,6 @@
 """Discrete symmetry operators and spectral reality analysis of the
 imaginary-coupling Hamiltonian.
 
-Antilinear operators are kept as (matrix, conjugation-flag) pairs and are
-never folded into plain matrices: conjugating a Hamiltonian by an
-antilinear operator must conjugate the Hamiltonian's entries, and a
-matrix-only representation would silently compute the wrong thing.
-
 The combined parity/time-reversal map used by check_pt follows the
 convention in which time reversal flips every spin component and both
 boson quadrature signs, so that parity and time reversal cancel on the
@@ -23,47 +18,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, elementary_ops
+from .fockspace import Basis, Hermiticity, OperatorMatrix
 from .models import ModelParams, build_nonhermitian
 from .spectra import diagonalize
 
 REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
 
 
-@dataclass(frozen=True)
-class AntilinearOp:
-    """Antilinear operator acting as v -> matrix_part @ conj(v)."""
-
-    matrix_part: OperatorMatrix
-    conjugates: bool = True
-
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        vec = np.conj(vector) if self.conjugates else np.asarray(vector)
-        return self.matrix_part.entries @ vec
-
-    def conjugate_operator(self, op: OperatorMatrix) -> OperatorMatrix:
-        """Linear operator equal to A O A^-1 for this antilinear A."""
-        if op.basis != self.matrix_part.basis:
-            raise ValueError("operator and antilinear map live on different bases")
-        m = self.matrix_part.entries
-        inner = op.entries.conj() if self.conjugates else op.entries
-        return OperatorMatrix(op.basis, m @ inner @ np.linalg.inv(m))
-
-
 def parity_op(basis: Basis) -> OperatorMatrix:
     """Boson parity (-1)^(n1+n2), identity on spin; squares to the identity."""
-    diag = np.array([(-1.0) ** (n1 + n2) for (_, n1, n2) in basis.states])
-    return OperatorMatrix(basis, np.diag(diag), Hermiticity.HERMITIAN)
-
-
-def time_reversal_op(basis: Basis) -> AntilinearOp:
-    """Spin-1/2 time reversal -i sigma_y K, boson identity on the mode factors.
-
-    Applying it twice to any real vector gives minus the vector.
-    """
-    o = elementary_ops(basis)
-    m = (o.sm - o.sp).dense()  # |up> -> |down>, |down> -> -|up>
-    return AntilinearOp(OperatorMatrix(basis, m, Hermiticity.UNITARY), conjugates=True)
+    return OperatorMatrix(basis, np.diag((-1.0) ** (basis.n1 + basis.n2)), Hermiticity.HERMITIAN)
 
 
 def pt_transform(h: OperatorMatrix) -> OperatorMatrix:
@@ -117,8 +81,7 @@ def check_combined_symmetry(h: OperatorMatrix) -> float:
     their ratio; for the imaginary-coupling Hamiltonian P sigma0 commutes
     with h for every gamma.  With P sigma0 = diag(g) it is h_ij (g_j - g_i).
     """
-    spin, n1, n2 = np.array(h.basis.states).T
-    g = spin * (-1.0) ** (n1 + n2)
+    g = h.basis.spin * (-1.0) ** (h.basis.n1 + h.basis.n2)
     return float(np.linalg.norm(h.entries * (g[None, :] - g[:, None]), "fro"))
 
 

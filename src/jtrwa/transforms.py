@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix, Truncation, elementary_ops, interior_projector
+from .fockspace import Basis, Hermiticity, OperatorMatrix, Truncation, elementary_ops, interior
 from .models import ModelParams, assemble, build_full_jt, build_second_order, spin_ladder_detunings
 from .spectra import _sectors
 
@@ -70,7 +70,7 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
         )
     o = elementary_ops(basis)
     g = (np.pi / 4.0) * (o.a1d @ o.a2 - o.a2d @ o.a1)
-    return OperatorMatrix(basis, expm(g.dense()), Hermiticity.UNITARY)
+    return OperatorMatrix(basis, expm(g.dense()))
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -129,7 +129,9 @@ def residual_study(
             "the remainder fit is only meaningful well below resonance"
         )
 
-    keep = np.diag(interior_projector(basis, margin=2).entries).real > 0.5
+    keep = interior(basis, margin=2)
+    if not keep.any():
+        raise ValueError("the remainder is measured 2 layers inside the cutoff, where this basis has no state")
     fro: list[float] = []
     spectral: list[float] = []
     for kappa in kappas:

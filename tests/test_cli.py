@@ -1,5 +1,7 @@
 import gc
 import json
+import os
+import resource
 import subprocess
 import sys
 import weakref
@@ -118,6 +120,14 @@ def test_transform_residual_empty_grid_is_usage_error():
 def test_transform_residual_malformed_grid_is_usage_error():
     result = run_cli(["transform-residual", "--grid", "nope"])
     assert result.exit_code == 2
+
+
+def test_transform_residual_without_interior_is_usage_error():
+    # a per-mode cutoff of 1 leaves no state 2 layers inside, where the remainder is measured
+    result = run_cli(["transform-residual", "--nmax", "1"])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("Error: ")
+    assert result.stdout == ""
 
 
 def test_table1_zero_coupling_row(tmp_path):
@@ -319,3 +329,21 @@ def test_out_of_memory_is_usage_error(monkeypatch):
     assert result.exit_code == 2
     assert result.stderr == "Error: problem too large for memory: Unable to allocate 14.6 TiB\n"
     assert "Traceback" not in result.output
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_absurd_cutoff_fails_fast_with_a_reason():
+    # 3 GB of address space for the child only; the cutoff's basis alone would need over 100 GB.
+    # One BLAS thread, so that the thread buffers reserved at import fit the limit on any core count.
+    proc = subprocess.run(
+        [sys.executable, "-m", "jtrwa", "spectrum", "--nmax", "100000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    prefix, _, reason = proc.stderr.partition("problem too large for memory:")
+    assert prefix == "Error: " and reason.strip()

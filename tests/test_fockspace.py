@@ -5,14 +5,19 @@ from hypothesis import given, settings, strategies as st
 from jtrwa import (
     BasisSpec,
     Hermiticity,
+    ModelParams,
     OperatorMatrix,
     SPIN_DOWN,
     SPIN_UP,
+    Truncation,
     boson_ops,
+    build_full_jt,
+    conserved_excitation_op,
+    diagonalize,
     identity_op,
     interior_projector,
     make_basis,
-    number_projector,
+    parity_op,
     pauli_ops,
 )
 from jtrwa.fockspace import ElementaryOps, elementary_ops
@@ -33,7 +38,7 @@ def test_index_roundtrip_is_bijection(spec):
     basis = make_basis(spec)
     seen = set()
     for k in range(basis.dimension):
-        state = basis.state(k)
+        state = basis.states[k]
         assert basis.index(*state) == k
         seen.add(state)
     assert len(seen) == basis.dimension == spec.dimension
@@ -222,9 +227,43 @@ def test_entries_are_immutable():
         op.entries[0, 0] = 2.0
 
 
-def test_number_projector_bounds():
-    basis = make_basis(BasisSpec.per_mode(3, 3))
-    proj = number_projector(basis, max_n1=1, max_total=2)
-    for k, (_, n1, n2) in enumerate(basis.states):
-        expected = 1.0 if (n1 <= 1 and n1 + n2 <= 2) else 0.0
-        assert proj.entries[k, k] == expected
+def _nested_loop_states(spec):
+    # oracle: the state-by-state enumeration of the canonical order
+    states = []
+    for spin in (SPIN_UP, SPIN_DOWN):
+        for n1 in range(spec.n_max_1 + 1):
+            n2_top = spec.n_max_2 - n1 if spec.truncation is Truncation.TOTAL_NUMBER else spec.n_max_2
+            states.extend((spin, n1, n2) for n2 in range(n2_top + 1))
+    return tuple(states)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BasisSpec.per_mode(1, 1), BasisSpec.per_mode(8, 3), BasisSpec.per_mode(3, 8),
+     BasisSpec.total_number(1), BasisSpec.total_number(6), BasisSpec.total_number(12)],
+)
+def test_quantum_number_arrays_give_the_per_state_formulas(spec):
+    basis = make_basis(spec)
+    assert basis.states == _nested_loop_states(spec)
+    for array in (basis.spin, basis.n1, basis.n2):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+    def diagonal(formula):
+        return np.diag([complex(formula(*state)) for state in basis.states])
+
+    assert np.array_equal(parity_op(basis).entries, diagonal(lambda s, n1, n2: (-1.0) ** (n1 + n2)))
+    assert np.array_equal(conserved_excitation_op(basis).entries, diagonal(lambda s, n1, n2: n1 - n2 + 0.5 * s))
+    assert np.array_equal(pauli_ops(basis)[2].entries, diagonal(lambda s, n1, n2: s))
+    for margin in (0, 1, 2):
+        if spec.truncation is Truncation.TOTAL_NUMBER:
+            expected = diagonal(lambda s, n1, n2: n1 + n2 <= spec.n_max_1 - margin)
+        else:
+            expected = diagonal(lambda s, n1, n2: n1 <= spec.n_max_1 - margin and n2 <= spec.n_max_2 - margin)
+        assert np.array_equal(interior_projector(basis, margin).entries, expected)
+
+
+def test_diagonalize_builds_no_state_tuples():
+    basis = make_basis(BasisSpec.total_number(7))
+    diagonalize(build_full_jt(ModelParams(omega=1.0, kappa=0.4), basis))
+    assert "states" not in vars(basis)

@@ -19,7 +19,6 @@ from jtrwa import (
     pauli_ops,
     pt_transform,
     reality_scan,
-    time_reversal_op,
 )
 
 BASIS = make_basis(BasisSpec.per_mode(8, 3))
@@ -44,21 +43,6 @@ def test_parity_leaves_spin_invariant_and_squares_to_identity():
     for sigma in (sp, sm, s0):
         assert np.abs(p @ sigma.entries @ p - sigma.entries).max() == 0.0
     assert np.array_equal(p @ p, np.eye(BASIS.dimension))
-
-
-def test_time_reversal_squares_to_minus_identity_on_real_vectors():
-    t = time_reversal_op(BASIS)
-    assert t.conjugates is True
-    rng = np.random.default_rng(7)
-    vec = rng.normal(size=BASIS.dimension)
-    assert np.abs(t.apply(t.apply(vec)) + vec).max() <= 1e-14
-
-
-def test_time_reversal_flips_sigma0():
-    t = time_reversal_op(BASIS)
-    _, _, s0 = pauli_ops(BASIS)
-    image = t.conjugate_operator(s0)
-    assert np.abs(image.entries + s0.entries).max() <= 1e-14
 
 
 def test_pt_residual_equals_twice_the_splitting_term():
