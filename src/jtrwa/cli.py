@@ -136,6 +136,14 @@ def _emit(command: str, rows: list, summary: dict, exit_code: int, fmt: str, out
     return exit_code
 
 
+def _model_params(model: str, omega: float, omega0: float, kappa2: float, gamma: float) -> ModelParams:
+    """The parameters of `model`; a nonzero coupling that the model does not use is a usage error."""
+    unused, value = ("--kappa2", kappa2) if model == "nonhermitian" else ("--gamma", gamma)
+    if value != 0.0:
+        raise ValueError(f"--model {model} does not use {unused}, got {value}")
+    return ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
+
+
 def _basis(nmax: int, total_nmax: int | None):
     return make_basis(BasisSpec.total_number(total_nmax) if total_nmax is not None else BasisSpec.per_mode(nmax))
 
@@ -263,7 +271,7 @@ def table1_command(omega, omega0, kappa2, tol):
 )
 def spectrum_command(omega, omega0, nmax, total_nmax, model, kappa2, gamma):
     """Diagonalize one model Hamiltonian and list its eigenvalues."""
-    params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
+    params = _model_params(model, omega, omega0, kappa2, gamma)
     basis = _basis(nmax, total_nmax)
     spectrum = diagonalize(MODELS[model](params, basis))
     rows = [
@@ -287,7 +295,7 @@ def converge_command(omega, omega0, model, kappa2, gamma, tol, grid):
 
     Exits 1 when the schedule ends before the tolerance is reached.
     """
-    params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(kappa2)), gamma=gamma)
+    params = _model_params(model, omega, omega0, kappa2, gamma)
     spectrum = converge_ground(MODELS[model], params, total_number_schedule(grid), tol)
     rows = [{"cutoff": c, "ground_energy": e} for c, e in spectrum.cutoff_history]
     return rows, {"converged": spectrum.converged, "tol": tol}, int(not spectrum.converged)

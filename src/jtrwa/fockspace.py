@@ -15,12 +15,14 @@ A Basis holds the quantum numbers of its states as three read-only
 integer arrays, spin, n1 and n2, in that order.  Operators are assembled
 sparse, as Terms: sums of products of ladder, Pauli and identity column
 maps built by index arithmetic on those arrays (models caches their
-triplets per basis), and stored dense in an OperatorMatrix for the
-eigensolvers and matrix exponentials.  Diagonal operators (sigma_0,
-parity, the conserved excitation number) are formulas of the arrays.
+triplets per basis), and held in an OperatorMatrix as the (rows, cols,
+values) triplets of their nonzeros, which the sector eigensolver reads;
+the dense view is built only for the dense consumers (matrix exponentials,
+metric checks).  Diagonal operators (sigma_0, parity, the conserved
+excitation number) are formulas of the arrays.
 
 All constructed operators carry a reference to their basis and are
-immutable after construction (the entry arrays are marked read-only), so
+immutable after construction (their arrays are marked read-only), so
 they can be shared freely between concurrent workers.
 """
 
@@ -141,33 +143,43 @@ def make_basis(spec: BasisSpec) -> Basis:
     if spec.truncation is Truncation.TOTAL_NUMBER:
         inside = n1 + n2 <= spec.n_max_1
         n1, n2 = n1[inside], n2[inside]
-    arrays = np.repeat((SPIN_UP, SPIN_DOWN), n1.size), np.tile(n1, 2), np.tile(n2, 2)
+    return Basis(spec, *_read_only(np.repeat((SPIN_UP, SPIN_DOWN), n1.size), np.tile(n1, 2), np.tile(n2, 2)))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.setflags(write=False)
-    return Basis(spec, *arrays)
+    return arrays
 
 
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix tagged with its basis and a structure hint.
+    """Complex matrix tagged with its basis and a structure hint, held as the (rows, cols, values) of its nonzeros.
 
-    Builders assemble sparse and densify once into this class, whose dense
-    `entries` feed the solvers, expm and the symmetry checks.  The
-    constructor takes ownership of `entries` and marks the stored array
-    read-only; pass a copy if the caller needs to keep mutating it.
+    Builders hand over those triplets (`from_triplets`); the constructor takes a dense matrix and keeps its
+    nonzeros.  The triplets feed the sector solver; the dense `entries` view is built on first read, which
+    only the dense consumers do (expm, the metric checks, residual norms).  All arrays are read-only.
     """
 
-    basis: Basis
-    entries: np.ndarray
-    hint: Hermiticity = Hermiticity.GENERAL
+    def __init__(self, basis: Basis, entries: np.ndarray, hint: Hermiticity = Hermiticity.GENERAL) -> None:
+        entries = np.asarray(entries, dtype=np.complex128)
+        if entries.shape != (basis.dimension,) * 2:
+            raise ValueError(f"entries shape {entries.shape} does not match basis dimension {basis.dimension}")
+        rows, cols = np.nonzero(entries)
+        self.basis, self.hint, self.triplets = basis, hint, _read_only(rows, cols, entries[rows, cols])
 
-    def __post_init__(self) -> None:
-        entries = np.ascontiguousarray(self.entries, dtype=np.complex128)
-        dim = self.basis.dimension
-        if entries.shape != (dim, dim):
-            raise ValueError(f"entries shape {entries.shape} does not match basis dimension {dim}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+    @classmethod
+    def from_triplets(cls, basis: Basis, rows, cols, values, hint=Hermiticity.GENERAL) -> "OperatorMatrix":
+        """The operator with the entry values[k] at (rows[k], cols[k]), which it takes ownership of."""
+        op = cls.__new__(cls)
+        op.basis, op.hint, op.triplets = basis, hint, _read_only(rows, cols, values)
+        return op
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        rows, cols, values = self.triplets
+        m = np.zeros((self.dimension,) * 2, dtype=np.complex128)
+        m[rows, cols] = values
+        return _read_only(m)[0]
 
     @property
     def dimension(self) -> int:
@@ -179,17 +191,16 @@ class OperatorMatrix:
     def validate(self, tol: float = 1e-12, blocks=None) -> float:
         """Check the structure hint; returns the deviation, raises if violated.
 
-        `blocks` may hold stacked (count, size, size) diagonal blocks that contain every nonzero.
+        `blocks` may hold or yield stacked (count, size, size) diagonal blocks that contain every nonzero.
         """
         if self.hint is Hermiticity.GENERAL:
             return 0.0
-        m = self.entries
         # max |m -/+ m^dagger| over the nonzeros, or the blocks: entries zero in m and m^dagger add 0
         if blocks is None:
-            rows, cols = np.nonzero(m)
-            pairs = [(m[rows, cols], m[cols, rows].conj())]
+            rows, cols, values = self.triplets
+            pairs = [(values, self.entries[cols, rows].conj())]
         else:
-            pairs = [(stack, stack.conj().swapaxes(1, 2)) for stack in blocks]
+            pairs = ((stack, stack.conj().swapaxes(1, 2)) for stack in blocks)
         hermitian = self.hint is Hermiticity.HERMITIAN
         dev = max(np.abs(entry - mirror if hermitian else entry + mirror).max(initial=0.0)
                   for entry, mirror in pairs)

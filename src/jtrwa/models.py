@@ -5,7 +5,8 @@ Every model is affine in its parameters: a short table of sparse terms
 scaled by a coefficient such as omega, omega0, kappa or kappa^2/(omega +
 2 omega0).  The terms are built once per (basis, model) as numpy (rows, cols,
 values) triplets in a bounded cache (model_terms), so a coupling scan on one
-basis only scales cached terms; each builder sums coefficient * term densely.
+basis only scales cached terms; each builder sums coefficient * term over the
+union of their positions and keeps the nonzeros, with no dim x dim array.
 Builders are pure functions of (params, basis) returning an immutable
 OperatorMatrix, and are safe to call concurrently.
 
@@ -104,17 +105,26 @@ _TERMS = {
 
 
 @lru_cache(maxsize=TERM_CACHE_SIZE)
-def model_terms(basis: Basis, model: str) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """(rows, cols, values) of each term of `model` on `basis`, built on first use and shared: do not modify."""
-    return tuple(term.triplets() for term in _TERMS[model](elementary_ops(basis)))
+def model_terms(basis: Basis, model: str) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Union (rows, cols) of the term positions of `model` on `basis`, and per term (index into it, values).
+
+    Built on first use and shared: do not modify.
+    """
+    dim = basis.dimension
+    terms = [term.triplets() for term in _TERMS[model](elementary_ops(basis))]
+    keys = [rows * dim + cols for rows, cols, _ in terms]
+    union = np.unique(np.concatenate(keys))
+    return union // dim, union % dim, tuple((np.searchsorted(union, key), t[2]) for key, t in zip(keys, terms))
 
 
 def assemble(basis: Basis, model: str, coefficients, hint: Hermiticity) -> OperatorMatrix:
-    """Sum of coefficient * term over the cached terms of `model`, densified once."""
-    h = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
-    for coefficient, (rows, cols, values) in zip(coefficients, model_terms(basis, model), strict=True):
-        h[rows, cols] += coefficient * values
-    return OperatorMatrix(basis, h, hint)
+    """Sum of coefficient * term over the cached terms of `model`, in table order, as nonzero triplets."""
+    rows, cols, terms = model_terms(basis, model)
+    summed = np.zeros(rows.size, dtype=np.complex128)
+    for coefficient, (slot, values) in zip(coefficients, terms, strict=True):
+        summed[slot] += coefficient * values
+    keep = summed != 0  # a zero coupling leaves no entry, so its sectors split as in the dense pattern
+    return OperatorMatrix.from_triplets(basis, rows[keep], cols[keep], summed[keep], hint)
 
 
 def _coupling_hint(coupling: complex) -> Hermiticity:

@@ -139,8 +139,8 @@ def reality_scan(
         raise ValueError("gamma values must be non-negative")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise ValueError("gamma grid must be strictly ascending")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not 1 <= k <= basis.dimension:
+        raise ValueError(f"k must lie in 1..{basis.dimension}, the basis dimension, got {k}")
 
     max_imag: list[float] = []
     threshold: float | None = None

@@ -3,19 +3,21 @@
 diagonalize solves sector by sector: the blocks of an operator's nonzero
 pattern are its conserved-quantity sectors (J = n1 - n2 + sigma0/2 for the
 full model, 2x2 Jaynes-Cummings blocks for the rotated and imaginary-coupling
-forms).  Hermitian-hinted operators go through eigh (after the hint is
-validated), everything else through the general complex solver; the dense
-solve of the whole matrix is the test oracle.  Eigenvalues are sorted by real
-part, then imaginary part, where real parts within LEVEL_GAP of each other
-(relative to the spectral radius) are one level: exactly degenerate levels
-are ordered by imaginary part, not by round-off.
+forms).  They are found from the operator's triplets, which are scattered
+straight into them: no dim x dim array is formed.  Hermitian-hinted operators
+go through eigh (after the hint is validated), everything else through the
+general complex solver; the dense solve of the whole matrix is the test
+oracle.  Eigenvalues are sorted by real part, then imaginary part, where real
+parts within LEVEL_GAP of each other (relative to the spectral radius) are one
+level: exactly degenerate levels are ordered by imaginary part, not by
+round-off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,15 +61,14 @@ class Spectrum:
         return float(above[0])
 
 
-def _sectors(entries: np.ndarray) -> list[np.ndarray]:
+def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
     """Members of every block of one size as a (count, size) index array, per size.
 
-    The blocks are the connected components of the symmetrized nonzero pattern
-    (min-label propagation with pointer jumping); entries between blocks are zero.
+    The blocks are the connected components of the symmetrized pattern (rows, cols) of a dim x dim
+    matrix (min-label propagation with pointer jumping); entries between blocks are zero.
     """
-    rows, cols = np.nonzero(entries)
     src, dst = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    labels = np.arange(entries.shape[0])
+    labels = np.arange(dim)
     while True:
         hooked = labels.copy()
         np.minimum.at(hooked, src, labels[dst])
@@ -92,26 +93,46 @@ def _level_order(vals: np.ndarray) -> np.ndarray:
     return by_real[np.lexsort((vals.imag[by_real], level))]
 
 
+def _blocks(op: OperatorMatrix) -> tuple[list[np.ndarray], Callable[[], Iterator[np.ndarray]]]:
+    """The (count, size) members of the blocks of each size, and a generator that stacks them from the triplets."""
+    rows, cols, values = op.triplets
+    sectors = _sectors(rows, cols, op.dimension)
+    group, block, slot = (np.empty(op.dimension, dtype=np.intp) for _ in range(3))  # of each state
+    for g, members in enumerate(sectors):
+        group[members], block[members], slot[members] = g, np.arange(len(members))[:, None], range(members.shape[1])
+    counts = np.bincount(group[rows], minlength=len(sectors))
+    by_group = np.split(np.argsort(group[rows], kind="stable"), np.cumsum(counts)[:-1])
+
+    def stacks():  # one block size at a time: all blocks at once would take 87 MB at total cutoff 200
+        for members, k in zip(sectors, by_group):
+            stack = np.zeros((*members.shape, members.shape[1]), dtype=np.complex128)
+            stack[block[rows[k]], slot[rows[k]], slot[cols[k]]] = values[k]
+            yield stack
+
+    return sectors, stacks
+
+
 def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of an operator, solved block by block.
 
     The blocks of the nonzero pattern (the conserved-quantity sectors) of
-    one size are solved by one stacked LAPACK call; a matrix with one block
-    is the dense solve.  A Hermitian hint is validated on the stacked blocks,
-    which hold every nonzero, before eigh is trusted with the matrix.  Solver
-    non-convergence propagates as numpy.linalg.LinAlgError rather than being
-    silently truncated.  Eigenpair residuals ||Hv - lambda v|| are computed
-    block by block when vectors are requested.
+    one size are scattered from the triplets into one stack, solved by one
+    stacked LAPACK call; a matrix with one block is the dense solve.  A
+    Hermitian hint is validated on the stacks, which hold every nonzero,
+    before eigh is trusted with the matrix.  Solver non-convergence
+    propagates as numpy.linalg.LinAlgError rather than being silently
+    truncated.  Eigenpair residuals ||Hv - lambda v|| are computed block by
+    block when vectors are requested.
     """
-    entries, dim = op.entries, op.dimension
-    blocks = [(members, entries[members[:, :, None], members[:, None, :]]) for members in _sectors(entries)]
+    dim = op.dimension
     hermitian = op.hint is Hermiticity.HERMITIAN
-    if hermitian:
-        op.validate(blocks=[stack for _, stack in blocks])
     vals = np.empty(dim, dtype=np.complex128)
     vecs = np.zeros((dim, dim), dtype=np.complex128) if want_vectors else None
     residuals = np.empty(dim) if want_vectors else None
-    for members, stack in blocks:
+    sectors, stacks = _blocks(op)
+    if hermitian:
+        op.validate(blocks=stacks())
+    for members, stack in zip(sectors, stacks()):
         if hermitian:
             stack = stack.real if not np.any(stack.imag) else stack
             solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh

@@ -77,7 +77,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     """exp(m) sector by sector: one stacked scipy call per block size, exact zeros between blocks."""
     from scipy.linalg import expm as dense_expm  # deferred: importing scipy.linalg costs ~0.3 s
     out = np.zeros_like(m, dtype=np.complex128)
-    for members in _sectors(m):
+    for members in _sectors(*np.nonzero(m), len(m)):
         square = (members[:, :, None], members[:, None, :])
         out[square] = dense_expm(m[square])
     return out

@@ -130,6 +130,31 @@ def test_transform_residual_without_interior_is_usage_error():
     assert result.stdout == ""
 
 
+def test_reality_scan_k_beyond_the_basis_is_usage_error():
+    # the per-mode cutoff 1 basis has 8 levels to watch
+    result = run_cli(["reality-scan", "--nmax", "1", "--k-low", "100"])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("Error: ")
+    assert result.stdout == ""
+    assert run_cli(["reality-scan", "--nmax", "1", "--k-low", "8", "--grid", "0:0.1:0.1"]).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--model", "full", "--gamma", "0.3"],
+        ["spectrum", "--model", "nonhermitian", "--kappa2", "0.3"],
+        ["converge", "--model", "rwa", "--gamma", "0.3"],
+        ["converge", "--model", "nonhermitian", "--kappa2", "0.3"],
+    ],
+)
+def test_unused_coupling_is_usage_error(args):
+    result = run_cli(args)
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1 and "does not use" in result.stderr
+    assert result.stdout == ""
+
+
 def test_table1_zero_coupling_row(tmp_path):
     out = tmp_path / "t.csv"
     result = run_cli(["table1", "--kappa2", "0"], out)
@@ -347,3 +372,22 @@ def test_absurd_cutoff_fails_fast_with_a_reason():
     assert proc.stderr.count("\n") == 1
     prefix, _, reason = proc.stderr.partition("problem too large for memory:")
     assert prefix == "Error: " and reason.strip()
+
+
+def test_total_cutoff_200_is_solved_in_sectors_within_150_mb(tmp_path):
+    # dim 40 602: the dense matrix alone would need 26 GB; the sectors hold at most 201 states
+    out = tmp_path / "spectrum.csv"
+    measure = (
+        "import resource, subprocess, sys; "
+        "code = subprocess.run(sys.argv[1:]).returncode; "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); sys.exit(code)"
+    )
+    command = ["-m", "jtrwa", "spectrum", "--total-nmax", "200", "--kappa2", "0.9", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", measure, sys.executable, *command], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0
+    assert int(proc.stdout) <= 150 * 1024  # peak RSS of the child, in KiB
+    lines = out.read_text().splitlines()
+    assert len(lines) == 40_603
+    assert lines[1].split(",")[1] == "0.29856252"  # table1's converged ground energy at kappa^2 = 0.9

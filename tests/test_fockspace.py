@@ -267,3 +267,10 @@ def test_diagonalize_builds_no_state_tuples():
     basis = make_basis(BasisSpec.total_number(7))
     diagonalize(build_full_jt(ModelParams(omega=1.0, kappa=0.4), basis))
     assert "states" not in vars(basis)
+
+
+def test_diagonalize_leaves_entries_unbuilt():
+    # a builder hands over triplets; the sector solve scatters them into its blocks
+    op = build_full_jt(ModelParams(omega=1.0, omega0=0.1, kappa=0.4), make_basis(BasisSpec.total_number(7)))
+    diagonalize(op)
+    assert "entries" not in vars(op)

@@ -30,7 +30,7 @@ from jtrwa import (
     rwa_level_ladder,
     total_number_schedule,
 )
-from jtrwa.spectra import LEVEL_GAP, _sectors
+from jtrwa.spectra import LEVEL_GAP, _level_order, _sectors
 
 BUILDERS = {
     "full": build_full_jt,
@@ -89,10 +89,37 @@ def test_full_model_splits_into_one_block_per_angular_momentum():
     basis = make_basis(BasisSpec.total_number(6))
     h = build_full_jt(ModelParams(omega=1.0, omega0=0.1, kappa=0.4), basis)
     j = np.diag(conserved_excitation_op(basis).entries).real
-    blocks = [members for stack in _sectors(h.entries) for members in stack]
+    blocks = [members for stack in _sectors(*h.triplets[:2], basis.dimension) for members in stack]
     assert all(np.unique(j[members]).size == 1 for members in blocks)
     assert len(blocks) == np.unique(j).size == 14
     assert sorted(k for members in blocks for k in members) == list(range(basis.dimension))
+
+
+def _dense_pattern_eigenvalues(op):
+    # oracle: sectors from a scan of the dense matrix, blocks cut out of it
+    m, vals = op.entries, np.empty(op.dimension, dtype=complex)
+    for members in _sectors(*np.nonzero(m), op.dimension):
+        stack = m[members[:, :, None], members[:, None, :]]
+        if op.hint is Hermiticity.HERMITIAN:
+            vals[members] = np.linalg.eigvalsh(stack.real if not np.any(stack.imag) else stack)
+        else:
+            vals[members] = np.linalg.eigvals(stack)
+    return vals[_level_order(vals)]
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.total_number(8), BasisSpec.per_mode(4, 3)])
+@pytest.mark.parametrize("model", sorted(BUILDERS))
+@pytest.mark.parametrize("coupling", [0.0, 0.37])
+def test_triplet_sectors_equal_the_dense_pattern_sectors(spec, model, coupling):
+    basis = make_basis(spec)
+    op = BUILDERS[model](ModelParams(omega=1.1, omega0=0.15, kappa=coupling, gamma=coupling), basis)
+    from_triplets = _sectors(*op.triplets[:2], basis.dimension)
+    from_dense = _sectors(*np.nonzero(op.entries), basis.dimension)
+    assert len(from_triplets) == len(from_dense)
+    assert all(np.array_equal(a, b) for a, b in zip(from_triplets, from_dense))
+    if coupling == 0.0:  # the zero coupling terms drop out: every state is its own block
+        assert [members.shape for members in from_triplets] == [(basis.dimension, 1)]
+    assert np.array_equal(diagonalize(op).eigenvalues, _dense_pattern_eigenvalues(op))
 
 
 def test_one_block_is_the_dense_solve():
@@ -422,7 +449,7 @@ def test_blockwise_hint_deviation_equals_validate(hint):
     matrices = [dense, scattered, h, h + 1e-14 * in_pattern, h + 1e-9 * in_pattern, np.zeros((24, 24))]
     for m in matrices:
         op = OperatorMatrix(basis, m, hint)
-        blocks = [m[members[:, :, None], members[:, None, :]] for members in _sectors(m)]
+        blocks = [m[members[:, :, None], members[:, None, :]] for members in _sectors(*np.nonzero(m), 24)]
         try:
             expected = op.validate()
         except ValueError as failure:
