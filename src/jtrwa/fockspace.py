@@ -17,8 +17,8 @@ sparse, as Terms: sums of products of ladder, Pauli and identity column
 maps built by index arithmetic on those arrays (models caches their
 triplets per basis), and held in an OperatorMatrix as the (rows, cols,
 values) triplets of their nonzeros, which the sector eigensolver reads;
-the dense view is built only for the dense consumers (matrix exponentials,
-metric checks).  Diagonal operators (sigma_0, parity, the conserved
+the dense view is built only for the dense consumers (conjugation, metric
+checks).  Diagonal operators (sigma_0, parity, the conserved
 excitation number) are formulas of the arrays.
 
 All constructed operators carry a reference to their basis and are
@@ -155,17 +155,16 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class OperatorMatrix:
     """Complex matrix tagged with its basis and a structure hint, held as the (rows, cols, values) of its nonzeros.
 
-    Builders hand over those triplets (`from_triplets`); the constructor takes a dense matrix and keeps its
-    nonzeros.  The triplets feed the sector solver; the dense `entries` view is built on first read, which
-    only the dense consumers do (expm, the metric checks, residual norms).  All arrays are read-only.
+    Builders hand over those triplets (`from_triplets`); the constructor keeps a read-only copy of the dense
+    matrix it is given as `entries`.  Each view is built from the other on first read: the triplets feed the
+    sector solver, the dense view the dense consumers (conjugation, metric checks).  All arrays are read-only.
     """
 
     def __init__(self, basis: Basis, entries: np.ndarray, hint: Hermiticity = Hermiticity.GENERAL) -> None:
-        entries = np.asarray(entries, dtype=np.complex128)
+        entries = np.array(entries, dtype=np.complex128)
         if entries.shape != (basis.dimension,) * 2:
             raise ValueError(f"entries shape {entries.shape} does not match basis dimension {basis.dimension}")
-        rows, cols = np.nonzero(entries)
-        self.basis, self.hint, self.triplets = basis, hint, _read_only(rows, cols, entries[rows, cols])
+        self.basis, self.hint, self.entries = basis, hint, _read_only(entries)[0]
 
     @classmethod
     def from_triplets(cls, basis: Basis, rows, cols, values, hint=Hermiticity.GENERAL) -> "OperatorMatrix":
@@ -173,6 +172,11 @@ class OperatorMatrix:
         op = cls.__new__(cls)
         op.basis, op.hint, op.triplets = basis, hint, _read_only(rows, cols, values)
         return op
+
+    @cached_property
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows, cols = np.nonzero(self.entries)
+        return _read_only(rows, cols, self.entries[rows, cols])
 
     @cached_property
     def entries(self) -> np.ndarray:

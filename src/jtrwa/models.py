@@ -101,6 +101,7 @@ _TERMS = {
         o.sm @ o.sp,
     ),
     "generator": lambda o: (o.sp @ o.a2d - o.sm @ o.a2, o.sm @ o.a2d - o.sp @ o.a2),
+    "rotation": lambda o: (o.a1d @ o.a2 - o.a2d @ o.a1,),
 }
 
 

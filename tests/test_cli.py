@@ -42,11 +42,29 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported by transforms.expm, scipy.optimize by conjugation_closure
+    # scipy is imported by conjugation_closure alone (scipy.optimize), on its first call
     code = "import sys, jtrwa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+
+
+def test_transform_path_leaves_scipy_unloaded():
+    # the transforms exponentiate and take norms with numpy's LAPACK alone
+    code = (
+        "import sys\n"
+        "from jtrwa import BasisSpec, make_basis, mode_rotation\n"
+        "from jtrwa.cli import cli\n"
+        "mode_rotation(make_basis(BasisSpec.total_number(6)))\n"
+        "try:\n"
+        "    cli(['transform-residual', '--out', sys.argv[1]])\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0, done.code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_reality_scan_header_and_zero_row(tmp_path):
@@ -115,6 +133,14 @@ def test_transform_residual_default_grid_passes_at_omega0_one():
 def test_transform_residual_empty_grid_is_usage_error():
     result = run_cli(["transform-residual", "--grid", "0.5:0.1:0.1"])
     assert result.exit_code == 2
+
+
+def test_transform_residual_one_point_grid_is_usage_error():
+    # a slope needs two couplings; one point used to print a RankWarning and exit 1
+    result = run_cli(["transform-residual", "--grid", "0.01:0.01:0.01"])
+    assert result.exit_code == 2
+    assert result.stderr == "Error: kappa grid needs two or more couplings for a slope, got 1\n"
+    assert result.stdout == ""
 
 
 def test_transform_residual_malformed_grid_is_usage_error():

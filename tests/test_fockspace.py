@@ -227,6 +227,19 @@ def test_entries_are_immutable():
         op.entries[0, 0] = 2.0
 
 
+def test_dense_construction_keeps_a_read_only_copy_as_entries():
+    # a dense consumer reads back the array it built without a scan for nonzeros and a scatter
+    basis = make_basis(BasisSpec.per_mode(2, 1))
+    m = np.random.default_rng(5).normal(size=(12, 12)) * (np.arange(12) % 3 == 0)
+    op = OperatorMatrix(basis, m)
+    assert "entries" in vars(op) and "triplets" not in vars(op)
+    assert np.array_equal(op.entries, m) and not op.entries.flags.writeable
+    m[0, 0] += 1.0
+    assert op.entries[0, 0] == m[0, 0] - 1.0
+    rows, cols = np.nonzero(op.entries)
+    assert [a.tolist() for a in op.triplets] == [rows.tolist(), cols.tolist(), op.entries[rows, cols].tolist()]
+
+
 def _nested_loop_states(spec):
     # oracle: the state-by-state enumeration of the canonical order
     states = []

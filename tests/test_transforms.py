@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
     BasisSpec,
@@ -8,17 +9,20 @@ from jtrwa import (
     boson_ops,
     build_full_jt,
     build_second_order,
+    build_nonhermitian,
     build_rwa,
     build_rotated,
     conjugate,
     decoupling_generator,
     diagonalize,
     identity_op,
+    interior_projector,
     make_basis,
     mode_rotation,
     residual_study,
 )
 from jtrwa import transforms
+from jtrwa.spectra import _sectors
 
 STUDY_PARAMS = ModelParams(omega=1.0, omega0=0.2)
 STUDY_GRID = (0.01, 0.02, 0.04, 0.08)
@@ -122,12 +126,46 @@ def test_exponential_of_generator_is_unitary():
 
 
 @pytest.mark.parametrize("spec", [BasisSpec.per_mode(8, 8), BasisSpec.total_number(9)])
-@pytest.mark.parametrize("kappa", [0.37, 0.3 - 0.2j, 0.0])
+@pytest.mark.parametrize("kappa", [0.37, 0.0])
 def test_blockwise_expm_matches_dense_expm(spec, kappa):
     from scipy.linalg import expm
 
     t = decoupling_generator(ModelParams(omega=1.0, omega0=0.2, kappa=kappa), make_basis(spec))
     assert np.abs(transforms.expm(t.entries) - expm(t.entries)).max() <= 1e-14
+
+
+def test_expm_rejects_a_matrix_that_is_not_anti_hermitian():
+    # complex kappa gives a generator with no unitary exponential; the eigh formula would be wrong for it
+    t = decoupling_generator(ModelParams(omega=1.0, omega0=0.2, kappa=0.3 - 0.2j), make_basis(BasisSpec.per_mode(3)))
+    with pytest.raises(ValueError, match="anti-hermitian"):
+        transforms.expm(t.entries)
+    with pytest.raises(ValueError, match="anti-hermitian"):
+        transforms.expm(np.stack([np.zeros((2, 2)), np.eye(2)]))
+
+
+def test_conjugate_rejects_a_general_generator():
+    basis = make_basis(BasisSpec.per_mode(3))
+    params = ModelParams(omega=1.0, omega0=0.2, kappa=0.3 - 0.2j)
+    with pytest.raises(ValueError, match="anti-hermitian generator, got a general hint"):
+        conjugate(decoupling_generator(params, basis), build_full_jt(params, basis))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    omega0=st.floats(-0.4, 0.4),  # keeps the detunings 1 +/- 2 omega0 at least 0.2 from resonance
+    kappa=st.floats(-0.6, 0.6),
+    total=st.booleans(),
+    cutoff=st.integers(1, 7),  # round-off grows with |H|; at cutoff 9 it reached 8e-14
+    model=st.sampled_from([build_full_jt, build_nonhermitian]),
+)
+def test_conjugate_matches_the_dense_oracle(omega0, kappa, total, cutoff, model):
+    from scipy.linalg import expm
+
+    basis = make_basis(BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff))
+    params = ModelParams(omega=1.0, omega0=omega0, kappa=kappa, gamma=abs(kappa))
+    t, h = decoupling_generator(params, basis), model(params, basis)
+    e = expm(t.entries)
+    assert np.abs(conjugate(t, h).entries - e @ h.entries @ e.conj().T).max() <= 1e-13
 
 
 def test_conjugate_with_zero_generator_is_identity():
@@ -172,6 +210,19 @@ def test_residual_study_slope_is_cubic():
     assert len(report.residual_norms_spectral) == len(STUDY_GRID)
 
 
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(8, 8), BasisSpec.total_number(9), BasisSpec.per_mode(5, 7)])
+def test_per_sector_spectral_norm_equals_the_dense_norm(spec):
+    basis = make_basis(spec)
+    report = residual_study(STUDY_PARAMS, basis, STUDY_GRID)
+    keep = np.flatnonzero(np.diag(interior_projector(basis, 2).entries).real)
+    for kappa, spectral in zip(STUDY_GRID, report.residual_norms_spectral):
+        params = ModelParams(omega=1.0, omega0=0.2, kappa=kappa)
+        transformed = conjugate(decoupling_generator(params, basis), build_full_jt(params, basis)).entries
+        core = (transformed - build_second_order(params, basis).entries)[np.ix_(keep, keep)]
+        assert len(_sectors(*np.nonzero(core), len(core))[-1][0]) < len(core)  # P sigma0 splits the core
+        assert spectral == pytest.approx(np.linalg.norm(core, 2), rel=1e-13, abs=0.0)
+
+
 def test_residual_study_residuals_increase_with_coupling():
     basis = make_basis(BasisSpec.per_mode(6, 6))
     report = residual_study(STUDY_PARAMS, basis, (0.01, 0.02, 0.04))
@@ -185,6 +236,7 @@ def test_residual_study_residuals_increase_with_coupling():
         ((0.02, 0.01), "ascending"),
         ((-0.01, 0.02), "positive"),
         ((0.01, 0.5), "guard"),
+        ((0.01,), "two or more couplings"),
     ],
 )
 def test_residual_study_grid_validation(grid, message):
