@@ -20,7 +20,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .fockspace import BasisSpec, Hermiticity, OperatorMatrix, make_basis
+from .fockspace import BasisSpec, diagonal_op, make_basis
 from .models import (
     ModelParams,
     build_full_jt,
@@ -334,7 +334,7 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     """
     base = ModelParams(omega=omega, omega0=omega0)
     basis = _basis(nmax, total_nmax)
-    sigma0 = OperatorMatrix(basis, np.diag(basis.spin), Hermiticity.HERMITIAN)
+    sigma0 = diagonal_op(basis, basis.spin)
     parity = parity_op(basis)
     rows = []
     failed = False

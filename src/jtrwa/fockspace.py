@@ -12,14 +12,14 @@ Two truncation schemes are supported:
   any operation that conserves the total boson number.
 
 A Basis holds the quantum numbers of its states as three read-only
-integer arrays, spin, n1 and n2, in that order.  Operators are assembled
-sparse, as Terms: sums of products of ladder, Pauli and identity column
-maps built by index arithmetic on those arrays (models caches their
-triplets per basis), and held in an OperatorMatrix as the (rows, cols,
-values) triplets of their nonzeros, which the sector eigensolver reads;
-the dense view is built only for the dense consumers (conjugation, metric
-checks).  Diagonal operators (sigma_0, parity, the conserved
-excitation number) are formulas of the arrays.
+integer arrays, spin, n1 and n2, in that order, and inverts them by offset
+arithmetic.  Operators are assembled sparse, as Terms: sums of products of
+ladder, Pauli and identity column maps (models caches their triplets per
+basis), and held in an OperatorMatrix as the (rows, cols, values) triplets
+of their nonzeros.  OperatorMatrix.blocks() cuts those into the blocks of
+the nonzero pattern (the conserved-quantity sectors), which validation, the
+eigensolver, the transform and the metric checks read; the dense view
+serves only the conjugation, the mode rotation and the PT map.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -32,11 +32,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 SPIN_UP = 1
 SPIN_DOWN = -1
+HINT_TOL = 1e-12  # largest accepted max|m -/+ m^dagger| of an operator hinted (anti-)Hermitian
 
 
 class Truncation(Enum):
@@ -97,12 +99,7 @@ class BasisSpec:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Enumerated basis: state k is |spin[k], n1[k], n2[k]>, in the canonical order.
-
-    The three quantum-number arrays are read-only.  The tuple view `states`
-    and the state -> position map behind `index`/`contains` are built on
-    first use.
-    """
+    """Enumerated basis: state k is |spin[k], n1[k], n2[k]>, in the canonical order; the arrays are read-only."""
 
     spec: BasisSpec
     spin: np.ndarray
@@ -113,22 +110,22 @@ class Basis:
     def dimension(self) -> int:
         return self.spin.size
 
-    @cached_property
-    def states(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(zip(self.spin.tolist(), self.n1.tolist(), self.n2.tolist()))
-
-    @cached_property
-    def _index(self) -> dict:
-        return dict(zip(self.states, range(self.dimension)))
-
-    def index(self, spin: int, n1: int, n2: int) -> int:
-        try:
-            return self._index[(spin, n1, n2)]
-        except KeyError:
-            raise ValueError(f"state (s={spin}, n1={n1}, n2={n2}) outside basis") from None
+    def index(self, spin, n1, n2):
+        """Position of |spin, n1, n2> by offset arithmetic, elementwise on arrays; raises ValueError if outside."""
+        spec, total = self.spec, self.spec.truncation is Truncation.TOTAL_NUMBER
+        spin, n1, n2 = map(np.asarray, (spin, n1, n2))
+        below = n1 * (spec.n_max_2 + 1) - (n1 * (n1 - 1) // 2 if total else 0)  # same-spin states of smaller n1
+        k = (spin == SPIN_DOWN) * (self.dimension // 2) + below + n2
+        at = k.clip(0, self.dimension - 1)  # a state is inside when its position holds it
+        if not np.all((k == at) & (self.spin[at] == spin) & (self.n1[at] == n1) & (self.n2[at] == n2)):
+            raise ValueError(f"state (s={spin}, n1={n1}, n2={n2}) outside basis")
+        return k[()]
 
     def contains(self, spin: int, n1: int, n2: int) -> bool:
-        return (spin, n1, n2) in self._index
+        try:
+            return bool(self.index(spin, n1, n2) >= 0)
+        except ValueError:
+            return False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Basis) and self.spec == other.spec
@@ -152,12 +149,34 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Members of every block of one size as a (count, size) index array, per size.
+
+    The blocks are the connected components of the symmetrized pattern (rows, cols) of a dim x dim
+    matrix (min-label propagation with pointer jumping); entries between blocks are zero.
+    """
+    src, dst = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    labels = np.arange(dim)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, src, labels[dst])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    _, block, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.lexsort((labels, counts[block]))
+    sizes, numbers = np.unique(counts, return_counts=True)
+    ends = np.cumsum(sizes * numbers)
+    return [order[end - size * number:end].reshape(number, size) for size, number, end in zip(sizes, numbers, ends)]
+
+
 class OperatorMatrix:
     """Complex matrix tagged with its basis and a structure hint, held as the (rows, cols, values) of its nonzeros.
 
     Builders hand over those triplets (`from_triplets`); the constructor keeps a read-only copy of the dense
-    matrix it is given as `entries`.  Each view is built from the other on first read: the triplets feed the
-    sector solver, the dense view the dense consumers (conjugation, metric checks).  All arrays are read-only.
+    matrix it is given as `entries`.  Each view is built from the other on first read: the triplets feed
+    `blocks()`, the dense view the conjugation, the mode rotation and the PT map.  All arrays are read-only.
     """
 
     def __init__(self, basis: Basis, entries: np.ndarray, hint: Hermiticity = Hermiticity.GENERAL) -> None:
@@ -189,32 +208,49 @@ class OperatorMatrix:
     def dimension(self) -> int:
         return self.basis.dimension
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, self.entries.conj().T, self.hint)
+    @cached_property
+    def _plan(self) -> list[tuple]:
+        """Per block size: the (count, size) members, the indices of its triplets and their (block, row, col) slots."""
+        rows, cols, _ = self.triplets
+        sectors = _sectors(rows, cols, self.dimension)
+        group, block, slot = (np.empty(self.dimension, dtype=np.intp) for _ in range(3))  # of each state
+        for g, members in enumerate(sectors):
+            group[members], block[members], slot[members] = g, np.arange(len(members))[:, None], range(members.shape[1])
+        counts = np.bincount(group[rows], minlength=len(sectors))
+        by_group = np.split(np.argsort(group[rows], kind="stable"), np.cumsum(counts)[:-1])
+        return [(members, k, (block[rows[k]], slot[rows[k]], slot[cols[k]])) for members, k in zip(sectors, by_group)]
 
-    def validate(self, tol: float = 1e-12, blocks=None) -> float:
-        """Check the structure hint; returns the deviation, raises if violated.
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
-        `blocks` may hold or yield stacked (count, size, size) diagonal blocks that contain every nonzero.
+        The blocks (found once) are the connected components of the nonzero pattern, so they hold every entry;
+        a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.
         """
+        values = self.triplets[2]
+        for members, k, slots in self._plan:
+            stack = np.zeros((*members.shape, members.shape[1]), dtype=np.complex128)
+            stack[slots] = values[k]
+            yield members, stack
+
+    def validate(self) -> float:
+        """Check the structure hint on the blocks; returns the deviation max|m -/+ m^dagger|, raises if violated."""
         if self.hint is Hermiticity.GENERAL:
             return 0.0
-        # max |m -/+ m^dagger| over the nonzeros, or the blocks: entries zero in m and m^dagger add 0
-        if blocks is None:
-            rows, cols, values = self.triplets
-            pairs = [(values, self.entries[cols, rows].conj())]
-        else:
-            pairs = ((stack, stack.conj().swapaxes(1, 2)) for stack in blocks)
-        hermitian = self.hint is Hermiticity.HERMITIAN
-        dev = max(np.abs(entry - mirror if hermitian else entry + mirror).max(initial=0.0)
-                  for entry, mirror in pairs)
-        if dev > tol:
-            raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {tol:.1e}")
+        sign = -1.0 if self.hint is Hermiticity.HERMITIAN else 1.0
+        dev = np.max([np.abs(stack + sign * stack.conj().swapaxes(1, 2)).max() for _, stack in self.blocks()])
+        if not dev <= HINT_TOL:
+            raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {HINT_TOL:.1e}")
         return float(dev)
 
 
+def diagonal_op(basis: Basis, d) -> OperatorMatrix:
+    """The Hermitian diagonal operator diag(d), held as the triplets of its nonzero entries."""
+    k = np.flatnonzero(d)
+    return OperatorMatrix.from_triplets(basis, k, k, np.asarray(d, dtype=np.complex128)[k], Hermiticity.HERMITIAN)
+
+
 def identity_op(basis: Basis) -> OperatorMatrix:
-    return OperatorMatrix(basis, np.eye(basis.dimension), Hermiticity.HERMITIAN)
+    return diagonal_op(basis, np.ones(basis.dimension))
 
 
 class Term:
@@ -251,12 +287,6 @@ class Term:
         np.add.at(summed, slot, values[keep])
         return positions // dim, positions % dim, summed
 
-    def dense(self) -> np.ndarray:
-        rows, cols, values = self.triplets()
-        m = np.zeros((self.monomials[0][0].size - 1,) * 2, dtype=np.complex128)
-        m[rows, cols] = values
-        return m
-
 
 ElementaryOps = namedtuple("ElementaryOps", "a1 a1d a2 a2d sp sm s0 eye")
 
@@ -266,27 +296,24 @@ def elementary_ops(basis: Basis) -> ElementaryOps:
 
     a|n> = sqrt(n)|n-1> per mode, sigma_plus|down> = |up> and sigma_0 =
     diag(spin), each the identity on the other factors; every dagger (a1d,
-    a2d, sm) is the conjugate transpose of its partner.  In the basis order,
-    lowering n2 steps one state back, lowering n1 steps back over the states
-    with n1 - 1 (of the same spin), and raising the spin over half the basis.
+    a2d, sm) is the conjugate transpose of its partner.  The state that a
+    ladder or spin flip reaches is found by `basis.index`.
     """
-    spec, dim = basis.spec, basis.dimension
-    spin, n1, n2 = basis.spin, basis.n1, basis.n2
-    shrinks = spec.truncation is Truncation.TOTAL_NUMBER  # then N + 1 - m states have n1 = m
+    dim, spin, n1, n2 = basis.dimension, basis.spin, basis.n1, basis.n2
 
     def term(cols, rows, values) -> Term:
         target, value = np.full(dim + 1, -1), np.zeros(dim + 1)
         target[cols], value[cols] = rows, values
         return Term([(target, value)])
 
-    def step_back(cols, step, values) -> tuple[Term, Term]:  # column k to row k - step; real values
-        return term(cols, cols - step, values), term(cols - step, cols, values)
+    def with_adjoint(cols, rows, values) -> tuple[Term, Term]:  # column k to row rows[k], and back; real values
+        return term(cols, rows, values), term(rows, cols, values)
 
     k1, k2, kd, every = np.flatnonzero(n1), np.flatnonzero(n2), np.flatnonzero(spin == SPIN_DOWN), np.arange(dim)
     return ElementaryOps(
-        *step_back(k1, spec.n_max_2 + 1 - shrinks * (n1[k1] - 1), np.sqrt(n1[k1])),
-        *step_back(k2, 1, np.sqrt(n2[k2])),
-        *step_back(kd, dim // 2, 1.0),
+        *with_adjoint(k1, basis.index(spin[k1], n1[k1] - 1, n2[k1]), np.sqrt(n1[k1])),
+        *with_adjoint(k2, basis.index(spin[k2], n1[k2], n2[k2] - 1), np.sqrt(n2[k2])),
+        *with_adjoint(kd, basis.index(SPIN_UP, n1[kd], n2[kd]), 1.0),
         term(every, every, spin),
         term(every, every, 1.0),
     )
@@ -301,15 +328,15 @@ def boson_ops(basis: Basis, mode: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     ops = elementary_ops(basis)
-    ann = OperatorMatrix(basis, (ops.a1 if mode == 1 else ops.a2).dense())
-    return ann, ann.dagger()
+    pair = (ops.a1, ops.a1d) if mode == 1 else (ops.a2, ops.a2d)
+    return tuple(OperatorMatrix.from_triplets(basis, *term.triplets()) for term in pair)
 
 
 def pauli_ops(basis: Basis) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """(sigma_plus, sigma_minus, sigma_0), each tensored with the boson identity."""
     ops = elementary_ops(basis)
-    sigma_plus = OperatorMatrix(basis, ops.sp.dense())
-    return sigma_plus, sigma_plus.dagger(), OperatorMatrix(basis, ops.s0.dense(), Hermiticity.HERMITIAN)
+    sigma_plus, sigma_minus = (OperatorMatrix.from_triplets(basis, *term.triplets()) for term in (ops.sp, ops.sm))
+    return sigma_plus, sigma_minus, diagonal_op(basis, basis.spin)
 
 
 def interior(basis: Basis, margin: int) -> np.ndarray:
@@ -328,4 +355,4 @@ def interior_projector(basis: Basis, margin: int = 1) -> OperatorMatrix:
     Operator identities of the untruncated algebra hold exactly on this
     interior; errors accumulate only in the discarded boundary layers.
     """
-    return OperatorMatrix(basis, np.diag(interior(basis, margin)), Hermiticity.HERMITIAN)
+    return diagonal_op(basis, interior(basis, margin))

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fockspace import Basis, ElementaryOps, Hermiticity, OperatorMatrix, Term, elementary_ops
+from .fockspace import Basis, ElementaryOps, Hermiticity, OperatorMatrix, Term, diagonal_op, elementary_ops
 
 
 class ResonanceError(ValueError):
@@ -119,11 +119,14 @@ def model_terms(basis: Basis, model: str) -> tuple[np.ndarray, np.ndarray, tuple
 
 
 def assemble(basis: Basis, model: str, coefficients, hint: Hermiticity) -> OperatorMatrix:
-    """Sum of coefficient * term over the cached terms of `model`, in table order, as nonzero triplets."""
+    """Sum of coefficient * term over the cached terms of `model`, in table order, as finite nonzero triplets."""
     rows, cols, terms = model_terms(basis, model)
     summed = np.zeros(rows.size, dtype=np.complex128)
-    for coefficient, (slot, values) in zip(coefficients, terms, strict=True):
-        summed[slot] += coefficient * values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coefficient, (slot, values) in zip(coefficients, terms, strict=True):
+            summed[slot] += coefficient * values
+    if not np.isfinite(summed).all():
+        raise ValueError(f"the {model} operator has an entry that is not finite: a parameter is too large")
     keep = summed != 0  # a zero coupling leaves no entry, so its sectors split as in the dense pattern
     return OperatorMatrix.from_triplets(basis, rows[keep], cols[keep], summed[keep], hint)
 
@@ -186,4 +189,4 @@ def conserved_excitation_op(basis: Basis) -> OperatorMatrix:
     Half-integer eigenvalues; commutes with build_full_jt for any params and
     labels its degenerate sectors.
     """
-    return OperatorMatrix(basis, np.diag(basis.n1 - basis.n2 + 0.5 * basis.spin), Hermiticity.HERMITIAN)
+    return diagonal_op(basis, basis.n1 - basis.n2 + 0.5 * basis.spin)

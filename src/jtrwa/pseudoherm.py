@@ -10,6 +10,9 @@ well-defined antilinear superoperator but is not the conjugation by any
 single matrix; the plain -i sigma_y K time reversal exchanges raising and
 lowering operators instead and does NOT leave the number-conserving
 coupling invariant.
+
+The metric checks read no dense matrix: a diagonal metric maps each block of
+h (OperatorMatrix.blocks()) to itself, so they work block by block.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fockspace import Basis, Hermiticity, OperatorMatrix
+from .fockspace import HINT_TOL, Basis, OperatorMatrix, diagonal_op
 from .models import ModelParams, build_nonhermitian
 from .spectra import diagonalize
 
@@ -27,7 +30,7 @@ REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
 
 def parity_op(basis: Basis) -> OperatorMatrix:
     """Boson parity (-1)^(n1+n2), identity on spin; squares to the identity."""
-    return OperatorMatrix(basis, np.diag((-1.0) ** (basis.n1 + basis.n2)), Hermiticity.HERMITIAN)
+    return diagonal_op(basis, (-1.0) ** (basis.n1 + basis.n2))
 
 
 def pt_transform(h: OperatorMatrix) -> OperatorMatrix:
@@ -61,17 +64,18 @@ def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float:
     """Frobenius norm of eta h eta^-1 - h^dagger, elementwise d_i h_ij / d_j for a diagonal metric eta = diag(d)."""
     if h.basis != eta.basis:
         raise ValueError("Hamiltonian and metric live on different bases")
-    e = eta.entries
-    dev = np.abs(e - e.conj().T).max()
-    if dev > 1e-12:
+    dev = np.max([np.abs(stack - stack.conj().swapaxes(1, 2)).max() for _, stack in eta.blocks()])
+    if not dev <= HINT_TOL:
         raise ValueError(f"metric is not Hermitian (deviation {dev:.3e})")
-    d = np.diagonal(e)
-    if np.count_nonzero(e) != np.count_nonzero(d):
+    rows, cols, values = eta.triplets
+    if np.any(rows != cols):
         raise ValueError("metric is not diagonal; only diagonal metrics are supported")
+    d = np.zeros(eta.dimension, dtype=np.complex128)
+    d[rows] = values
     if not 0 < np.abs(d).max() <= 1e12 * np.abs(d).min():  # condition number max|d| / min|d|
         raise ValueError("metric is singular or numerically non-invertible")
-    m = h.entries
-    return float(np.linalg.norm(d[:, None] * m / d[None, :] - m.conj().T, "fro"))
+    return float(np.linalg.norm([np.linalg.norm(d[m][:, :, None] * s / d[m][:, None, :] - s.conj().swapaxes(1, 2))
+                                 for m, s in h.blocks()]))
 
 
 def check_combined_symmetry(h: OperatorMatrix) -> float:
@@ -82,7 +86,8 @@ def check_combined_symmetry(h: OperatorMatrix) -> float:
     with h for every gamma.  With P sigma0 = diag(g) it is h_ij (g_j - g_i).
     """
     g = h.basis.spin * (-1.0) ** (h.basis.n1 + h.basis.n2)
-    return float(np.linalg.norm(h.entries * (g[None, :] - g[:, None]), "fro"))
+    rows, cols, values = h.triplets
+    return float(np.linalg.norm(values * (g[cols] - g[rows])))
 
 
 def conjugation_closure(eigenvalues: np.ndarray) -> float:

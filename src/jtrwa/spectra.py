@@ -1,11 +1,11 @@
 """Eigensolvers, cutoff-convergence sweeps, and the closed-form level formulas.
 
-diagonalize solves sector by sector: the blocks of an operator's nonzero
-pattern are its conserved-quantity sectors (J = n1 - n2 + sigma0/2 for the
-full model, 2x2 Jaynes-Cummings blocks for the rotated and imaginary-coupling
-forms).  They are found from the operator's triplets, which are scattered
-straight into them: no dim x dim array is formed.  Hermitian-hinted operators
-go through eigh (after the hint is validated), everything else through the
+diagonalize solves sector by sector: it reads OperatorMatrix.blocks(), the
+blocks of the operator's nonzero pattern, which are its conserved-quantity
+sectors (J = n1 - n2 + sigma0/2 for the full model, 2x2 Jaynes-Cummings
+blocks for the rotated and imaginary-coupling forms), scattered straight from
+the triplets: no dim x dim array is formed.  Hermitian-hinted operators go
+through eigh (after the hint is validated), everything else through the
 general complex solver; the dense solve of the whole matrix is the test
 oracle.  Eigenvalues are sorted by real part, then imaginary part, where real
 parts within LEVEL_GAP of each other (relative to the spectral radius) are one
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,40 +48,17 @@ class Spectrum:
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0].real)
 
-    def first_excited_energy(self, gap: float = DEGENERACY_GAP) -> float:
-        """Smallest level strictly above the ground level by more than `gap`.
+    def first_excited_energy(self) -> float:
+        """Smallest level above the ground level by more than DEGENERACY_GAP.
 
         With a degenerate ground multiplet this skips the whole multiplet,
         which is the convention used for the benchmark table.
         """
         ground = self.ground_energy
-        above = self.eigenvalues.real[self.eigenvalues.real > ground + gap]
+        above = self.eigenvalues.real[self.eigenvalues.real > ground + DEGENERACY_GAP]
         if above.size == 0:
             raise ValueError("no level above the ground multiplet within the spectrum")
         return float(above[0])
-
-
-def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Members of every block of one size as a (count, size) index array, per size.
-
-    The blocks are the connected components of the symmetrized pattern (rows, cols) of a dim x dim
-    matrix (min-label propagation with pointer jumping); entries between blocks are zero.
-    """
-    src, dst = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    labels = np.arange(dim)
-    while True:
-        hooked = labels.copy()
-        np.minimum.at(hooked, src, labels[dst])
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            break
-        labels = hooked
-    _, block, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    order = np.lexsort((labels, counts[block]))
-    sizes, numbers = np.unique(counts, return_counts=True)
-    ends = np.cumsum(sizes * numbers)
-    return [order[end - size * number:end].reshape(number, size)
-            for size, number, end in zip(sizes, numbers, ends)]
 
 
 def _level_order(vals: np.ndarray) -> np.ndarray:
@@ -93,33 +70,14 @@ def _level_order(vals: np.ndarray) -> np.ndarray:
     return by_real[np.lexsort((vals.imag[by_real], level))]
 
 
-def _blocks(op: OperatorMatrix) -> tuple[list[np.ndarray], Callable[[], Iterator[np.ndarray]]]:
-    """The (count, size) members of the blocks of each size, and a generator that stacks them from the triplets."""
-    rows, cols, values = op.triplets
-    sectors = _sectors(rows, cols, op.dimension)
-    group, block, slot = (np.empty(op.dimension, dtype=np.intp) for _ in range(3))  # of each state
-    for g, members in enumerate(sectors):
-        group[members], block[members], slot[members] = g, np.arange(len(members))[:, None], range(members.shape[1])
-    counts = np.bincount(group[rows], minlength=len(sectors))
-    by_group = np.split(np.argsort(group[rows], kind="stable"), np.cumsum(counts)[:-1])
-
-    def stacks():  # one block size at a time: all blocks at once would take 87 MB at total cutoff 200
-        for members, k in zip(sectors, by_group):
-            stack = np.zeros((*members.shape, members.shape[1]), dtype=np.complex128)
-            stack[block[rows[k]], slot[rows[k]], slot[cols[k]]] = values[k]
-            yield stack
-
-    return sectors, stacks
-
-
 def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of an operator, solved block by block.
 
     The blocks of the nonzero pattern (the conserved-quantity sectors) of
-    one size are scattered from the triplets into one stack, solved by one
-    stacked LAPACK call; a matrix with one block is the dense solve.  A
-    Hermitian hint is validated on the stacks, which hold every nonzero,
-    before eigh is trusted with the matrix.  Solver non-convergence
+    one size come as one stack from op.blocks(), solved by one stacked
+    LAPACK call; a matrix with one block is the dense solve.  A Hermitian
+    hint is validated (on the same blocks) before eigh is trusted with the
+    matrix.  Solver non-convergence
     propagates as numpy.linalg.LinAlgError rather than being silently
     truncated.  Eigenpair residuals ||Hv - lambda v|| are computed block by
     block when vectors are requested.
@@ -129,10 +87,9 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
     vals = np.empty(dim, dtype=np.complex128)
     vecs = np.zeros((dim, dim), dtype=np.complex128) if want_vectors else None
     residuals = np.empty(dim) if want_vectors else None
-    sectors, stacks = _blocks(op)
     if hermitian:
-        op.validate(blocks=stacks())
-    for members, stack in zip(sectors, stacks()):
+        op.validate()
+    for members, stack in op.blocks():
         if hermitian:
             stack = stack.real if not np.any(stack.imag) else stack
             solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
@@ -309,8 +266,7 @@ def assemble_eigenstate(
     if not basis.contains(SPIN_UP, n1, n2) or not basis.contains(SPIN_DOWN, n1 + 1, n2):
         raise ValueError(f"block (n1={n1}, n2={n2}) does not fit inside the basis cutoff")
     state = np.zeros(basis.dimension, dtype=np.complex128)
-    state[basis.index(SPIN_UP, n1, n2)] = c1
-    state[basis.index(SPIN_DOWN, n1 + 1, n2)] = c2
+    state[basis.index((SPIN_UP, SPIN_DOWN), (n1, n1 + 1), n2)] = c1, c2
     return state
 
 

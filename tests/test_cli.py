@@ -181,6 +181,25 @@ def test_unused_coupling_is_usage_error(args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--omega", "1e308"],
+        ["table1", "--omega", "1e308", "--kappa2", "0.5"],
+        ["reality-scan", "--omega", "1e308"],
+        ["pseudoherm", "--omega", "1e308"],
+        ["transform-residual", "--omega", "1e300", "--omega0", "0"],
+    ],
+)
+def test_overflowing_magnitudes_are_usage_errors(args):
+    # the operator entries (or the remainder norm) overflow to inf: one line, exit 2, no warning
+    result = run_cli(args)
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("Error: ")
+    assert "not finite" in result.stderr
+    assert result.stdout == ""
+
+
 def test_table1_zero_coupling_row(tmp_path):
     out = tmp_path / "t.csv"
     result = run_cli(["table1", "--kappa2", "0"], out)

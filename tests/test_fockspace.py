@@ -37,16 +37,17 @@ def test_total_number_dimension():
 def test_index_roundtrip_is_bijection(spec):
     basis = make_basis(spec)
     seen = set()
-    for k in range(basis.dimension):
-        state = basis.states[k]
+    for k, state in enumerate(zip(basis.spin, basis.n1, basis.n2)):
         assert basis.index(*state) == k
+        assert basis.contains(*state)
         seen.add(state)
     assert len(seen) == basis.dimension == spec.dimension
+    assert np.array_equal(basis.index(basis.spin, basis.n1, basis.n2), np.arange(basis.dimension))
 
 
 def test_ordering_is_spin_major_then_lexicographic():
     basis = make_basis(BasisSpec.per_mode(1, 1))
-    assert basis.states == (
+    assert _states(basis) == (
         (SPIN_UP, 0, 0), (SPIN_UP, 0, 1), (SPIN_UP, 1, 0), (SPIN_UP, 1, 1),
         (SPIN_DOWN, 0, 0), (SPIN_DOWN, 0, 1), (SPIN_DOWN, 1, 0), (SPIN_DOWN, 1, 1),
     )
@@ -61,9 +62,16 @@ def test_invalid_cutoff_rejected(bad):
 
 
 def test_index_outside_basis_rejected():
-    basis = make_basis(BasisSpec.per_mode(1, 1))
-    with pytest.raises(ValueError):
-        basis.index(SPIN_UP, 2, 0)
+    cases = [(BasisSpec.per_mode(1, 1), (SPIN_UP, 2, 0)), (BasisSpec.per_mode(1, 2), (SPIN_DOWN, 0, 3)),
+             (BasisSpec.per_mode(1, 1), (SPIN_UP, -1, 0)), (BasisSpec.per_mode(1, 1), (0, 0, 0)),
+             (BasisSpec.total_number(3), (SPIN_DOWN, 2, 2)), (BasisSpec.total_number(3), (SPIN_UP, 0, -1))]
+    for spec, state in cases:
+        basis = make_basis(spec)
+        with pytest.raises(ValueError, match=r"state \(s=-?\d, n1=-?\d, n2=-?\d\) outside basis"):
+            basis.index(*state)
+        assert not basis.contains(*state)
+        with pytest.raises(ValueError):  # one state outside fails an array lookup
+            basis.index(np.array([SPIN_UP, state[0]]), np.array([0, state[1]]), np.array([0, state[2]]))
 
 
 def test_annihilation_matrix_element():
@@ -82,7 +90,7 @@ def test_elementary_operators_match_state_by_state_fill(spec):
     basis = make_basis(spec)
     dim = basis.dimension
     a1, a2, sp, s0 = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
-    for k, (spin, n1, n2) in enumerate(basis.states):
+    for k, (spin, n1, n2) in enumerate(zip(basis.spin, basis.n1, basis.n2)):
         s0[k, k] = spin
         if n1 >= 1:
             a1[basis.index(spin, n1 - 1, n2), k] = np.sqrt(n1)
@@ -105,20 +113,27 @@ WORDS = st.lists(st.sampled_from(ElementaryOps._fields), min_size=1, max_size=4)
 SCALARS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 
+def _dense(term, dim):
+    rows, cols, values = term.triplets()
+    m = np.zeros((dim, dim), dtype=complex)
+    m[rows, cols] = values
+    return m
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=SPECS, words=st.lists(st.tuples(SCALARS, WORDS), min_size=1, max_size=3))
 def test_term_algebra_equals_dense_products(spec, words):
     # sum of c * (f1 @ f2 @ ...): index chasing against dense products of the factors
-    ops = elementary_ops(make_basis(spec))
+    ops, dim = elementary_ops(make_basis(spec)), spec.dimension
     term = expected = None
     for scalar, word in words:
         factors = [getattr(ops, name) for name in word]
-        product, dense = factors[0], factors[0].dense()
+        product, dense = factors[0], _dense(factors[0], dim)
         for factor in factors[1:]:
-            product, dense = product @ factor, dense @ factor.dense()
+            product, dense = product @ factor, dense @ _dense(factor, dim)
         term = scalar * product if term is None else term + scalar * product
         expected = scalar * dense if expected is None else expected + scalar * dense
-    assert np.array_equal(term.dense(), expected)
+    assert np.array_equal(_dense(term, dim), expected)
     rows, cols, _ = term.triplets()
     assert np.all(np.diff(rows * spec.dimension + cols) > 0)  # one entry per position, row-major
 
@@ -174,7 +189,7 @@ def test_spin_half_algebra():
     eye = np.eye(basis.dimension)
     assert np.abs(sp.entries @ sm.entries + sm.entries @ sp.entries - eye).max() <= 1e-14
     assert np.abs(s0.entries @ s0.entries - eye).max() <= 1e-14
-    assert np.array_equal(sp.dagger().entries, sm.entries)
+    assert np.array_equal(sp.entries.conj().T, sm.entries)
 
 
 def test_sigma0_eigenvalue_multiplicities():
@@ -240,6 +255,10 @@ def test_dense_construction_keeps_a_read_only_copy_as_entries():
     assert [a.tolist() for a in op.triplets] == [rows.tolist(), cols.tolist(), op.entries[rows, cols].tolist()]
 
 
+def _states(basis):
+    return tuple(zip(basis.spin.tolist(), basis.n1.tolist(), basis.n2.tolist()))
+
+
 def _nested_loop_states(spec):
     # oracle: the state-by-state enumeration of the canonical order
     states = []
@@ -257,13 +276,13 @@ def _nested_loop_states(spec):
 )
 def test_quantum_number_arrays_give_the_per_state_formulas(spec):
     basis = make_basis(spec)
-    assert basis.states == _nested_loop_states(spec)
+    assert _states(basis) == _nested_loop_states(spec)
     for array in (basis.spin, basis.n1, basis.n2):
         with pytest.raises(ValueError):
             array[0] = 0
 
     def diagonal(formula):
-        return np.diag([complex(formula(*state)) for state in basis.states])
+        return np.diag([complex(formula(*state)) for state in _states(basis)])
 
     assert np.array_equal(parity_op(basis).entries, diagonal(lambda s, n1, n2: (-1.0) ** (n1 + n2)))
     assert np.array_equal(conserved_excitation_op(basis).entries, diagonal(lambda s, n1, n2: n1 - n2 + 0.5 * s))
@@ -276,14 +295,15 @@ def test_quantum_number_arrays_give_the_per_state_formulas(spec):
         assert np.array_equal(interior_projector(basis, margin).entries, expected)
 
 
-def test_diagonalize_builds_no_state_tuples():
-    basis = make_basis(BasisSpec.total_number(7))
-    diagonalize(build_full_jt(ModelParams(omega=1.0, kappa=0.4), basis))
-    assert "states" not in vars(basis)
-
-
 def test_diagonalize_leaves_entries_unbuilt():
     # a builder hands over triplets; the sector solve scatters them into its blocks
     op = build_full_jt(ModelParams(omega=1.0, omega0=0.1, kappa=0.4), make_basis(BasisSpec.total_number(7)))
     diagonalize(op)
+    assert "entries" not in vars(op)
+
+
+def test_validate_leaves_entries_unbuilt():
+    # the hint is checked on the blocks, which are scattered from the triplets
+    op = build_full_jt(ModelParams(omega=1.0, omega0=0.1, kappa=0.4), make_basis(BasisSpec.total_number(7)))
+    assert op.validate() == 0.0
     assert "entries" not in vars(op)

@@ -54,7 +54,7 @@ def test_decoupled_spectrum_is_oscillator_ladder():
     params = ModelParams(omega=1.0, omega0=0.0, kappa=0.0)
     spectrum = diagonalize(build_full_jt(params, basis))
     expected = np.sort(
-        [n1 + n2 + 1.0 for (_, n1, n2) in basis.states]
+        [n1 + n2 + 1.0 for n1, n2 in zip(basis.n1, basis.n2)]
     )
     assert np.allclose(spectrum.eigenvalues.real, expected, atol=1e-12)
     # every oscillator level appears once per spin branch
@@ -84,7 +84,7 @@ def test_nonhermitian_gamma_zero_spectrum():
     basis = make_basis(BasisSpec.per_mode(3, 3))
     params = ModelParams(omega=1.0, omega0=0.3, gamma=0.0)
     spectrum = diagonalize(build_nonhermitian(params, basis))
-    expected = np.sort([n1 + n2 + 1.0 + 0.3 * s for (s, n1, n2) in basis.states])
+    expected = np.sort([n1 + n2 + 1.0 + 0.3 * s for s, n1, n2 in zip(basis.spin, basis.n1, basis.n2)])
     assert np.allclose(spectrum.eigenvalues.real, expected, atol=1e-12)
     assert np.abs(spectrum.eigenvalues.imag).max() <= 1e-12
 
@@ -148,7 +148,7 @@ def _second_order_by_hand(params, basis):
         if basis.contains(spin, n1, n2):
             h[basis.index(spin, n1, n2), col] += amp
 
-    for col, (s, n1, n2) in enumerate(basis.states):
+    for col, (s, n1, n2) in enumerate(zip(basis.spin, basis.n1, basis.n2)):
         h[col, col] += omega * (n1 + n2 + 1) + omega0 * s
         if s == SPIN_DOWN:
             add(SPIN_UP, n1 - 1, n2, kappa * np.sqrt(n1), col)

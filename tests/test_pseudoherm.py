@@ -125,6 +125,23 @@ def test_elementwise_metric_checks_match_the_dense_formulas():
     assert check_combined_symmetry(op) == pytest.approx(np.linalg.norm(h @ g - g @ h, "fro"), rel=1e-14)
 
 
+def test_metric_checks_leave_the_dense_views_unbuilt():
+    # the checks read the blocks and triplets of h and of the metric
+    h = _h(0.3, omega0=0.25)
+    metrics = (parity_op(BASIS), pauli_ops(BASIS)[2], identity_op(BASIS))
+    for eta in metrics:
+        check_pseudo_hermitian(h, eta)
+    check_combined_symmetry(h)
+    assert not any("entries" in vars(op) for op in (h, *metrics))
+
+
+def test_metric_hermiticity_is_checked_before_diagonality():
+    m = np.eye(BASIS.dimension, dtype=complex)
+    m[0, 1], m[1, 0] = 0.5, 0.5 + 1e-9j  # neither Hermitian nor diagonal
+    with pytest.raises(ValueError, match=r"^metric is not Hermitian \(deviation 1\.000e-09\)$"):
+        check_pseudo_hermitian(_h(0.2), OperatorMatrix(BASIS, m))
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5])
 def test_combined_symmetry_commutes(gamma):
     assert check_combined_symmetry(_h(gamma, omega0=0.3)) <= 1e-12

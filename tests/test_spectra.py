@@ -21,16 +21,19 @@ from jtrwa import (
     build_rotated,
     build_rwa,
     build_second_order,
+    conjugate,
     conserved_excitation_op,
     converge_ground,
     diagonalize,
     enumerate_rwa_levels,
+    identity_op,
     make_basis,
     rwa_energy,
     rwa_level_ladder,
     total_number_schedule,
 )
-from jtrwa.spectra import LEVEL_GAP, _level_order, _sectors
+from jtrwa.fockspace import _sectors
+from jtrwa.spectra import LEVEL_GAP, _level_order
 
 BUILDERS = {
     "full": build_full_jt,
@@ -436,32 +439,65 @@ def test_closed_form_and_fit_disagree_at_small_quantum_numbers():
 
 @pytest.mark.parametrize("hint", [Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN])
 def test_blockwise_hint_deviation_equals_validate(hint):
-    # diagonalize checks the hint on its stacked sector blocks instead of a
-    # second nonzero scan; deviation and message must be those of validate()
+    # diagonalize (Hermitian hint) and conjugate (anti-Hermitian generator) read op.blocks() and reject
+    # a matrix exactly when validate() does; none of them builds the operator's dense view
     basis = make_basis(BasisSpec.per_mode(3, 2))
     rng = np.random.default_rng(5)
     dense = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
     scattered = np.where(rng.random((24, 24)) < 0.05, dense, 0.0)
     h = build_full_jt(ModelParams(omega=1.0, omega0=0.2, kappa=0.3 + 0.1j), basis).entries
-    if hint is Hermiticity.ANTI_HERMITIAN:
-        h = 1j * h
+    hermitian = build_full_jt(ModelParams(omega=1.0, omega0=0.2, kappa=0.3), basis).entries
     in_pattern = np.where(h != 0, dense, 0.0)
-    matrices = [dense, scattered, h, h + 1e-14 * in_pattern, h + 1e-9 * in_pattern, np.zeros((24, 24))]
-    for m in matrices:
-        op = OperatorMatrix(basis, m, hint)
-        blocks = [m[members[:, :, None], members[:, None, :]] for members in _sectors(*np.nonzero(m), 24)]
+    nan = np.where(np.arange(24) == 3, np.nan, 1.0) * np.eye(24)
+    phase = 1.0 if hint is Hermiticity.HERMITIAN else 1j
+    matrices = [dense, scattered, h, hermitian, hermitian + 1e-14 * in_pattern, hermitian + 1e-9 * in_pattern,
+                np.zeros((24, 24)), nan]
+    for m in (phase * m for m in matrices):
+        rows, cols = np.nonzero(m)
+        op = OperatorMatrix.from_triplets(basis, rows, cols, m[rows, cols], hint)
+        if hint is Hermiticity.HERMITIAN:
+            def consume():
+                assert np.abs(diagonalize(op).eigenvalues.real - np.linalg.eigvalsh(m)).max() <= 1e-12
+        else:
+            def consume():
+                conjugate(op, identity_op(basis))
         try:
-            expected = op.validate()
+            op.validate()
         except ValueError as failure:
             with pytest.raises(ValueError) as blockwise:
-                op.validate(blocks=blocks)
-            assert str(blockwise.value) == str(failure)
+                consume()
             if hint is Hermiticity.HERMITIAN:
-                with pytest.raises(ValueError) as solving:
-                    diagonalize(op)
-                assert str(solving.value) == str(failure)
+                assert str(blockwise.value) == str(failure)
+            else:
+                assert "anti-hermitian" in str(blockwise.value)
         else:
-            assert op.validate(blocks=blocks) == expected
+            consume()
+        assert "entries" not in vars(op)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(sorted(BUILDERS)),
+    coupling=st.sampled_from([0.0, 0.37]) | st.floats(0.0, 1.0),
+    total=st.booleans(),
+    cutoff=st.integers(1, 8),
+    second_cutoff=st.integers(1, 8),
+)
+def test_blocks_partition_the_basis_and_scatter_back_to_the_entries(model, coupling, total, cutoff, second_cutoff):
+    spec = BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff, second_cutoff)
+    basis = make_basis(spec)
+    op = BUILDERS[model](ModelParams(omega=1.1, omega0=0.15, kappa=coupling, gamma=coupling), basis)
+    scattered = np.zeros((basis.dimension,) * 2, dtype=complex)
+    members_seen, sizes = [], []
+    for members, stack in op.blocks():
+        assert stack.shape == (*members.shape, members.shape[1])
+        scattered[members[:, :, None], members[:, None, :]] = stack
+        members_seen.append(members.ravel())
+        sizes.append(members.shape[1])
+    assert sizes == sorted(set(sizes))  # one stack per block size, ascending
+    assert np.array_equal(np.sort(np.concatenate(members_seen)), np.arange(basis.dimension))
+    assert "entries" not in vars(op)
+    assert np.array_equal(scattered, op.entries)
 
 
 @pytest.mark.parametrize("model", sorted(BUILDERS))

@@ -22,7 +22,7 @@ from jtrwa import (
     residual_study,
 )
 from jtrwa import transforms
-from jtrwa.spectra import _sectors
+from jtrwa.fockspace import _sectors
 
 STUDY_PARAMS = ModelParams(omega=1.0, omega0=0.2)
 STUDY_GRID = (0.01, 0.02, 0.04, 0.08)
