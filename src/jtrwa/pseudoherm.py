@@ -12,7 +12,8 @@ lowering operators instead and does NOT leave the number-conserving
 coupling invariant.
 
 The metric checks read no dense matrix: a diagonal metric maps each block of
-h (OperatorMatrix.blocks()) to itself, so they work block by block.
+h (OperatorMatrix.blocks()) to itself, so they work block by block.  The
+conjugation closure pairs a spectrum with its conjugate in level order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .fockspace import HINT_TOL, Basis, OperatorMatrix, diagonal_op
 from .models import ModelParams, build_nonhermitian
-from .spectra import diagonalize
+from .spectra import diagonalize, level_order
 
 REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
 
@@ -91,17 +92,15 @@ def check_combined_symmetry(h: OperatorMatrix) -> float:
 
 
 def conjugation_closure(eigenvalues: np.ndarray) -> float:
-    """Largest matching distance between a spectrum and its complex conjugate.
+    """Largest distance between the imaginary parts of a spectrum and its conjugate, both in level order.
 
-    Uses an optimal assignment so that exactly degenerate real parts (which
-    a lexicographic sort may order differently in the two sets) do not
-    produce spurious mismatches.
+    Conjugate partners share a level, so a closed spectrum lists the same imaginary parts as its conjugate
+    level by level.  Real parts agree within a level by construction; pairing whole values would mismatch
+    wherever two distinct real levels fall into one LEVEL_GAP chain.
     """
-    from scipy.optimize import linear_sum_assignment  # deferred: importing it costs ~0.3 s
     vals = np.asarray(eigenvalues, dtype=np.complex128)
-    cost = np.abs(vals[:, None] - vals.conj()[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    mirror = vals.conj()
+    return float(np.abs(vals.imag[level_order(vals)] - mirror.imag[level_order(mirror)]).max(initial=0.0))
 
 
 @dataclass(frozen=True)

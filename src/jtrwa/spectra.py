@@ -15,7 +15,7 @@ round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -61,12 +61,12 @@ class Spectrum:
         return float(above[0])
 
 
-def _level_order(vals: np.ndarray) -> np.ndarray:
-    """Indices sorting by level (real parts chained within the gap), then imaginary part."""
+def level_order(vals: np.ndarray) -> np.ndarray:
+    """Indices sorting by level (real parts chained within LEVEL_GAP), then imaginary part; conjugates share a level."""
     by_real = np.argsort(vals.real, kind="stable")
     real = vals.real[by_real]
     gap = LEVEL_GAP * max(1.0, float(np.abs(vals).max(initial=0.0)))
-    level = np.concatenate(([0], np.cumsum(np.diff(real) > gap)))
+    level = np.cumsum(np.diff(real, prepend=real[:1]) > gap)
     return by_real[np.lexsort((vals.imag[by_real], level))]
 
 
@@ -101,7 +101,7 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
             residuals[members] = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
         else:
             vals[members] = solve(stack)
-    order = _level_order(vals)
+    order = level_order(vals)
     if want_vectors:
         vecs, residuals = vecs[:, order], residuals[order]
     return Spectrum(vals[order], op.basis, eigenvectors=vecs, residual_norms=residuals)
@@ -122,33 +122,24 @@ def converge_ground(
     Stops at the first cutoff whose ground energy agrees with the previous
     one within `tol`; if the schedule is exhausted first, the spectrum of
     the last cutoff is returned with converged=False and the full history.
+    A schedule of fewer than two cutoffs cannot converge and is rejected.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
     schedule = list(cutoff_schedule)
-    if not schedule:
-        raise ValueError("cutoff schedule must not be empty")
-    dims = [spec.dimension for spec in schedule]
-    if any(b <= a for a, b in zip(dims, dims[1:])):
+    if len(schedule) < 2:
+        raise ValueError(f"cutoff schedule needs two or more cutoffs, got {len(schedule)}")
+    if any(b.dimension <= a.dimension for a, b in zip(schedule, schedule[1:])):
         raise ValueError("cutoff schedule must be strictly ascending in dimension")
 
     history: list[tuple[int, float]] = []
-    previous: float | None = None
-    spectrum: Spectrum | None = None
     for spec in schedule:
-        basis = make_basis(spec)
-        spectrum = diagonalize(builder(params, basis))
-        ground = spectrum.ground_energy
-        history.append((spec.cutoff, ground))
-        if previous is not None and abs(ground - previous) <= tol:
-            return Spectrum(
-                spectrum.eigenvalues, basis, converged=True, cutoff_history=tuple(history)
-            )
-        previous = ground
-    assert spectrum is not None
-    return Spectrum(
-        spectrum.eigenvalues, spectrum.basis, converged=False, cutoff_history=tuple(history)
-    )
+        spectrum = diagonalize(builder(params, make_basis(spec)))
+        history.append((spec.cutoff, spectrum.ground_energy))
+        converged = len(history) > 1 and abs(history[-1][1] - history[-2][1]) <= tol
+        if converged:
+            break
+    return replace(spectrum, converged=converged, cutoff_history=tuple(history))
 
 
 class Branch(Enum):

@@ -32,7 +32,7 @@ def test_module_entry_point_help():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the assignment solver is imported by conjugation_closure, its one caller
+    # the runtime is numpy and click (tests/test_structure.py); scipy's assignment solver is a test oracle
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, jtrwa.cli; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True,
@@ -42,7 +42,7 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported by conjugation_closure alone (scipy.optimize), on its first call
+    # no module of the package imports scipy, at the top or inside a function
     code = "import sys, jtrwa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
@@ -50,16 +50,18 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_transform_path_leaves_scipy_unloaded():
-    # the transforms exponentiate and take norms with numpy's LAPACK alone
+    # the transforms exponentiate and take norms with numpy's LAPACK alone, and the
+    # conjugation closure of pseudoherm pairs levels in order, without an assignment solver
     code = (
         "import sys\n"
         "from jtrwa import BasisSpec, make_basis, mode_rotation\n"
         "from jtrwa.cli import cli\n"
         "mode_rotation(make_basis(BasisSpec.total_number(6)))\n"
-        "try:\n"
-        "    cli(['transform-residual', '--out', sys.argv[1]])\n"
-        "except SystemExit as done:\n"
-        "    assert done.code == 0, done.code\n"
+        "for command in ('transform-residual', 'pseudoherm'):\n"
+        "    try:\n"
+        "        cli([command, '--out', sys.argv[1]])\n"
+        "    except SystemExit as done:\n"
+        "        assert done.code == 0, (command, done.code)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True, text=True)
@@ -247,6 +249,14 @@ def test_table1_flags_the_misprinted_benchmark_entry(tmp_path):
     assert excited["e_exact_published"] == "1.36373"
 
 
+@pytest.mark.parametrize("kappa2, code", [("25", 1), ("0.5", 0)])
+def test_table1_exits_one_when_a_row_has_not_converged(kappa2, code):
+    # at kappa2 = 25 the ground energy still moves 5e-5 between the last two cutoffs, 30 and 40
+    result = run_cli(["table1", "--kappa2", kappa2])
+    assert result.exit_code == code
+    assert f"converged = {code == 0}" in result.stderr
+
+
 def test_table1_negative_kappa2_is_usage_error():
     result = run_cli(["table1", "--kappa2", "-0.3"])
     assert result.exit_code == 2
@@ -332,6 +342,14 @@ def test_converge_reports_failure_on_short_schedule(tmp_path):
     )
     assert result.exit_code == 1
     assert "converged = False" in result.output
+
+
+def test_converge_one_cutoff_schedule_is_usage_error():
+    # one cutoff cannot converge; it used to exit 1 with converged = False
+    result = run_cli(["converge", "--grid", "10:10:10"])
+    assert result.exit_code == 2
+    assert result.stderr == "Error: cutoff schedule needs two or more cutoffs, got 1\n"
+    assert result.stdout == ""
 
 
 def test_converge_rejects_fractional_schedule():

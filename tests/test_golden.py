@@ -9,7 +9,10 @@ pin every command and option name, default, help text and output format.
 When `diagonalize` began solving sector by sector, the three table1
 fixtures were regenerated (numeric cells moved by at most 4e-14, the text
 is unchanged) and so was spectrum-nonhermitian (the same rows, reordered
-by imaginary part within each level of equal real part).
+by imaginary part within each level of equal real part).  When table1 began
+exiting 1 on a row that does not converge, its summary gained one
+`converged` entry, and table1.err, table1-json.out, table1-json.err and
+table1-pretty.out were regenerated for that entry alone.
 Outputs listed as BYTES must match byte for byte.  The NUMERIC ones
 carry eigensolver round-off (imaginary parts of real levels, residual
 norms near machine precision) that differs between BLAS builds; their

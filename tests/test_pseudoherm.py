@@ -159,10 +159,25 @@ def test_combined_symmetry_broken_by_displacement_term():
     assert check_combined_symmetry(perturbed) > 1e-3
 
 
-@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45, 0.6])
-def test_spectrum_closed_under_conjugation(gamma):
-    spectrum = diagonalize(_h(gamma, omega0=0.0))
+@pytest.mark.parametrize(
+    "model, params, basis",
+    [pytest.param(build_nonhermitian, ModelParams(omega=1.0, gamma=g), BASIS, id=str(g)) for g in (0.1, 0.3, 0.45, 0.6)]
+    + [
+        # two distinct real levels 1.7e-8 apart fall into one LEVEL_GAP chain
+        pytest.param(build_nonhermitian, ModelParams(omega=1.0, omega0=0.1, gamma=0.1),
+                     make_basis(BasisSpec.total_number(20)), id="nonhermitian-total-20-omega0-0.1"),
+        # complex levels that a lexicographic sort (np.sort_complex) pairs 7.67 apart
+        pytest.param(build_full_jt, ModelParams(omega=1.0, kappa=0.7j),
+                     make_basis(BasisSpec.total_number(30)), id="full-total-30-kappa-0.7i"),
+    ],
+)
+def test_spectrum_closed_under_conjugation(model, params, basis):
+    spectrum = diagonalize(model(params, basis))
     assert conjugation_closure(spectrum.eigenvalues) <= 1e-10
+
+
+def test_empty_spectrum_is_closed_under_conjugation():
+    assert conjugation_closure(np.array([])) == 0.0
 
 
 def test_reality_scan_detects_block_threshold():

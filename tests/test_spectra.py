@@ -22,6 +22,7 @@ from jtrwa import (
     build_rwa,
     build_second_order,
     conjugate,
+    conjugation_closure,
     conserved_excitation_op,
     converge_ground,
     diagonalize,
@@ -33,7 +34,7 @@ from jtrwa import (
     total_number_schedule,
 )
 from jtrwa.fockspace import _sectors
-from jtrwa.spectra import LEVEL_GAP, _level_order
+from jtrwa.spectra import LEVEL_GAP, level_order
 
 BUILDERS = {
     "full": build_full_jt,
@@ -107,7 +108,7 @@ def _dense_pattern_eigenvalues(op):
             vals[members] = np.linalg.eigvalsh(stack.real if not np.any(stack.imag) else stack)
         else:
             vals[members] = np.linalg.eigvals(stack)
-    return vals[_level_order(vals)]
+    return vals[level_order(vals)]
 
 
 @pytest.mark.parametrize("spec", [BasisSpec.total_number(8), BasisSpec.per_mode(4, 3)])
@@ -201,6 +202,36 @@ def test_sector_spectra_match_the_dense_oracle(
     assert spectrum.residual_norms.max() <= 1e-10
 
 
+@st.composite
+def _near_closed_spectra(draw):
+    """(values, closed): real values and conjugate pairs drawn from a few real and imaginary parts, so
+    values repeat exactly, with ~1e-16 of imaginary noise; unless closed, one value then moves by 1e-8..1,
+    along the imaginary axis or, for a member of a pair, along the real one."""
+    drawn = draw(st.lists(st.tuples(st.sampled_from((-1.5, 0.0, 0.5, 2.0)), st.sampled_from((0.0, 0.25, 1.0))),
+                          min_size=1, max_size=8))
+    members = [(complex(re, sign * im), im != 0) for re, im in drawn for sign in ((1, -1) if im else (1,))]
+    vals = np.array([v for v, _ in members])
+    vals += 1j * np.array(draw(st.lists(st.floats(-1e-16, 1e-16), min_size=vals.size, max_size=vals.size)))
+    closed = draw(st.booleans())
+    if not closed:
+        k = draw(st.integers(0, vals.size - 1))
+        shift = 10.0 ** draw(st.floats(-8.0, 0.0))
+        vals[k] += shift if members[k][1] and draw(st.booleans()) else 1j * shift
+    return vals, closed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_near_closed_spectra())
+def test_level_order_closure_agrees_with_the_assignment_oracle(case):
+    vals, closed = case
+    cost = np.abs(vals[:, None] - vals.conj()[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    oracle, got = cost[rows, cols].max(), conjugation_closure(vals)
+    assert (got <= 1e-10) == (oracle <= 1e-10) == closed
+    if closed:
+        assert max(got, oracle) <= 1e-12
+
+
 def test_converge_zero_coupling_stops_at_second_cutoff():
     params = ModelParams(omega=1.0, omega0=0.0, kappa=0.0)
     spectrum = converge_ground(build_full_jt, params, total_number_schedule((4, 6, 8)))
@@ -231,6 +262,8 @@ def test_converge_rejects_bad_schedules():
     params = ModelParams(omega=1.0)
     with pytest.raises(ValueError):
         converge_ground(build_full_jt, params, [])
+    with pytest.raises(ValueError, match="two or more cutoffs, got 1"):
+        converge_ground(build_full_jt, params, total_number_schedule((10,)))
     with pytest.raises(ValueError):
         converge_ground(build_full_jt, params, total_number_schedule((8, 4)))
 

@@ -1,11 +1,13 @@
-"""Source-level rules that keep one owner per helper."""
+"""Source-level rules that keep one owner per helper and the runtime on numpy and click."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "jtrwa").glob("*.py"))
+RUNTIME = set(sys.stdlib_module_names) | {"numpy", "click", "jtrwa"}
 
 
 def _private_imports(path):
@@ -24,3 +26,27 @@ def test_the_rule_sees_relative_and_absolute_imports(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text("from .spectra import _blocks, diagonalize\nfrom jtrwa.fockspace import _sectors\n")
     assert list(_private_imports(source)) == [("spectra", "_blocks"), ("jtrwa.fockspace", "_sectors")]
+
+
+def _imported_packages(path):
+    """Top-level package of every import in `path`, at any depth; a relative import names jtrwa."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "jtrwa" if node.level > 0 else node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_names_the_standard_library_numpy_click_or_jtrwa(path):
+    assert set(_imported_packages(path)) - RUNTIME == set()
+
+
+def test_the_import_rule_sees_an_import_inside_a_function(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\nfrom . import spectra\n\n"
+        "def closure(vals):\n    from scipy.optimize import linear_sum_assignment\n"
+    )
+    assert list(_imported_packages(source)) == ["numpy", "jtrwa", "scipy"]
+    assert set(_imported_packages(source)) - RUNTIME == {"scipy"}
