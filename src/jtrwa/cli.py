@@ -124,8 +124,11 @@ def _emit(command: str, rows: list, summary: dict, exit_code: int, fmt: str, out
             lines = ["  ".join(v.ljust(w) for v, w in zip(cells, widths)) for cells in table] + notes
     text = "".join(line + "\n" for line in lines)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write the table to {out}: {exc.strerror}") from exc
     else:
         # explicit streams: click.echo's default-stream cache never drops a stream it wraps,
         # so it would keep the captured streams of every in-process (CliRunner) invocation
@@ -225,7 +228,8 @@ def table1_command(omega, omega0, kappa2, tol):
     Emits, per coupling and level, the closed-form eigenvalue, the empirical
     fit that matches the published RWA column, the cutoff-converged exact
     energy, and the published references.  Exits 1 if any exact energy
-    misses its published value by more than 5e-3.
+    misses its published value by more than 5e-3, or if a row's ground energy
+    did not converge over the cutoff schedule.
     """
     base = ModelParams(omega=omega, omega0=omega0)
     schedule = total_number_schedule(TABLE1_SCHEDULE)

@@ -16,10 +16,10 @@ integer arrays, spin, n1 and n2, in that order, and inverts them by offset
 arithmetic.  Operators are assembled sparse, as Terms: sums of products of
 ladder, Pauli and identity column maps (models caches their triplets per
 basis), and held in an OperatorMatrix as the (rows, cols, values) triplets
-of their nonzeros.  OperatorMatrix.blocks() cuts those into the blocks of
-the nonzero pattern (the conserved-quantity sectors), which validation, the
-eigensolver, the transform and the metric checks read; the dense view
-serves only the conjugation, the mode rotation and the PT map.
+of their nonzeros, its one storage form.  OperatorMatrix.blocks() cuts those
+into the blocks of the nonzero pattern (the conserved-quantity sectors) that
+validation, the eigensolver and the checks read; the dense view, built from
+the triplets on demand, serves only the conjugation and the mode rotation.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -149,6 +149,14 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _summed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of a dim x dim matrix in row-major order, the values at one position summed in order."""
+    positions, slot = np.unique(rows * dim + cols, return_inverse=True)
+    summed = np.zeros(positions.size, dtype=values.dtype)
+    np.add.at(summed, slot, values)
+    return positions // dim, positions % dim, summed
+
+
 def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
     """Members of every block of one size as a (count, size) index array, per size.
 
@@ -174,16 +182,16 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
 class OperatorMatrix:
     """Complex matrix tagged with its basis and a structure hint, held as the (rows, cols, values) of its nonzeros.
 
-    Builders hand over those triplets (`from_triplets`); the constructor keeps a read-only copy of the dense
-    matrix it is given as `entries`.  Each view is built from the other on first read: the triplets feed
-    `blocks()`, the dense view the conjugation, the mode rotation and the PT map.  All arrays are read-only.
+    Builders hand over those triplets (`from_triplets`); the constructor finds them in a dense matrix and keeps no
+    copy.  The dense view `entries` is built from them on first read, for the conjugation and the mode rotation.
     """
 
     def __init__(self, basis: Basis, entries: np.ndarray, hint: Hermiticity = Hermiticity.GENERAL) -> None:
-        entries = np.array(entries, dtype=np.complex128)
+        entries = np.asarray(entries, dtype=np.complex128)
         if entries.shape != (basis.dimension,) * 2:
             raise ValueError(f"entries shape {entries.shape} does not match basis dimension {basis.dimension}")
-        self.basis, self.hint, self.entries = basis, hint, _read_only(entries)[0]
+        rows, cols = np.nonzero(entries)
+        self.basis, self.hint, self.triplets = basis, hint, _read_only(rows, cols, entries[rows, cols])
 
     @classmethod
     def from_triplets(cls, basis: Basis, rows, cols, values, hint=Hermiticity.GENERAL) -> "OperatorMatrix":
@@ -193,16 +201,20 @@ class OperatorMatrix:
         return op
 
     @cached_property
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, cols = np.nonzero(self.entries)
-        return _read_only(rows, cols, self.entries[rows, cols])
-
-    @cached_property
     def entries(self) -> np.ndarray:
         rows, cols, values = self.triplets
         m = np.zeros((self.dimension,) * 2, dtype=np.complex128)
         m[rows, cols] = values
         return _read_only(m)[0]
+
+    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        """self - other on the union of their nonzero positions, in row-major order; exact zeros are dropped."""
+        if other.basis != self.basis:
+            raise ValueError("operators live on different bases")
+        (r1, c1, v1), (r2, c2, v2) = self.triplets, other.triplets
+        rows, cols, values = _summed(np.r_[r1, r2], np.r_[c1, c2], np.r_[v1, -v2], self.dimension)
+        keep = values != 0
+        return OperatorMatrix.from_triplets(self.basis, rows[keep], cols[keep], values[keep])
 
     @property
     def dimension(self) -> int:
@@ -281,11 +293,7 @@ class Term:
         rows = np.concatenate([t[:-1] for t, _ in self.monomials])
         values = np.concatenate([v[:-1] for _, v in self.monomials])
         keep = rows >= 0
-        cols = np.tile(np.arange(dim), len(self.monomials))[keep]
-        positions, slot = np.unique(rows[keep] * dim + cols, return_inverse=True)
-        summed = np.zeros(positions.size, dtype=values.dtype)
-        np.add.at(summed, slot, values[keep])
-        return positions // dim, positions % dim, summed
+        return _summed(rows[keep], np.tile(np.arange(dim), len(self.monomials))[keep], values[keep], dim)
 
 
 ElementaryOps = namedtuple("ElementaryOps", "a1 a1d a2 a2d sp sm s0 eye")

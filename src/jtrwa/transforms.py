@@ -131,15 +131,16 @@ def residual_study(
         )
 
     keep = interior(basis, margin=2)
-    inner = np.outer(keep, keep)
     if not keep.any():
         raise ValueError("the remainder is measured 2 layers inside the cutoff, where this basis has no state")
     fro: list[float] = []
     spectral: list[float] = []
     for kappa in kappas:
         params = replace(params_template, kappa=kappa)
-        transformed = conjugate(decoupling_generator(params, basis), build_full_jt(params, basis)).entries
-        core = OperatorMatrix(basis, np.where(inner, transformed - build_second_order(params, basis).entries, 0.0))
+        transformed = conjugate(decoupling_generator(params, basis), build_full_jt(params, basis))
+        rows, cols, values = (transformed - build_second_order(params, basis)).triplets
+        kept = keep[rows] & keep[cols]
+        core = OperatorMatrix.from_triplets(basis, rows[kept], cols[kept], values[kept])
         with np.errstate(over="ignore"):
             fro.append(float(np.linalg.norm(core.triplets[2])))
             spectral.append(max(float(np.linalg.norm(stack, 2, axis=(1, 2)).max()) for _, stack in core.blocks()))

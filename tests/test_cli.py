@@ -437,20 +437,49 @@ def test_absurd_cutoff_fails_fast_with_a_reason():
     assert prefix == "Error: " and reason.strip()
 
 
-def test_total_cutoff_200_is_solved_in_sectors_within_150_mb(tmp_path):
-    # dim 40 602: the dense matrix alone would need 26 GB; the sectors hold at most 201 states
-    out = tmp_path / "spectrum.csv"
+def _peak_rss_kib(*args):
+    """Exit code and peak RSS (KiB) of `python -m jtrwa *args` run in a child of a measuring child."""
     measure = (
         "import resource, subprocess, sys; "
         "code = subprocess.run(sys.argv[1:]).returncode; "
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); sys.exit(code)"
     )
-    command = ["-m", "jtrwa", "spectrum", "--total-nmax", "200", "--kappa2", "0.9", "--out", str(out)]
     proc = subprocess.run(
-        [sys.executable, "-c", measure, sys.executable, *command], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", measure, sys.executable, "-m", "jtrwa", *args], capture_output=True, text=True,
+        timeout=120,
     )
-    assert proc.returncode == 0
-    assert int(proc.stdout) <= 150 * 1024  # peak RSS of the child, in KiB
+    return proc.returncode, int(proc.stdout)
+
+
+def test_total_cutoff_200_is_solved_in_sectors_within_150_mb(tmp_path):
+    # dim 40 602: the dense matrix alone would need 26 GB; the sectors hold at most 201 states
+    out = tmp_path / "spectrum.csv"
+    code, peak = _peak_rss_kib("spectrum", "--total-nmax", "200", "--kappa2", "0.9", "--out", str(out))
+    assert code == 0
+    assert peak <= 150 * 1024
     lines = out.read_text().splitlines()
     assert len(lines) == 40_603
     assert lines[1].split(",")[1] == "0.29856252"  # table1's converged ground energy at kappa^2 = 0.9
+
+
+def test_pseudoherm_at_total_cutoff_200_checks_pt_on_triplets_within_150_mb(tmp_path):
+    # the PT residual is taken on triplets; a dense dim x dim image would need 26 GB
+    out = tmp_path / "pseudoherm.csv"
+    code, peak = _peak_rss_kib(
+        "pseudoherm", "--total-nmax", "200", "--omega0", "0.1", "--grid", "0.1:0.3:0.1", "--out", str(out)
+    )
+    assert code == 0
+    assert peak <= 150 * 1024
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    column = lines[0].split(",").index("pt_residual")
+    for line in lines[1:]:
+        assert float(line.split(",")[column]) == pytest.approx(2 * 0.1 * np.sqrt(40_602), rel=1e-9, abs=0.0)
+
+
+def test_out_into_a_missing_directory_is_usage_error(tmp_path):
+    out = tmp_path / "missing" / "spectrum.csv"
+    result = run_cli(["spectrum", "--nmax", "2"], out=out)
+    assert result.exit_code == 2
+    assert result.stderr == f"Error: cannot write the table to {out}: No such file or directory\n"
+    assert result.stdout == ""

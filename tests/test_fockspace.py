@@ -242,17 +242,45 @@ def test_entries_are_immutable():
         op.entries[0, 0] = 2.0
 
 
-def test_dense_construction_keeps_a_read_only_copy_as_entries():
-    # a dense consumer reads back the array it built without a scan for nonzeros and a scatter
+def test_dense_construction_keeps_only_the_triplets():
+    # one storage form: the dense argument is scanned once and not kept; entries is rebuilt from the triplets
     basis = make_basis(BasisSpec.per_mode(2, 1))
     m = np.random.default_rng(5).normal(size=(12, 12)) * (np.arange(12) % 3 == 0)
+    original = m.copy()
     op = OperatorMatrix(basis, m)
-    assert "entries" in vars(op) and "triplets" not in vars(op)
-    assert np.array_equal(op.entries, m) and not op.entries.flags.writeable
+    assert "triplets" in vars(op) and "entries" not in vars(op)
+    rows, cols = np.nonzero(m)
+    assert [a.tolist() for a in op.triplets] == [rows.tolist(), cols.tolist(), m[rows, cols].tolist()]
+    assert not any(a.flags.writeable for a in op.triplets)
     m[0, 0] += 1.0
-    assert op.entries[0, 0] == m[0, 0] - 1.0
-    rows, cols = np.nonzero(op.entries)
-    assert [a.tolist() for a in op.triplets] == [rows.tolist(), cols.tolist(), op.entries[rows, cols].tolist()]
+    assert np.array_equal(op.entries, original) and not op.entries.flags.writeable
+
+
+def _random_sparse(basis, rng, density):
+    m = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
+    return m * (rng.random(m.shape) < density)
+
+
+@pytest.mark.parametrize("case", ["overlapping", "disjoint", "cancelling"])
+def test_difference_equals_the_dense_difference(case):
+    basis = make_basis(BasisSpec.total_number(3))
+    rng = np.random.default_rng(11)
+    a = _random_sparse(basis, rng, 0.3)
+    if case == "overlapping":
+        b = _random_sparse(basis, rng, 0.3)
+    elif case == "disjoint":
+        b = _random_sparse(basis, rng, 1.0) * (a == 0)
+    else:
+        b = a * (rng.random(a.shape) < 0.5)  # a - b keeps half of a's entries, the others cancel exactly
+    diff = OperatorMatrix(basis, a) - OperatorMatrix(basis, b)
+    rows, cols = np.nonzero(a - b)
+    assert [t.tolist() for t in diff.triplets] == [rows.tolist(), cols.tolist(), (a - b)[rows, cols].tolist()]
+    assert np.array_equal(diff.entries, a - b)
+
+
+def test_difference_of_operators_on_different_bases_is_rejected():
+    with pytest.raises(ValueError, match="different bases"):
+        identity_op(make_basis(BasisSpec.per_mode(1, 1))) - identity_op(make_basis(BasisSpec.per_mode(1, 2)))
 
 
 def _states(basis):

@@ -69,6 +69,29 @@ def test_pt_transform_conjugates_and_negates_offdiagonal_blocks():
     assert check_pt(h) == pytest.approx(expected, rel=1e-12)
 
 
+def _dense_pt(m):
+    # reference: the four spin blocks of the dense matrix, diagonal blocks swapped, off-diagonal ones negated
+    half = len(m) // 2
+    out = np.empty_like(m)
+    out[:half, :half] = m[half:, half:].conj()
+    out[half:, half:] = m[:half, :half].conj()
+    out[:half, half:] = -m[:half, half:].conj()
+    out[half:, :half] = -m[half:, :half].conj()
+    return out
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(2, 1), BasisSpec.total_number(4), BasisSpec.per_mode(8, 3)])
+def test_pt_transform_equals_the_dense_block_formula(spec):
+    basis = make_basis(spec)
+    rng = np.random.default_rng(3)
+    shape = (basis.dimension,) * 2
+    m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.4)
+    np.fill_diagonal(m, 0.0)  # exact zeros on the diagonal; the random pattern is not PT-invariant
+    h = OperatorMatrix(basis, m)
+    assert np.array_equal(pt_transform(h).entries, _dense_pt(m))
+    assert check_pt(h) == pytest.approx(np.linalg.norm(_dense_pt(m) - m, "fro"), rel=1e-12, abs=0.0)
+
+
 def test_pt_transform_is_an_involution():
     h = _h(0.3, omega0=0.2)
     twice = pt_transform(pt_transform(h))
@@ -132,6 +155,7 @@ def test_metric_checks_leave_the_dense_views_unbuilt():
     for eta in metrics:
         check_pseudo_hermitian(h, eta)
     check_combined_symmetry(h)
+    check_pt(h)
     assert not any("entries" in vars(op) for op in (h, *metrics))
 
 

@@ -1,4 +1,4 @@
-"""Source-level rules that keep one owner per helper and the runtime on numpy and click."""
+"""Source-level rules that keep one owner per helper, the runtime on numpy and click, and dense views in transforms."""
 
 import ast
 import sys
@@ -50,3 +50,25 @@ def test_the_import_rule_sees_an_import_inside_a_function(tmp_path):
     )
     assert list(_imported_packages(source)) == ["numpy", "jtrwa", "scipy"]
     assert set(_imported_packages(source)) - RUNTIME == {"scipy"}
+
+
+def _entries_reads(path):
+    """Line of every read of an `.entries` attribute in `path`."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "entries":
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "transforms.py"], ids=lambda path: path.name)
+def test_only_transforms_reads_the_dense_view(path):
+    # the conjugation and the mode rotation need a dense matrix; every other consumer reads triplets or blocks
+    assert list(_entries_reads(path)) == []
+
+
+def test_the_dense_view_rule_sees_a_read_in_a_function_body(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "class Op:\n    @property\n    def entries(self):\n        return None\n\n"
+        "def check(h):\n    rows = h.triplets[0]\n    return h.entries - rows\n"
+    )
+    assert list(_entries_reads(source)) == [8]

@@ -214,13 +214,18 @@ def test_residual_study_slope_is_cubic():
 def test_per_sector_spectral_norm_equals_the_dense_norm(spec):
     basis = make_basis(spec)
     report = residual_study(STUDY_PARAMS, basis, STUDY_GRID)
-    keep = np.flatnonzero(np.diag(interior_projector(basis, 2).entries).real)
-    for kappa, spectral in zip(STUDY_GRID, report.residual_norms_spectral):
+    inside = np.diag(interior_projector(basis, 2).entries).real != 0
+    keep = np.flatnonzero(inside)
+    for kappa, fro, spectral in zip(STUDY_GRID, report.residual_norms, report.residual_norms_spectral):
         params = ModelParams(omega=1.0, omega0=0.2, kappa=kappa)
         transformed = conjugate(decoupling_generator(params, basis), build_full_jt(params, basis)).entries
-        core = (transformed - build_second_order(params, basis).entries)[np.ix_(keep, keep)]
+        remainder = transformed - build_second_order(params, basis).entries
+        core = remainder[np.ix_(keep, keep)]
         assert len(_sectors(*np.nonzero(core), len(core))[-1][0]) < len(core)  # P sigma0 splits the core
         assert spectral == pytest.approx(np.linalg.norm(core, 2), rel=1e-13, abs=0.0)
+        masked = np.where(np.outer(inside, inside), remainder, 0.0)  # the dense interior mask as the reference
+        assert fro == pytest.approx(np.linalg.norm(masked, "fro"), rel=1e-12, abs=0.0)
+        assert spectral == pytest.approx(np.linalg.norm(masked, 2), rel=1e-12, abs=0.0)
 
 
 def test_residual_study_residuals_increase_with_coupling():
