@@ -15,11 +15,11 @@ A Basis holds the quantum numbers of its states as three read-only
 integer arrays, spin, n1 and n2, in that order, and inverts them by offset
 arithmetic.  Operators are assembled sparse, as Terms: sums of products of
 ladder, Pauli and identity column maps (models caches their triplets per
-basis), and held in an OperatorMatrix as the (rows, cols, values) triplets
-of their nonzeros, its one storage form.  OperatorMatrix.blocks() cuts those
-into the blocks of the nonzero pattern (the conserved-quantity sectors) that
-validation, the eigensolver and the checks read; the dense view, built from
-the triplets on demand, serves only the conjugation and the mode rotation.
+basis), and held in an OperatorMatrix as (rows, cols, values) triplets.  Its
+blocks() are the blocks of their pattern (the conserved-quantity sectors),
+read by validation, the eigensolver and the checks; a model operator holds
+its model's positions, zeros included, and their blocks, found once
+(with_values).  The dense view serves only the conjugation and mode rotation.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -180,10 +180,10 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
 
 
 class OperatorMatrix:
-    """Complex matrix tagged with its basis and a structure hint, held as the (rows, cols, values) of its nonzeros.
+    """Complex matrix tagged with its basis and a structure hint, held as (rows, cols, values) triplets.
 
-    Builders hand over those triplets (`from_triplets`); the constructor finds them in a dense matrix and keeps no
-    copy.  The dense view `entries` is built from them on first read, for the conjugation and the mode rotation.
+    Builders hand over those triplets, exact zeros included (`from_triplets`, `with_values`); the constructor finds
+    the nonzeros of a dense matrix.  The dense view `entries` is built on first read, for the transforms.
     """
 
     def __init__(self, basis: Basis, entries: np.ndarray, hint: Hermiticity = Hermiticity.GENERAL) -> None:
@@ -198,6 +198,12 @@ class OperatorMatrix:
         """The operator with the entry values[k] at (rows[k], cols[k]), which it takes ownership of."""
         op = cls.__new__(cls)
         op.basis, op.hint, op.triplets = basis, hint, _read_only(rows, cols, values)
+        return op
+
+    def with_values(self, values, hint: Hermiticity) -> "OperatorMatrix":
+        """The operator with `values` at this one's positions, in their order, sharing its blocks (found once)."""
+        op = OperatorMatrix.from_triplets(self.basis, *self.triplets[:2], values, hint)
+        op._plan = self._plan
         return op
 
     @cached_property
@@ -235,7 +241,7 @@ class OperatorMatrix:
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
-        The blocks (found once) are the connected components of the nonzero pattern, so they hold every entry;
+        The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
         a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.
         """
         values = self.triplets[2]

@@ -4,11 +4,13 @@ Every model is affine in its parameters: a short table of sparse terms
 (products of the elementary operators of fockspace.elementary_ops), each
 scaled by a coefficient such as omega, omega0, kappa or kappa^2/(omega +
 2 omega0).  The terms are built once per (basis, model) as numpy (rows, cols,
-values) triplets in a bounded cache (model_terms), so a coupling scan on one
-basis only scales cached terms; each builder sums coefficient * term over the
-union of their positions and keeps the nonzeros, with no dim x dim array.
-Builders are pure functions of (params, basis) returning an immutable
-OperatorMatrix, and are safe to call concurrently.
+values) triplets in a bounded cache (model_terms), with the union of their
+positions as the model's pattern, whose blocks (its sectors) are found once.
+So a coupling scan on one basis only scales cached terms: assemble sums
+coefficient * term onto the pattern, exact zeros included, with no dim x dim
+array, and decides the Hermiticity hint.  Builders are pure functions of
+(params, basis) returning an immutable OperatorMatrix, and are safe to call
+concurrently.
 
 Convention: sigma_0 = diag(1, -1), so the bare spin splitting is
 2*omega0 and the spin-flip ladder frequencies relative to the boson
@@ -79,7 +81,7 @@ def spin_ladder_detunings(params: ModelParams) -> tuple[float, float]:
     return plus, minus
 
 
-TERM_CACHE_SIZE = 16  # (basis, model) entries; each holds O(nnz) sparse terms
+TERM_CACHE_SIZE = 16  # (basis, model) entries; each holds O(nnz) sparse terms and the pattern's blocks
 
 
 def _free(o: ElementaryOps) -> tuple[Term, Term]:
@@ -106,8 +108,8 @@ _TERMS = {
 
 
 @lru_cache(maxsize=TERM_CACHE_SIZE)
-def model_terms(basis: Basis, model: str) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Union (rows, cols) of the term positions of `model` on `basis`, and per term (index into it, values).
+def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The pattern of `model` on `basis` (ones on the union of its term positions), and per term (slots, values).
 
     Built on first use and shared: do not modify.
     """
@@ -115,24 +117,21 @@ def model_terms(basis: Basis, model: str) -> tuple[np.ndarray, np.ndarray, tuple
     terms = [term.triplets() for term in _TERMS[model](elementary_ops(basis))]
     keys = [rows * dim + cols for rows, cols, _ in terms]
     union = np.unique(np.concatenate(keys))
-    return union // dim, union % dim, tuple((np.searchsorted(union, key), t[2]) for key, t in zip(keys, terms))
+    pattern = OperatorMatrix.from_triplets(basis, union // dim, union % dim, np.ones(union.size, dtype=np.complex128))
+    return pattern, tuple((np.searchsorted(union, key), t[2]) for key, t in zip(keys, terms))
 
 
-def assemble(basis: Basis, model: str, coefficients, hint: Hermiticity) -> OperatorMatrix:
-    """Sum of coefficient * term over the cached terms of `model`, in table order, as finite nonzero triplets."""
-    rows, cols, terms = model_terms(basis, model)
-    summed = np.zeros(rows.size, dtype=np.complex128)
+def assemble(basis: Basis, model: str, coefficients) -> OperatorMatrix:
+    """Sum of coefficient * term over the cached terms of `model`, in table order, on its pattern, with its hint."""
+    pattern, terms = model_terms(basis, model)
+    summed = np.zeros(pattern.triplets[2].size, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for coefficient, (slot, values) in zip(coefficients, terms, strict=True):
             summed[slot] += coefficient * values
     if not np.isfinite(summed).all():
         raise ValueError(f"the {model} operator has an entry that is not finite: a parameter is too large")
-    keep = summed != 0  # a zero coupling leaves no entry, so its sectors split as in the dense pattern
-    return OperatorMatrix.from_triplets(basis, rows[keep], cols[keep], summed[keep], hint)
-
-
-def _coupling_hint(coupling: complex) -> Hermiticity:
-    return Hermiticity.HERMITIAN if complex(coupling).imag == 0.0 else Hermiticity.GENERAL
+    real = Hermiticity.ANTI_HERMITIAN if model in ("generator", "rotation") else Hermiticity.HERMITIAN
+    return pattern.with_values(summed, Hermiticity.GENERAL if np.iscomplex(coefficients).any() else real)
 
 
 def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -141,12 +140,12 @@ def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:
     H = omega (a1+a1 + a2+a2 + 1) + omega0 sigma0
         + kappa [(a1 + a2+) sigma+ + (a1+ + a2) sigma-]
     """
-    return assemble(basis, "full", (params.omega, params.omega0, params.kappa), _coupling_hint(params.kappa))
+    return assemble(basis, "full", (params.omega, params.omega0, params.kappa))
 
 
 def build_rwa(params: ModelParams, basis: Basis) -> OperatorMatrix:
     """Rotating-wave form: both modes couple through number-conserving terms only."""
-    return assemble(basis, "rwa", (params.omega, params.omega0, params.kappa), _coupling_hint(params.kappa))
+    return assemble(basis, "rwa", (params.omega, params.omega0, params.kappa))
 
 
 def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -155,7 +154,7 @@ def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
     Only mode 1 couples, with strength sqrt(2)*kappa; mode 2 is a spectator.
     """
     coefficients = (params.omega, params.omega0, np.sqrt(2.0) * params.kappa)
-    return assemble(basis, "jaynes-cummings", coefficients, _coupling_hint(params.kappa))
+    return assemble(basis, "jaynes-cummings", coefficients)
 
 
 def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -164,9 +163,7 @@ def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
     Not Hermitian for gamma > 0: the adjoint is the same builder with
     gamma -> -gamma.
     """
-    coefficients = (params.omega, params.omega0, 1j * np.sqrt(2.0) * params.gamma)
-    hint = Hermiticity.HERMITIAN if params.gamma == 0.0 else Hermiticity.GENERAL
-    return assemble(basis, "jaynes-cummings", coefficients, hint)
+    return assemble(basis, "jaynes-cummings", (params.omega, params.omega0, 1j * np.sqrt(2.0) * params.gamma))
 
 
 def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -180,7 +177,7 @@ def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
     k2 = params.kappa * params.kappa
     coefficients = (params.omega, params.omega0, params.kappa,
                     k2 / plus, k2 / minus, params.omega * k2 / (plus * minus), k2 / minus, -(k2 / plus))
-    return assemble(basis, "second-order", coefficients, _coupling_hint(params.kappa))
+    return assemble(basis, "second-order", coefficients)
 
 
 def conserved_excitation_op(basis: Basis) -> OperatorMatrix:

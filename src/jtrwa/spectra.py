@@ -1,10 +1,11 @@
 """Eigensolvers, cutoff-convergence sweeps, and the closed-form level formulas.
 
 diagonalize solves sector by sector: it reads OperatorMatrix.blocks(), the
-blocks of the operator's nonzero pattern, which are its conserved-quantity
-sectors (J = n1 - n2 + sigma0/2 for the full model, 2x2 Jaynes-Cummings
-blocks for the rotated and imaginary-coupling forms), scattered straight from
-the triplets: no dim x dim array is formed.  Hermitian-hinted operators go
+blocks of the operator's pattern; a model operator's are its model's
+conserved-quantity sectors at every coupling (J = n1 - n2 + sigma0/2 for the
+full model, 2x2 Jaynes-Cummings blocks for the rotated and imaginary-coupling
+forms), found once per (basis, model), and scattered straight from the
+triplets: no dim x dim array is formed.  Hermitian-hinted operators go
 through eigh (after the hint is validated), everything else through the
 general complex solver; the dense solve of the whole matrix is the test
 oracle.  Eigenvalues are sorted by real part, then imaginary part, where real
@@ -15,6 +16,7 @@ round-off.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -46,19 +48,20 @@ class Spectrum:
 
     @property
     def ground_energy(self) -> float:
-        return float(self.eigenvalues[0].real)
+        """Smallest real part: within a LEVEL_GAP level the order is by imaginary part, not by real part."""
+        return float(self.eigenvalues.real.min())
 
     def first_excited_energy(self) -> float:
-        """Smallest level above the ground level by more than DEGENERACY_GAP.
+        """Smallest real part above the ground level by more than DEGENERACY_GAP.
 
         With a degenerate ground multiplet this skips the whole multiplet,
         which is the convention used for the benchmark table.
         """
-        ground = self.ground_energy
-        above = self.eigenvalues.real[self.eigenvalues.real > ground + DEGENERACY_GAP]
+        real = self.eigenvalues.real
+        above = real[real > self.ground_energy + DEGENERACY_GAP]
         if above.size == 0:
             raise ValueError("no level above the ground multiplet within the spectrum")
-        return float(above[0])
+        return float(above.min())
 
 
 def level_order(vals: np.ndarray) -> np.ndarray:
@@ -73,7 +76,7 @@ def level_order(vals: np.ndarray) -> np.ndarray:
 def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
     """Full spectrum of an operator, solved block by block.
 
-    The blocks of the nonzero pattern (the conserved-quantity sectors) of
+    The blocks of the pattern (the conserved-quantity sectors) of
     one size come as one stack from op.blocks(), solved by one stacked
     LAPACK call; a matrix with one block is the dense solve.  A Hermitian
     hint is validated (on the same blocks) before eigh is trusted with the
@@ -182,14 +185,39 @@ def enumerate_rwa_levels(params: ModelParams, j_max: int = 6) -> list[tuple[floa
     return levels
 
 
-def rwa_level_ladder(params: ModelParams, count: int, j_max: int = 6) -> list[float]:
-    """The `count` lowest distinct closed-form energies (degeneracy gap 1e-6)."""
-    distinct: list[float] = []
-    for energy, _ in enumerate_rwa_levels(params, j_max):
+def rwa_level_ladder(params: ModelParams, count: int) -> list[float]:
+    """The `count` lowest distinct closed-form energies (degeneracy gap 1e-6).
+
+    The levels of shell j ascend along its minus branch from n = 2j down to 0, then along its plus branch, and its
+    lowest level f(j) = (j+1) omega - (1/2) sqrt(8 kappa^2 (2j+1) + (omega - 2 omega0)^2) is convex in j.  So the
+    shells are merged outward from the minimum of f, each once its f(j) can be the next level, and the work grows
+    with count and the degeneracies, not with kappa.
+    """
+    kappa2, detuning2 = params.real_kappa() ** 2, (params.omega - 2.0 * params.omega0) ** 2
+    # the run of shells at the minimum whose levels round alike grows as kappa^2 / omega^2: 3450 levels at 1e10
+    if not kappa2 <= 1e10 * params.omega**2:
+        raise ValueError(f"the closed-form ladder takes kappa^2 / omega^2 <= 1e10, got {kappa2 / params.omega**2:g}")
+
+    def level(j: int, i: int) -> float:  # the i-th lowest level of shell j
+        n, branch = (2 * j - i, Branch.MINUS) if i <= 2 * j else (i - 2 * j - 1, Branch.PLUS)
+        return rwa_energy(RwaLevel(j, n, branch), params)
+
+    # f'(j) = 0 where sqrt(8 kappa^2 (2j+1) + detuning^2) = 4 kappa^2 / omega
+    stationary = kappa2 / params.omega**2 - detuning2 / (16.0 * kappa2) - 0.5 if kappa2 else 0.0
+    left = right = min((int(max(stationary, 0.0)), int(max(stationary, 0.0)) + 1), key=lambda j: level(j, 0))
+    heap, distinct = [(level(left, 0), left, 0)], []
+    while len(distinct) < count:
+        while not heap or level(right + 1, 0) <= heap[0][0]:
+            right += 1
+            heapq.heappush(heap, (level(right, 0), right, 0))
+        while left > 0 and level(left - 1, 0) <= heap[0][0]:
+            left -= 1
+            heapq.heappush(heap, (level(left, 0), left, 0))
+        energy, j, i = heapq.heappop(heap)
+        if i < 4 * j + 1:
+            heapq.heappush(heap, (level(j, i + 1), j, i + 1))
         if not distinct or energy > distinct[-1] + DEGENERACY_GAP:
             distinct.append(energy)
-        if len(distinct) == count:
-            break
     return distinct
 
 

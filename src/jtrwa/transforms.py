@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fockspace import HINT_TOL, Basis, Hermiticity, OperatorMatrix, Truncation, interior
+from .fockspace import HINT_TOL, Basis, OperatorMatrix, Truncation, interior
 from .models import ModelParams, assemble, build_full_jt, build_second_order, spin_ladder_detunings
 
 
@@ -50,8 +50,7 @@ def decoupling_generator(params: ModelParams, basis: Basis) -> OperatorMatrix:
     is anti-Hermitian for real kappa.
     """
     plus, minus = spin_ladder_detunings(params)
-    hint = Hermiticity.ANTI_HERMITIAN if complex(params.kappa).imag == 0.0 else Hermiticity.GENERAL
-    return assemble(basis, "generator", (params.kappa / plus, -(params.kappa / minus)), hint)
+    return assemble(basis, "generator", (params.kappa / plus, -(params.kappa / minus)))
 
 
 def mode_rotation(basis: Basis) -> OperatorMatrix:
@@ -70,7 +69,7 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
             stacklevel=2,
         )
     u = np.zeros((basis.dimension,) * 2, dtype=np.complex128)
-    for members, stack in assemble(basis, "rotation", (np.pi / 4.0,), Hermiticity.ANTI_HERMITIAN).blocks():
+    for members, stack in assemble(basis, "rotation", (np.pi / 4.0,)).blocks():
         u[members[:, :, None], members[:, None, :]] = expm(stack)
     return OperatorMatrix(basis, u)
 
@@ -91,8 +90,6 @@ def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:
     """
     if generator.basis != h.basis:
         raise ValueError("generator and Hamiltonian live on different bases")
-    if generator.hint is not Hermiticity.ANTI_HERMITIAN:
-        raise ValueError(f"conjugate takes an anti-hermitian generator, got a {generator.hint.value} hint")
     exps = [(members, expm(stack)) for members, stack in generator.blocks()]
     m = h.entries
     for _ in range(2):  # E H^dagger, then E (E H^dagger)^dagger = E H E^dagger

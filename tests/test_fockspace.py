@@ -235,6 +235,28 @@ def test_hint_deviation_equals_the_dense_formula(hint):
             assert op.validate() == reference
 
 
+def test_with_values_keeps_the_positions_and_shares_the_blocks():
+    basis = make_basis(BasisSpec.per_mode(3, 2))
+    rng = np.random.default_rng(13)
+    pattern = OperatorMatrix(basis, np.where(rng.random((24, 24)) < 0.08, 1.0, 0.0))
+    rows, cols, _ = pattern.triplets
+    ops = []
+    for scale in (0.0, 1.5):  # all zeros, then values on every position
+        values = scale * (rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size))
+        ops.append(pattern.with_values(values, Hermiticity.GENERAL))
+        dense = np.zeros((24, 24), dtype=complex)
+        dense[rows, cols] = values
+        assert np.array_equal(ops[-1].entries, dense)
+        scattered = np.zeros_like(dense)
+        for members, stack in ops[-1].blocks():
+            scattered[members[:, :, None], members[:, None, :]] = stack
+        assert np.array_equal(scattered, dense)
+    assert ops[0]._plan is ops[1]._plan is pattern._plan
+    members = np.concatenate([members.ravel() for members, _ in ops[0].blocks()])
+    assert np.array_equal(np.sort(members), np.arange(24))
+    assert [r.tolist() for r in ops[0].triplets[:2]] == [rows.tolist(), cols.tolist()]
+
+
 def test_entries_are_immutable():
     basis = make_basis(BasisSpec.per_mode(1, 1))
     op = identity_op(basis)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
     BasisSpec,
+    Hermiticity,
     ModelParams,
     ResonanceError,
     SPIN_DOWN,
@@ -21,7 +22,7 @@ from jtrwa import (
     reality_scan,
     spin_ladder_detunings,
 )
-from jtrwa import models
+from jtrwa import fockspace, models
 from jtrwa.transforms import decoupling_generator
 
 BUILDERS = (build_full_jt, build_rwa, build_rotated, build_second_order)
@@ -305,3 +306,37 @@ def test_reality_scan_assembles_its_basis_once(monkeypatch):
     assert len(report.gamma_values) == 101
     assert calls == [basis]
     assert models.model_terms.cache_info().currsize == 1  # only the Jaynes-Cummings terms, built lazily
+
+
+def test_reality_scan_finds_the_sectors_once(monkeypatch):
+    sectors, calls = fockspace._sectors, []
+
+    def counting(rows, cols, dim):
+        calls.append(dim)
+        return sectors(rows, cols, dim)
+
+    monkeypatch.setattr(fockspace, "_sectors", counting)
+    models.model_terms.cache_clear()
+    basis = make_basis(BasisSpec.per_mode(8, 8))
+    reality_scan(ModelParams(omega=1.0, omega0=0.2), basis, np.linspace(0.0, 0.5, 101))
+    assert calls == [basis.dimension]  # on the Jaynes-Cummings pattern; every gamma, 0 included, shares its blocks
+
+
+# reference rules: a real coupling gives a Hermitian operator (an anti-Hermitian generator), any other a general one
+def _former_hint(kappa, anti=False):
+    if complex(kappa).imag != 0.0:
+        return Hermiticity.GENERAL
+    return Hermiticity.ANTI_HERMITIAN if anti else Hermiticity.HERMITIAN
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.total_number(3), BasisSpec.per_mode(2, 3)])
+@pytest.mark.parametrize("kappa", [0.0, -0.0, 0.3, -0.4, 0.3j, 0.2 + 0.1j, 1e-300, 1e-300j, complex(0.5, -0.0)])
+@pytest.mark.parametrize("gamma", [0.0, -0.0, 0.2, 1e-300])
+def test_assemble_hints_equal_the_former_per_builder_rules(spec, kappa, gamma):
+    basis = make_basis(spec)
+    params = ModelParams(omega=1.0, omega0=0.15, kappa=kappa, gamma=gamma)
+    for builder in BUILDERS:
+        assert builder(params, basis).hint is _former_hint(kappa)
+    nonhermitian = Hermiticity.HERMITIAN if gamma == 0.0 else Hermiticity.GENERAL
+    assert build_nonhermitian(params, basis).hint is nonhermitian
+    assert decoupling_generator(params, basis).hint is _former_hint(kappa, anti=True)

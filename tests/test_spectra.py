@@ -117,13 +117,28 @@ def _dense_pattern_eigenvalues(op):
 def test_triplet_sectors_equal_the_dense_pattern_sectors(spec, model, coupling):
     basis = make_basis(spec)
     op = BUILDERS[model](ModelParams(omega=1.1, omega0=0.15, kappa=coupling, gamma=coupling), basis)
-    from_triplets = _sectors(*op.triplets[:2], basis.dimension)
-    from_dense = _sectors(*np.nonzero(op.entries), basis.dimension)
-    assert len(from_triplets) == len(from_dense)
-    assert all(np.array_equal(a, b) for a, b in zip(from_triplets, from_dense))
-    if coupling == 0.0:  # the zero coupling terms drop out: every state is its own block
-        assert [members.shape for members in from_triplets] == [(basis.dimension, 1)]
+    if coupling == 0.0:  # the zero coupling terms stay as explicit zeros: the blocks are those of a nonzero coupling
+        coupled = BUILDERS[model](ModelParams(omega=1.1, omega0=0.15, kappa=0.37, gamma=0.37), basis)
+        from_dense = _sectors(*np.nonzero(coupled.entries), basis.dimension)
+        assert all(np.array_equal(a, b) for (a, _), b in zip(op.blocks(), from_dense, strict=True))
+        assert op._plan is coupled._plan  # found once per (basis, model)
+    else:
+        from_triplets = _sectors(*op.triplets[:2], basis.dimension)
+        from_dense = _sectors(*np.nonzero(op.entries), basis.dimension)
+        assert len(from_triplets) == len(from_dense)
+        assert all(np.array_equal(a, b) for a, b in zip(from_triplets, from_dense))
     assert np.array_equal(diagonalize(op).eigenvalues, _dense_pattern_eigenvalues(op))
+
+
+@pytest.mark.parametrize("diagonal, ground, excited", [
+    ([0, 1 + 1e-15j, 1 + 5e-10 - 1e-15j, 2, 3, 4, 5, 6], 0.0, 1.0),
+    ([1e-15j, 1e-10 - 1e-15j, 2, 3, 4, 5, 6, 7], 0.0, 2.0),
+])
+def test_ground_and_first_excited_are_the_smallest_real_parts(diagonal, ground, excited):
+    # real parts within LEVEL_GAP are one level, ordered by imaginary part, so the order is not ascending in them
+    spectrum = diagonalize(OperatorMatrix(make_basis(BasisSpec.per_mode(1, 1)), np.diag(diagonal)))
+    assert spectrum.ground_energy == ground
+    assert spectrum.first_excited_energy() == excited
 
 
 def test_one_block_is_the_dense_solve():
@@ -312,6 +327,32 @@ def test_enumerated_levels_are_sorted_and_ladder_is_distinct():
     assert len(ladder) == 3
     assert all(b > a + 1e-6 for a, b in zip(ladder, ladder[1:]))
     assert ladder[0] == pytest.approx(0.329180, abs=1e-6)
+
+
+def _brute_force_ladder(params, count, j_max=400):
+    # every level with j <= j_max, by rwa_energy's formula, sorted, then the same greedy degeneracy merge
+    j = np.repeat(np.arange(j_max + 1), 2 * np.arange(j_max + 1) + 1)
+    n = np.concatenate([np.arange(2 * k + 1) for k in range(j_max + 1)])
+    root = np.sqrt(8.0 * params.real_kappa() ** 2 * (n + 1) + (params.omega - 2.0 * params.omega0) ** 2)
+    distinct = []
+    for energy in np.sort(np.concatenate([(j + 1) * params.omega - 0.5 * root, (j + 1) * params.omega + 0.5 * root])):
+        if not distinct or energy > distinct[-1] + 1e-6:
+            distinct.append(float(energy))
+    return distinct[:count]
+
+
+@pytest.mark.parametrize("kappa2", [0.0, 0.1, 0.9, 6.0, 10.0, 25.0])
+@pytest.mark.parametrize("omega0", [0.0, 0.2])
+def test_level_ladder_is_the_lowest_of_every_shell(kappa2, omega0):
+    # from kappa^2 ~ 6 on, the lowest levels lie in shells j > 6
+    params = ModelParams(omega=1.0, omega0=omega0, kappa=np.sqrt(kappa2))
+    assert rwa_level_ladder(params, 5) == _brute_force_ladder(params, 5)
+
+
+def test_level_ladder_rejects_an_unresolvable_coupling():
+    assert len(rwa_level_ladder(ModelParams(omega=1.0, kappa=1e5), 2)) == 2
+    with pytest.raises(ValueError, match="kappa\\^2 / omega\\^2 <= 1e10"):
+        rwa_level_ladder(ModelParams(omega=1.0, kappa=2e5), 2)
 
 
 def test_block_solve_zero_coupling_is_trivial():

@@ -72,3 +72,36 @@ def test_the_dense_view_rule_sees_a_read_in_a_function_body(tmp_path):
         "def check(h):\n    rows = h.triplets[0]\n    return h.entries - rows\n"
     )
     assert list(_entries_reads(source)) == [8]
+
+
+HINTS = {"HERMITIAN", "ANTI_HERMITIAN", "GENERAL"}
+
+
+def _hints_named_outside_assemble(path):
+    """Line of every `Hermiticity.<member>` in `path` outside a function named `assemble`."""
+    def walk(node, inside):
+        inside = inside or (isinstance(node, ast.FunctionDef) and node.name == "assemble")
+        if isinstance(node, ast.Attribute) and node.attr in HINTS and not inside:
+            named = node.value.id if isinstance(node.value, ast.Name) else getattr(node.value, "attr", None)
+            if named == "Hermiticity":
+                yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, inside)
+
+    yield from walk(ast.parse(path.read_text(), filename=str(path)), False)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in ("models.py", "transforms.py")],
+                         ids=lambda path: path.name)
+def test_only_assemble_decides_a_model_operators_hint(path):
+    # assemble derives the hint from the model and its coefficients; no builder, generator or consumer picks one
+    assert list(_hints_named_outside_assemble(path)) == []
+
+
+def test_the_hint_rule_flags_a_builder_that_names_a_hint(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "def assemble(basis, model, coefficients):\n    return Hermiticity.HERMITIAN\n\n"
+        "def build(params, basis):\n    return assemble(basis, 'full', (1.0,), fockspace.Hermiticity.GENERAL)\n"
+    )
+    assert list(_hints_named_outside_assemble(source)) == [5]
