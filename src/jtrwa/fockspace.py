@@ -201,7 +201,10 @@ class OperatorMatrix:
         return op
 
     def with_values(self, values, hint: Hermiticity) -> "OperatorMatrix":
-        """The operator with `values` at this one's positions, in their order, sharing its blocks (found once)."""
+        """The operator with `values` at this one's positions, in their order, sharing its blocks (found once).
+
+        `values` of shape (nnz, G) make a grid of G operators, one per column, read only through blocks().
+        """
         op = OperatorMatrix.from_triplets(self.basis, *self.triplets[:2], values, hint)
         op._plan = self._plan
         return op
@@ -241,12 +244,13 @@ class OperatorMatrix:
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
+        Values of shape (nnz, G), a grid of operators on one pattern, give stacks of shape (count, size, size, G).
         The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
         a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.
         """
         values = self.triplets[2]
         for members, k, slots in self._plan:
-            stack = np.zeros((*members.shape, members.shape[1]), dtype=np.complex128)
+            stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=np.complex128)
             stack[slots] = values[k]
             yield members, stack
 

@@ -122,12 +122,19 @@ def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[tuple[n
 
 
 def assemble(basis: Basis, model: str, coefficients) -> OperatorMatrix:
-    """Sum of coefficient * term over the cached terms of `model`, in table order, on its pattern, with its hint."""
+    """Sum of coefficient * term over the cached terms of `model`, in table order, on its pattern, with its hint.
+
+    A (G, terms) array of coefficients gives the grid of G operators, values of shape (nnz, G), one column each: the
+    grid axis trails, so that a single operator takes numpy's fast 1-D indexing path unchanged.
+    """
     pattern, terms = model_terms(basis, model)
-    summed = np.zeros(pattern.triplets[2].size, dtype=np.complex128)
+    shape = (pattern.triplets[2].size,)
+    if isinstance(coefficients, np.ndarray) and coefficients.ndim == 2:  # per term, a column of G coefficients
+        shape, coefficients = (*shape, len(coefficients)), coefficients.T
+    summed = np.zeros(shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for coefficient, (slot, values) in zip(coefficients, terms, strict=True):
-            summed[slot] += coefficient * values
+            summed[slot] += np.multiply.outer(values, coefficient)
     if not np.isfinite(summed).all():
         raise ValueError(f"the {model} operator has an entry that is not finite: a parameter is too large")
     real = Hermiticity.ANTI_HERMITIAN if model in ("generator", "rotation") else Hermiticity.HERMITIAN
@@ -164,6 +171,13 @@ def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
     gamma -> -gamma.
     """
     return assemble(basis, "jaynes-cummings", (params.omega, params.omega0, 1j * np.sqrt(2.0) * params.gamma))
+
+
+def build_nonhermitian_grid(params: ModelParams, basis: Basis, gammas: np.ndarray) -> OperatorMatrix:
+    """build_nonhermitian at every gamma of `gammas` (params.gamma aside): one grid operator, values (nnz, G)."""
+    with np.errstate(over="ignore"):  # assemble rejects an entry that overflows
+        coupling = 1j * np.sqrt(2.0) * gammas
+    return assemble(basis, "jaynes-cummings", np.column_stack(np.broadcast_arrays(params.omega, params.omega0, coupling)))
 
 
 def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:

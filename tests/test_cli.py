@@ -97,6 +97,26 @@ def test_reality_scan_is_byte_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("grid, last, threshold", [
+    ("0:1e200:1e199", "1e+200,4e+200", "1e+199"),
+    ("0:1e300:1e299", "1e+300,4e+300", "1e+299"),
+])
+def test_reality_scan_stays_finite_at_huge_gamma(grid, last, threshold):
+    # the closed-form 2x2 solve squares entries of order gamma; scaled, it neither overflows nor warns
+    result = run_cli(["reality-scan", "--grid", grid])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[-1] == last
+    assert f"detected_threshold = {threshold}" in result.stderr
+
+
+def test_table1_json_keeps_apart_closed_form_levels_that_print_alike():
+    # at 9 significant digits the CSV prints both closed-form levels as -999999.5; json carries every digit
+    csv = run_cli(["table1", "--kappa2", "1e6"]).stdout.splitlines()
+    assert [line.split(",")[2] for line in csv[1:]] == ["-999999.5", "-999999.5"]
+    rows = json.loads(run_cli(["table1", "--kappa2", "1e6", "--format", "json"]).stdout)["rows"]
+    assert [row["e_rwa_closed_form"] for row in rows] == [-999999.5, -999999.4999985001]
+
+
 def test_transform_residual_defaults_pass_slope_gate(tmp_path):
     out = tmp_path / "residual.csv"
     result = run_cli(["transform-residual"], out)
@@ -475,6 +495,15 @@ def test_pseudoherm_at_total_cutoff_200_checks_pt_on_triplets_within_150_mb(tmp_
     column = lines[0].split(",").index("pt_residual")
     for line in lines[1:]:
         assert float(line.split(",")[column]) == pytest.approx(2 * 0.1 * np.sqrt(40_602), rel=1e-9, abs=0.0)
+
+
+def test_reality_scan_at_total_cutoff_200_solves_its_grid_within_150_mb(tmp_path):
+    # the gamma grid is solved a few rows at a time; all 101 rows at once would hold about 0.5 GB
+    out = tmp_path / "scan.csv"
+    code, peak = _peak_rss_kib("reality-scan", "--total-nmax", "200", "--out", str(out))
+    assert code == 0
+    assert peak <= 150 * 1024
+    assert len(out.read_text().splitlines()) == 102
 
 
 def test_out_into_a_missing_directory_is_usage_error(tmp_path):

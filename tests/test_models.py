@@ -22,7 +22,7 @@ from jtrwa import (
     reality_scan,
     spin_ladder_detunings,
 )
-from jtrwa import fockspace, models
+from jtrwa import fockspace, models, pseudoherm, spectra
 from jtrwa.transforms import decoupling_generator
 
 BUILDERS = (build_full_jt, build_rwa, build_rotated, build_second_order)
@@ -320,6 +320,25 @@ def test_reality_scan_finds_the_sectors_once(monkeypatch):
     basis = make_basis(BasisSpec.per_mode(8, 8))
     reality_scan(ModelParams(omega=1.0, omega0=0.2), basis, np.linspace(0.0, 0.5, 101))
     assert calls == [basis.dimension]  # on the Jaynes-Cummings pattern; every gamma, 0 included, shares its blocks
+
+
+def test_reality_scan_assembles_one_grid_and_never_diagonalizes(monkeypatch):
+    calls = []
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return counted
+
+    assemble, diagonalize = counting("assemble", models.assemble), counting("diagonalize", spectra.diagonalize)
+    monkeypatch.setattr(models, "assemble", assemble)  # which every builder calls
+    for module in (spectra, pseudoherm):
+        monkeypatch.setattr(module, "diagonalize", diagonalize, raising=False)
+    basis = make_basis(BasisSpec.per_mode(8, 8))
+    report = reality_scan(ModelParams(omega=1.0, omega0=0.2), basis, np.linspace(0.0, 0.5, 101))
+    assert len(report.gamma_values) == 101
+    assert calls == ["assemble"]
 
 
 # reference rules: a real coupling gives a Hermitian operator (an anti-Hermitian generator), any other a general one

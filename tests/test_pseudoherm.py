@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
     BasisSpec,
@@ -20,6 +23,10 @@ from jtrwa import (
     pt_transform,
     reality_scan,
 )
+from jtrwa import pseudoherm
+from jtrwa.models import build_nonhermitian_grid
+from jtrwa.pseudoherm import REALITY_TOL
+from jtrwa.spectra import block_eigenvalues, level_order
 
 BASIS = make_basis(BasisSpec.per_mode(8, 3))
 
@@ -235,3 +242,52 @@ def test_reality_scan_validation():
         reality_scan(params, BASIS, [0.1, 0.2], k=0)
     with pytest.raises(ValueError):
         reality_scan(params, BASIS, [-0.1, 0.2], k=2)
+    for grid in ([0.1, np.inf], [np.nan], [0.0, np.nan, 0.2], [0.0, 1.5e308]):  # the last overflows an entry
+        with pytest.raises(ValueError, match="finite"):
+            reality_scan(params, BASIS, grid, k=2)
+
+
+def test_reality_scan_in_several_passes_equals_one_pass(monkeypatch):
+    params, grid = ModelParams(omega=1.0, omega0=0.1), np.linspace(0.0, 0.5, 23)
+    whole = reality_scan(params, BASIS, grid)
+    monkeypatch.setattr(pseudoherm, "GRID_STATES", 5 * BASIS.dimension)  # passes of five grid points
+    assert reality_scan(params, BASIS, grid) == whole
+    assert whole.detected_threshold is not None
+
+
+def _reality_by_diagonalize(params, basis, gammas, k):
+    # reference: the per-gamma loop, one diagonalize (LAPACK on every block) per grid point
+    max_imag = [float(np.abs(diagonalize(build_nonhermitian(replace(params, gamma=g), basis)).eigenvalues[:k].imag).max())
+                for g in gammas]
+    return max_imag, next((g for g, m in zip(gammas, max_imag) if m > REALITY_TOL), None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from([BasisSpec.per_mode(5, 2), BasisSpec.total_number(6)]),
+    omega0=st.sampled_from([0.0, 0.2, 0.5]),
+    near=st.lists(st.tuples(st.integers(0, 5), st.floats(1e-3, 0.5), st.sampled_from([-1.0, 1.0])), max_size=6),
+    anywhere=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e200, 1e300])), max_size=3),
+    k=st.integers(1, 6),
+)
+def test_grid_solver_equals_diagonalize_per_gamma(spec, omega0, near, anywhere, k):
+    # the block of n1 breaks at its exceptional point |omega - 2 omega0| / sqrt(8 (n1 + 1)), where both solvers
+    # err by sqrt(eps); gammas lie on both sides of them, 1e-3..0.5 of the way off, and no nearer to any other one.
+    # At omega0 = 0.5 every block is degenerate and they are all 0.
+    basis, params = make_basis(spec), ModelParams(omega=1.0, omega0=omega0)
+    exceptional = abs(1.0 - 2.0 * omega0) / np.sqrt(8.0 * (np.arange(7) + 1))
+    points = [exceptional[n1] * (1.0 + side * d) for n1, d, side in near]
+    gammas = np.unique([g for g in (0.0, *points, *anywhere) if np.all(np.abs(g - exceptional) >= 1e-3 * exceptional)])
+    grid = build_nonhermitian_grid(params, basis, gammas)
+    vals = block_eigenvalues(grid)
+    assert vals.shape == (gammas.size, basis.dimension)
+    tol = []
+    for values, row, gamma in zip(grid.triplets[2].T, vals, gammas):
+        h = build_nonhermitian(replace(params, gamma=gamma), basis)
+        assert np.array_equal(values, h.triplets[2])
+        tol.append(1e-13 * np.abs(values).max())
+        assert np.abs(row[level_order(row)] - diagonalize(h).eigenvalues).max() <= tol[-1]
+    report = reality_scan(params, basis, gammas, k=k)
+    max_imag, threshold = _reality_by_diagonalize(params, basis, gammas, k)
+    assert np.all(np.abs(np.subtract(report.max_imag_lowk, max_imag)) <= tol)
+    assert report.detected_threshold == threshold

@@ -34,7 +34,7 @@ from jtrwa import (
     total_number_schedule,
 )
 from jtrwa.fockspace import _sectors
-from jtrwa.spectra import LEVEL_GAP, level_order
+from jtrwa.spectra import LEVEL_GAP, block_eigenvalues, level_order
 
 BUILDERS = {
     "full": build_full_jt,
@@ -128,6 +128,53 @@ def test_triplet_sectors_equal_the_dense_pattern_sectors(spec, model, coupling):
         assert len(from_triplets) == len(from_dense)
         assert all(np.array_equal(a, b) for a, b in zip(from_triplets, from_dense))
     assert np.array_equal(diagonalize(op).eigenvalues, _dense_pattern_eigenvalues(op))
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.total_number(6), BasisSpec.per_mode(3, 2)])
+@pytest.mark.parametrize("model", sorted(BUILDERS))
+def test_block_eigenvalues_equal_diagonalize(spec, model):
+    # 1x1 and 2x2 blocks (rotated, nonhermitian) and larger ones (stacked eigvals); a grid of zero operators is zero
+    op = BUILDERS[model](ModelParams(omega=1.1, omega0=0.15, kappa=0.37, gamma=0.37), make_basis(spec))
+    vals = block_eigenvalues(op)
+    cost = np.abs(vals[:, None] - diagonalize(op).eigenvalues[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-13 * np.abs(op.triplets[2]).max()
+    zeros = op.with_values(np.zeros((op.triplets[2].size, 3)), Hermiticity.GENERAL)
+    assert np.array_equal(block_eigenvalues(zeros), np.zeros((3, op.dimension)))
+
+
+def _level_order_1d(vals):
+    # reference: level_order as it was before it took (G, n) arrays
+    by_real = np.argsort(vals.real, kind="stable")
+    real = vals.real[by_real]
+    gap = LEVEL_GAP * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    level = np.cumsum(np.diff(real, prepend=real[:1]) > gap)
+    return by_real[np.lexsort((vals.imag[by_real], level))]
+
+
+@st.composite
+def _level_rows(draw):
+    """(G, n) rows of exact ties, conjugate pairs and real parts 0.6 LEVEL_GAP apart (relative to a scale per row),
+    which chain into one level where the row's largest |value| keeps the gap above the step."""
+    g, n = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    rows = np.empty((g, n), dtype=complex)
+    for row in rows:
+        scale = draw(st.sampled_from((0.5, 1.0, 30.0)))
+        for j in range(n):
+            if j and draw(st.booleans()):
+                row[j] = row[j - 1].conjugate() if draw(st.booleans()) else row[j - 1]
+            else:
+                real = draw(st.sampled_from((-1.0, 0.0, 0.5))) + draw(st.integers(0, 3)) * 0.6 * LEVEL_GAP
+                row[j] = scale * complex(real, draw(st.sampled_from((0.0, 1e-17, -0.25, 1.0))))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_level_rows())
+def test_level_order_orders_each_row_as_the_one_dimensional_call(rows):
+    for row, order in zip(rows, level_order(rows), strict=True):
+        assert np.array_equal(order, level_order(row))
+        assert np.array_equal(level_order(row), _level_order_1d(row))
 
 
 @pytest.mark.parametrize("diagonal, ground, excited", [
