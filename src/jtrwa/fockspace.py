@@ -17,9 +17,10 @@ arithmetic.  Operators are assembled sparse, as Terms: sums of products of
 ladder, Pauli and identity column maps (models caches their triplets per
 basis), and held in an OperatorMatrix as (rows, cols, values) triplets.  Its
 blocks() are the blocks of their pattern (the conserved-quantity sectors),
-read by validation, the eigensolver and the checks; a model operator holds
-its model's positions, zeros included, and their blocks, found once
-(with_values).  The dense view serves only the conjugation and mode rotation.
+read by validation, the eigensolver, the transforms and the checks; a model
+operator holds its model's positions, zeros included, and their blocks, found
+once (with_values).  No module of the package calls the dense constructor or
+reads the dense view `entries`; both remain for tests, as their oracles.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -182,8 +183,8 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
 class OperatorMatrix:
     """Complex matrix tagged with its basis and a structure hint, held as (rows, cols, values) triplets.
 
-    Builders hand over those triplets, exact zeros included (`from_triplets`, `with_values`); the constructor finds
-    the nonzeros of a dense matrix.  The dense view `entries` is built on first read, for the transforms.
+    Builders hand over those triplets, exact zeros included (`from_triplets`, `with_values`).  The constructor, which
+    finds the nonzeros of a dense matrix, and the dense view `entries`, built on first read, serve tests only.
     """
 
     def __init__(self, basis: Basis, entries: np.ndarray, hint: Hermiticity = Hermiticity.GENERAL) -> None:

@@ -8,7 +8,10 @@ values) triplets in a bounded cache (model_terms), with the union of their
 positions as the model's pattern, whose blocks (its sectors) are found once.
 So a coupling scan on one basis only scales cached terms: assemble sums
 coefficient * term onto the pattern, exact zeros included, with no dim x dim
-array, and decides the Hermiticity hint.  Builders are pure functions of
+array, and decides the Hermiticity hint.  Each model's coefficients are
+written once, in COEFFICIENTS, as functions of its coupling: a number gives
+a builder's operator, an array of couplings a grid (coefficient_grid), on
+which transforms.residual_study runs.  Builders are pure functions of
 (params, basis) returning an immutable OperatorMatrix, and are safe to call
 concurrently.
 
@@ -141,18 +144,50 @@ def assemble(basis: Basis, model: str, coefficients) -> OperatorMatrix:
     return pattern.with_values(summed, Hermiticity.GENERAL if np.iscomplex(coefficients).any() else real)
 
 
+def _coupled(params: ModelParams, coupling) -> tuple:
+    return params.omega, params.omega0, coupling
+
+
+def _generator(params: ModelParams, kappa) -> tuple:
+    plus, minus = spin_ladder_detunings(params)
+    return kappa / plus, -(kappa / minus)
+
+
+def _second_order(params: ModelParams, kappa) -> tuple:
+    plus, minus = spin_ladder_detunings(params)
+    k2 = kappa * kappa
+    return (params.omega, params.omega0, kappa,
+            k2 / plus, k2 / minus, params.omega * k2 / (plus * minus), k2 / minus, -(k2 / plus))
+
+
+# Per model, its coefficients (one per term, in _TERMS order) at params and a coupling: a number gives one operator's,
+# an array of couplings the rows of a grid (coefficient_grid).
+COEFFICIENTS = {
+    "full": _coupled,
+    "rwa": _coupled,
+    "jaynes-cummings": _coupled,
+    "second-order": _second_order,
+    "generator": _generator,
+}
+
+
+def coefficient_grid(model: str, params: ModelParams, couplings) -> np.ndarray:
+    """The (G, terms) coefficients of `model` at params with each of the G `couplings` in turn, for assemble."""
+    return np.column_stack(np.broadcast_arrays(*COEFFICIENTS[model](params, np.asarray(couplings))))
+
+
 def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:
     """Full vibronic Hamiltonian with both rotating and counter-rotating coupling.
 
     H = omega (a1+a1 + a2+a2 + 1) + omega0 sigma0
         + kappa [(a1 + a2+) sigma+ + (a1+ + a2) sigma-]
     """
-    return assemble(basis, "full", (params.omega, params.omega0, params.kappa))
+    return assemble(basis, "full", COEFFICIENTS["full"](params, params.kappa))
 
 
 def build_rwa(params: ModelParams, basis: Basis) -> OperatorMatrix:
     """Rotating-wave form: both modes couple through number-conserving terms only."""
-    return assemble(basis, "rwa", (params.omega, params.omega0, params.kappa))
+    return assemble(basis, "rwa", COEFFICIENTS["rwa"](params, params.kappa))
 
 
 def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -160,8 +195,7 @@ def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
 
     Only mode 1 couples, with strength sqrt(2)*kappa; mode 2 is a spectator.
     """
-    coefficients = (params.omega, params.omega0, np.sqrt(2.0) * params.kappa)
-    return assemble(basis, "jaynes-cummings", coefficients)
+    return assemble(basis, "jaynes-cummings", COEFFICIENTS["jaynes-cummings"](params, np.sqrt(2.0) * params.kappa))
 
 
 def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -170,14 +204,15 @@ def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
     Not Hermitian for gamma > 0: the adjoint is the same builder with
     gamma -> -gamma.
     """
-    return assemble(basis, "jaynes-cummings", (params.omega, params.omega0, 1j * np.sqrt(2.0) * params.gamma))
+    coefficients = COEFFICIENTS["jaynes-cummings"](params, 1j * np.sqrt(2.0) * params.gamma)
+    return assemble(basis, "jaynes-cummings", coefficients)
 
 
 def build_nonhermitian_grid(params: ModelParams, basis: Basis, gammas: np.ndarray) -> OperatorMatrix:
     """build_nonhermitian at every gamma of `gammas` (params.gamma aside): one grid operator, values (nnz, G)."""
     with np.errstate(over="ignore"):  # assemble rejects an entry that overflows
         coupling = 1j * np.sqrt(2.0) * gammas
-    return assemble(basis, "jaynes-cummings", np.column_stack(np.broadcast_arrays(params.omega, params.omega0, coupling)))
+    return assemble(basis, "jaynes-cummings", coefficient_grid("jaynes-cummings", params, coupling))
 
 
 def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -187,11 +222,7 @@ def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
     correction, assembled term by term; the third-order remainder is
     deliberately not constructed (transforms.residual_study measures it).
     """
-    plus, minus = spin_ladder_detunings(params)
-    k2 = params.kappa * params.kappa
-    coefficients = (params.omega, params.omega0, params.kappa,
-                    k2 / plus, k2 / minus, params.omega * k2 / (plus * minus), k2 / minus, -(k2 / plus))
-    return assemble(basis, "second-order", coefficients)
+    return assemble(basis, "second-order", COEFFICIENTS["second-order"](params, params.kappa))
 
 
 def conserved_excitation_op(basis: Basis) -> OperatorMatrix:

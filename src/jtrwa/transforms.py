@@ -1,23 +1,29 @@
 """Numerical realization of the decoupling similarity transform and mode rotation.
 
-The generator removes the counter-rotating mode-2 coupling to first order
-and replaces it with the co-rotating one; conjugating the full Hamiltonian
-with its exponential reproduces the explicit second-order form up to a
-remainder that is third order in the coupling.  residual_study measures
-that remainder on a coupling grid and fits its power law.  Both generators are
-anti-Hermitian, so each is exponentiated on its blocks (OperatorMatrix.blocks())
-by unitary eigendecomposition (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+The generator T removes the counter-rotating mode-2 coupling to first order
+and replaces it with the co-rotating one; conjugating the full Hamiltonian H
+with exp(T) reproduces the explicit second-order form H2 up to a remainder
+that is third order in the coupling.  residual_study measures that remainder
+over its whole coupling grid in one pass: T, H and H2 are assembled once each
+as grid operators (models.coefficient_grid), the blocks of T are exponentiated
+at every coupling by one stacked expm (unitary eigendecomposition of an
+anti-Hermitian matrix; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), and
+exp(T) H exp(-T) is formed on triplets, one pair of T blocks at a time.  T
+conserves n1 and H couples n1 only to n1 and n1 +/- 1, so the pairs are few
+and small.  No step forms a dim x dim matrix: the largest arrays are the
+remainder's parity blocks, solved by eigvalsh one coupling at a time for the
+spectral norm.  The mode rotation is built the same way, per block.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fockspace import HINT_TOL, Basis, OperatorMatrix, Truncation, interior
-from .models import ModelParams, assemble, build_full_jt, build_second_order, spin_ladder_detunings
+from .models import COEFFICIENTS, ModelParams, assemble, coefficient_grid, spin_ladder_detunings
 
 
 @dataclass(frozen=True)
@@ -49,12 +55,29 @@ def decoupling_generator(params: ModelParams, basis: Basis) -> OperatorMatrix:
     convention; each bracket pairs an operator with minus its adjoint, so T
     is anti-Hermitian for real kappa.
     """
-    plus, minus = spin_ladder_detunings(params)
-    return assemble(basis, "generator", (params.kappa / plus, -(params.kappa / minus)))
+    return assemble(basis, "generator", COEFFICIENTS["generator"](params, params.kappa))
+
+
+def _from_blocks(basis: Basis, parts, keep: np.ndarray | None = None) -> OperatorMatrix:
+    """The operator with the block values[p] on the rows row_members[p] and columns col_members[p] of each part.
+
+    A part is (row_members (P, a), col_members (P, b), values (P, a, b, ...)).  Every entry is kept, zeros included,
+    except those outside the states of the mask `keep`.
+    """
+    rows, cols, values = [], [], []
+    for row_members, col_members, block in parts:
+        r, c = np.broadcast_arrays(row_members[:, :, None], col_members[:, None, :])
+        kept = np.ones(r.shape, dtype=bool) if keep is None else keep[r] & keep[c]
+        rows.append(r[kept])
+        cols.append(c[kept])
+        values.append(block[kept])
+    if not rows:
+        return OperatorMatrix.from_triplets(basis, np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, complex))
+    return OperatorMatrix.from_triplets(basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
 def mode_rotation(basis: Basis) -> OperatorMatrix:
-    """Unitary pi/4 rotation mixing the two modes, exp[(pi/4)(a1+ a2 - a2+ a1)].
+    """Unitary pi/4 rotation mixing the two modes, exp[(pi/4)(a1+ a2 - a2+ a1)], built per block as triplets.
 
     Its generator conserves the total boson number, so in a total-number
     basis the rotation closes exactly and the conjugation identities
@@ -68,10 +91,8 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
             "use a total-number basis for exact closure",
             stacklevel=2,
         )
-    u = np.zeros((basis.dimension,) * 2, dtype=np.complex128)
-    for members, stack in assemble(basis, "rotation", (np.pi / 4.0,)).blocks():
-        u[members[:, :, None], members[:, None, :]] = expm(stack)
-    return OperatorMatrix(basis, u)
+    blocks = assemble(basis, "rotation", (np.pi / 4.0,)).blocks()
+    return _from_blocks(basis, [(members, members, expm(stack)) for members, stack in blocks])
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -82,21 +103,60 @@ def expm(m: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:
-    """Similarity transform exp(G) H exp(-G) for an anti-Hermitian generator G.
+def _transformed_pairs(generator: OperatorMatrix, h: OperatorMatrix, minus: OperatorMatrix | None = None):
+    """exp(G) h exp(-G) - minus on each pair (a, b) of blocks of G that h or minus couples, as E_a h_ab E_b^dagger.
 
-    exp(-G) is the adjoint of the unitary exp(G), taken and applied on G.blocks(): one stacked `expm` per
-    block size (which rejects blocks that are not anti-Hermitian), no dim x dim x dim product.
+    Yields, per pair of block sizes, (row_members (P, a), col_members (P, b), values (P, a, b, G)); a grid operator
+    (values (nnz, G)) carries its G columns through, one operator is a grid of one.  Every block of G is
+    exponentiated at every grid point by one stacked expm per block size; real operators are transformed in real
+    arithmetic, where exp(G) is real.
     """
-    if generator.basis != h.basis:
+    ops = [op for op in (generator, h, minus) if op is not None]
+    if any(op.basis != h.basis for op in ops):
         raise ValueError("generator and Hamiltonian live on different bases")
-    exps = [(members, expm(stack)) for members, stack in generator.blocks()]
-    m = h.entries
-    for _ in range(2):  # E H^dagger, then E (E H^dagger)^dagger = E H E^dagger
-        m = m.conj().T
-        for members, e in exps:
-            m[members] = e @ m[members]
-    return OperatorMatrix(h.basis, m)
+    real = not any(np.iscomplex(op.triplets[2]).any() for op in ops)
+    members, exps = [], []
+    group, block, slot = (np.empty(h.dimension, dtype=np.intp) for _ in range(3))  # of each state, among G's blocks
+    for g, (m, stack) in enumerate(generator.blocks()):
+        e = expm(np.moveaxis(stack.reshape(*stack.shape[:3], -1), 3, 1))  # (count, G, size, size)
+        members.append(m)
+        exps.append(e.real if real else e)
+        group[m], block[m], slot[m] = g, np.arange(len(m))[:, None], range(m.shape[1])
+
+    terms = [op for op in (h, minus) if op is not None]
+    rows, cols = (np.concatenate([op.triplets[i] for op in terms]) for i in (0, 1))
+    values = [op.triplets[2].reshape(op.triplets[2].shape[0], -1) for op in terms]  # (nnz, G)
+    values = [v.real if real else v for v in values]
+    if not rows.size:
+        return
+    added = len(values[0])  # the entries of h come first, then those of minus
+    pair_group = group[rows] * len(members) + group[cols]
+    order = np.argsort(pair_group, kind="stable")
+    for k in np.split(order, np.flatnonzero(np.diff(pair_group[order])) + 1):
+        a, b = group[rows[k[0]]], group[cols[k[0]]]
+        pairs, pair = np.unique(block[rows[k]] * len(members[b]) + block[cols[k]], return_inverse=True)
+        first, second = np.divmod(pairs, len(members[b]))
+        ea, eb = exps[a][first], exps[b][second]
+        i, j, of_h = slot[rows[k]], slot[cols[k]], k < added
+        x = np.zeros((len(pairs), values[0].shape[1], ea.shape[2], eb.shape[2]), dtype=ea.dtype)
+        x[pair[of_h], :, i[of_h], j[of_h]] = values[0][k[of_h]]
+        product = ea @ x @ np.swapaxes(eb, -1, -2).conj()
+        if minus is not None:
+            product[pair[~of_h], :, i[~of_h], j[~of_h]] -= values[1][k[~of_h] - added]
+        yield members[a][first], members[b][second], np.moveaxis(product, 1, -1)
+
+
+def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:
+    """Similarity transform exp(G) H exp(-G) for an anti-Hermitian generator G, as triplets.
+
+    exp(-G) is the adjoint of the unitary exp(G).  Both are taken on G.blocks(), by one stacked `expm` per block size
+    (which rejects blocks that are not anti-Hermitian), and applied one pair of blocks at a time: the result holds
+    every entry of each pair of blocks of G that H couples.  A grid of generators and Hamiltonians (values (nnz, G))
+    gives the grid of transforms.
+    """
+    one = h.triplets[2].ndim == generator.triplets[2].ndim == 1  # one operator, not a grid
+    parts = _transformed_pairs(generator, h)
+    return _from_blocks(h.basis, ((r, c, (v[..., 0] if one else v).astype(np.complex128)) for r, c, v in parts))
 
 
 def residual_study(
@@ -109,11 +169,16 @@ def residual_study(
     residual(kappa) = || P [exp(T) H exp(-T) - H_second_order] P ||
     with P projecting out the top two occupation layers of the truncation
     (conjugation leaks amplitude to the boundary; the operator identity is
-    a bulk statement).  The fitted log-log slope is expected near 3.
+    a bulk statement).  The fitted log-log slope is expected near 3.  The
+    whole grid is one pass over grid operators; the spectral norm is the
+    largest |eigenvalue| of the Hermitian part of each parity block of the
+    remainder (Hermitian up to round-off), one coupling at a time.
     """
     kappas = [float(k) for k in kappa_grid]
     if len(kappas) < 2:
         raise ValueError(f"kappa grid needs two or more couplings for a slope, got {len(kappas) or 'an empty grid'}")
+    if not np.isfinite(kappas).all():
+        raise ValueError("kappa grid must be finite")
     if any(k <= 0 for k in kappas):
         raise ValueError("kappa grid must be strictly positive")
     if any(b <= a for a, b in zip(kappas, kappas[1:])):
@@ -130,19 +195,25 @@ def residual_study(
     keep = interior(basis, margin=2)
     if not keep.any():
         raise ValueError("the remainder is measured 2 layers inside the cutoff, where this basis has no state")
-    fro: list[float] = []
-    spectral: list[float] = []
-    for kappa in kappas:
-        params = replace(params_template, kappa=kappa)
-        transformed = conjugate(decoupling_generator(params, basis), build_full_jt(params, basis))
-        rows, cols, values = (transformed - build_second_order(params, basis)).triplets
-        kept = keep[rows] & keep[cols]
-        core = OperatorMatrix.from_triplets(basis, rows[kept], cols[kept], values[kept])
-        with np.errstate(over="ignore"):
-            fro.append(float(np.linalg.norm(core.triplets[2])))
-            spectral.append(max(float(np.linalg.norm(stack, 2, axis=(1, 2)).max()) for _, stack in core.blocks()))
-        if not np.isfinite((fro[-1], spectral[-1])).all():
-            raise ValueError(f"the transform remainder at kappa = {kappa:g} overflows: its norm is not finite")
+    generator, h, second = (assemble(basis, model, coefficient_grid(model, params_template, kappas))
+                            for model in ("generator", "full", "second-order"))
+    with np.errstate(over="ignore", invalid="ignore"):  # a remainder that overflows is rejected below
+        core = _from_blocks(basis, _transformed_pairs(generator, h, second), keep)
+        fro = np.linalg.norm(core.triplets[2], axis=0)
+    if not (finite := np.isfinite(fro)).all():  # a finite Frobenius norm bounds every entry and the spectral norm
+        kappa = kappas[np.argmin(finite)]
+        raise ValueError(f"the transform remainder at kappa = {kappa:g} overflows: its norm is not finite")
+    spectral = [_spectral_norm(core.with_values(column, core.hint)) for column in core.triplets[2].T]
 
     slope = float(np.polyfit(np.log(kappas), np.log(fro), 1)[0])
-    return TransformReport(tuple(kappas), tuple(fro), tuple(spectral), slope, basis)
+    return TransformReport(tuple(kappas), tuple(fro.tolist()), tuple(spectral), slope, basis)
+
+
+def _spectral_norm(op: OperatorMatrix) -> float:
+    """Largest |eigenvalue| of the Hermitian part of op, one stacked eigvalsh per block size, real where op is real."""
+    norm = 0.0
+    for _, stack in op.blocks():
+        half = 0.5 * (stack if stack.imag.any() else stack.real)
+        half += half.conj().swapaxes(1, 2)
+        norm = max(norm, float(np.abs(np.linalg.eigvalsh(half)).max()))
+    return norm

@@ -506,6 +506,17 @@ def test_reality_scan_at_total_cutoff_200_solves_its_grid_within_150_mb(tmp_path
     assert len(out.read_text().splitlines()) == 102
 
 
+def test_transform_residual_at_total_cutoff_40_stays_on_triplets_within_150_mb(tmp_path):
+    # dim 1722: the transform runs one pair of generator blocks at a time; dense dim x dim products peaked at 230 MB
+    out = tmp_path / "residual.json"
+    code, peak = _peak_rss_kib("transform-residual", "--total-nmax", "40", "--format", "json", "--out", str(out))
+    assert code == 0
+    assert peak <= 150 * 1024
+    report = json.loads(out.read_text())
+    assert len(report["rows"]) == 4
+    assert 2.7 <= report["summary"]["fitted_slope"] <= 3.3
+
+
 def test_out_into_a_missing_directory_is_usage_error(tmp_path):
     out = tmp_path / "missing" / "spectrum.csv"
     result = run_cli(["spectrum", "--nmax", "2"], out=out)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,3 +361,21 @@ def test_assemble_hints_equal_the_former_per_builder_rules(spec, kappa, gamma):
     nonhermitian = Hermiticity.HERMITIAN if gamma == 0.0 else Hermiticity.GENERAL
     assert build_nonhermitian(params, basis).hint is nonhermitian
     assert decoupling_generator(params, basis).hint is _former_hint(kappa, anti=True)
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(4), BasisSpec.total_number(5)])
+@pytest.mark.parametrize(
+    "model, builder",
+    [("full", build_full_jt), ("second-order", build_second_order), ("generator", decoupling_generator)],
+)
+def test_coefficient_grid_rows_equal_the_scalar_builders(spec, model, builder):
+    # one source for the coefficients: a grid row is the scalar builder's tuple, and a grid column its operator
+    basis, params = make_basis(spec), ModelParams(omega=1.3, omega0=0.2, kappa=0.7)
+    kappas = (0.0, 0.01, -0.2, 0.3, 1.5)
+    rows = models.coefficient_grid(model, params, kappas)
+    grid = models.assemble(basis, model, rows)
+    assert rows.shape == (len(kappas), len(models.COEFFICIENTS[model](params, 0.0)))
+    for row, column, kappa in zip(rows, grid.triplets[2].T, kappas):
+        scalar = replace(params, kappa=kappa)
+        assert row.tolist() == list(models.COEFFICIENTS[model](scalar, scalar.kappa))
+        assert np.array_equal(column, builder(scalar, basis).triplets[2])

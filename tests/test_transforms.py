@@ -23,6 +23,7 @@ from jtrwa import (
 )
 from jtrwa import transforms
 from jtrwa.fockspace import _sectors
+from jtrwa.models import assemble, coefficient_grid
 
 STUDY_PARAMS = ModelParams(omega=1.0, omega0=0.2)
 STUDY_GRID = (0.01, 0.02, 0.04, 0.08)
@@ -168,6 +169,40 @@ def test_conjugate_matches_the_dense_oracle(omega0, kappa, total, cutoff, model)
     assert np.abs(conjugate(t, h).entries - e @ h.entries @ e.conj().T).max() <= 1e-13
 
 
+def _dense_columns(op):
+    """The dense matrix of each operator of a grid (values (nnz, G)), scattered from its triplets."""
+    rows, cols, values = op.triplets
+    m = np.zeros((values.shape[1], op.dimension, op.dimension), dtype=complex)
+    m[:, rows, cols] = values.T
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    omega0=st.floats(-0.4, 0.4),
+    kappas=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=4),
+    total=st.booleans(),
+    cutoff=st.integers(1, 7),
+    imaginary=st.booleans(),
+)
+def test_grid_conjugate_matches_the_dense_oracle_per_column(omega0, kappas, total, cutoff, imaginary):
+    from scipy.linalg import expm
+
+    basis = make_basis(BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff, cutoff + 1))
+    params = ModelParams(omega=1.0, omega0=omega0)
+    couplings = 1j * np.asarray(kappas) if imaginary else kappas  # a general (complex) Hamiltonian grid, or a real one
+    model = "jaynes-cummings" if imaginary else "full"
+    t = assemble(basis, "generator", coefficient_grid("generator", params, kappas))
+    h = assemble(basis, model, coefficient_grid(model, params, couplings))
+    if total:  # a block of every size 1..cutoff + 1, so products of blocks of unequal size
+        assert [members.shape[1] for members, _ in t.blocks()] == list(range(1, cutoff + 2))
+    transformed = conjugate(t, h)
+    assert transformed.triplets[2].shape[1] == len(kappas)
+    for got, t_dense, h_dense in zip(_dense_columns(transformed), _dense_columns(t), _dense_columns(h)):
+        e = expm(t_dense)
+        assert np.abs(got - e @ h_dense @ e.conj().T).max() <= 1e-13
+
+
 def test_conjugate_with_zero_generator_is_identity():
     basis = make_basis(BasisSpec.per_mode(2, 2))
     params = ModelParams(omega=1.0, omega0=0.1, kappa=0.2)
@@ -226,6 +261,11 @@ def test_per_sector_spectral_norm_equals_the_dense_norm(spec):
         masked = np.where(np.outer(inside, inside), remainder, 0.0)  # the dense interior mask as the reference
         assert fro == pytest.approx(np.linalg.norm(masked, "fro"), rel=1e-12, abs=0.0)
         assert spectral == pytest.approx(np.linalg.norm(masked, 2), rel=1e-12, abs=0.0)
+    for g in range(len(STUDY_GRID) - 1):  # a coupling's column is the same in any grid that solves it
+        pair = residual_study(STUDY_PARAMS, basis, STUDY_GRID[g:g + 2])
+        assert pair.residual_norms == pytest.approx(report.residual_norms[g:g + 2], rel=1e-12, abs=0.0)
+        spectral = report.residual_norms_spectral[g:g + 2]
+        assert pair.residual_norms_spectral == pytest.approx(spectral, rel=1e-12, abs=0.0)
 
 
 def test_residual_study_residuals_increase_with_coupling():
@@ -242,6 +282,8 @@ def test_residual_study_residuals_increase_with_coupling():
         ((-0.01, 0.02), "positive"),
         ((0.01, 0.5), "guard"),
         ((0.01,), "two or more couplings"),
+        ((0.01, float("nan")), "finite"),
+        ((float("nan"), 0.02), "finite"),
     ],
 )
 def test_residual_study_grid_validation(grid, message):
