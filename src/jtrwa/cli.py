@@ -239,7 +239,7 @@ def table1_command(omega, omega0, kappa2, tol):
     converged = True
     for k2 in [kappa2] if kappa2 is not None else TABLE1_KAPPA2:
         params = replace(base, kappa=float(np.sqrt(k2)))
-        spectrum = converge_ground(build_full_jt, params, schedule, tol)
+        spectrum = converge_ground(build_full_jt, params, schedule, tol, levels=2)
         converged &= spectrum.converged
         exact = (spectrum.ground_energy, spectrum.first_excited_energy())
         closed_form = rwa_level_ladder(params, 2)
@@ -301,7 +301,7 @@ def converge_command(omega, omega0, model, kappa2, gamma, tol, grid):
     Exits 1 when the schedule ends before the tolerance is reached.
     """
     params = _model_params(model, omega, omega0, kappa2, gamma)
-    spectrum = converge_ground(MODELS[model], params, total_number_schedule(grid), tol)
+    spectrum = converge_ground(MODELS[model], params, total_number_schedule(grid), tol, levels=1)
     rows = [{"cutoff": c, "ground_energy": e} for c, e in spectrum.cutoff_history]
     return rows, {"converged": spectrum.converged, "tol": tol}, int(not spectrum.converged)
 

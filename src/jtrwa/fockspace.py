@@ -17,10 +17,13 @@ arithmetic.  Operators are assembled sparse, as Terms: sums of products of
 ladder, Pauli and identity column maps (models caches their triplets per
 basis), and held in an OperatorMatrix as (rows, cols, values) triplets.  Its
 blocks() are the blocks of their pattern (the conserved-quantity sectors),
-read by validation, the eigensolver, the transforms and the checks; a model
-operator holds its model's positions, zeros included, and their blocks, found
-once (with_values).  No module of the package calls the dense constructor or
-reads the dense view `entries`; both remain for tests, as their oracles.
+all of them or a chosen few, read by the eigensolver, the transforms and the
+checks; block_bounds() bounds each block's spectrum from below (Gershgorin),
+and validation reads each entry's transposed partner.  A model operator holds
+its model's positions, zeros included, and their layout (blocks and transpose
+map), found once (with_values).  No module of the package calls the dense
+constructor or reads the dense view `entries`; both remain for tests, as
+their oracles.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -180,6 +183,49 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
     return [order[end - size * number:end].reshape(number, size) for size, number, end in zip(sizes, numbers, ends)]
 
 
+class _Plan:
+    """The layout that the positions (rows, cols) of a dim x dim operator decide, each part found on first use.
+
+    Shared by every operator on those positions (with_values), so it is found once per pattern.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, dim: int) -> None:
+        self.rows, self.cols, self.dim = rows, cols, dim
+
+    @cached_property
+    def sizes(self) -> list[tuple]:
+        """Per block size: the (count, size) members, the indices of its triplets and their (block, row, col) slots."""
+        rows, cols, dim = self.rows, self.cols, self.dim
+        sectors = _sectors(rows, cols, dim)
+        group, block, slot = (np.empty(dim, dtype=np.intp) for _ in range(3))  # of each state
+        for g, members in enumerate(sectors):
+            group[members], block[members], slot[members] = g, np.arange(len(members))[:, None], range(members.shape[1])
+        counts = np.bincount(group[rows], minlength=len(sectors))
+        by_group = np.split(np.argsort(group[rows], kind="stable"), np.cumsum(counts)[:-1])
+        return [(members, k, (block[rows[k]], slot[rows[k]], slot[cols[k]])) for members, k in zip(sectors, by_group)]
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """Where each size's blocks start among all blocks, in the order blocks() gives them, then the block count."""
+        return np.cumsum([0] + [len(members) for members, _, _ in self.sizes])
+
+    @cached_property
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """The states of every block, block after block in that order, and the position where each block starts."""
+        states = np.concatenate([members.ravel() for members, _, _ in self.sizes])
+        width = np.concatenate([np.full(len(members), members.shape[1]) for members, _, _ in self.sizes])
+        return states, np.cumsum(width) - width
+
+    @cached_property
+    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per triplet, the index of the triplet at the transposed position and whether it is there (the positions
+        are distinct, as in every operator the package builds)."""
+        keys, mirrored = self.rows * self.dim + self.cols, self.cols * self.dim + self.rows
+        order = np.argsort(keys)
+        partner = order[np.searchsorted(keys, mirrored, sorter=order).clip(max=keys.size - 1)]
+        return partner, keys[partner] == mirrored
+
+
 class OperatorMatrix:
     """Complex matrix tagged with its basis and a structure hint, held as (rows, cols, values) triplets.
 
@@ -202,7 +248,7 @@ class OperatorMatrix:
         return op
 
     def with_values(self, values, hint: Hermiticity) -> "OperatorMatrix":
-        """The operator with `values` at this one's positions, in their order, sharing its blocks (found once).
+        """The operator with `values` at this one's positions, in their order, sharing its blocks and transpose map.
 
         `values` of shape (nnz, G) make a grid of G operators, one per column, read only through blocks().
         """
@@ -231,36 +277,61 @@ class OperatorMatrix:
         return self.basis.dimension
 
     @cached_property
-    def _plan(self) -> list[tuple]:
-        """Per block size: the (count, size) members, the indices of its triplets and their (block, row, col) slots."""
-        rows, cols, _ = self.triplets
-        sectors = _sectors(rows, cols, self.dimension)
-        group, block, slot = (np.empty(self.dimension, dtype=np.intp) for _ in range(3))  # of each state
-        for g, members in enumerate(sectors):
-            group[members], block[members], slot[members] = g, np.arange(len(members))[:, None], range(members.shape[1])
-        counts = np.bincount(group[rows], minlength=len(sectors))
-        by_group = np.split(np.argsort(group[rows], kind="stable"), np.cumsum(counts)[:-1])
-        return [(members, k, (block[rows[k]], slot[rows[k]], slot[cols[k]])) for members, k in zip(sectors, by_group)]
+    def _plan(self) -> _Plan:
+        return _Plan(*self.triplets[:2], self.dimension)
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def blocks(self, chosen: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
         Values of shape (nnz, G), a grid of operators on one pattern, give stacks of shape (count, size, size, G).
         The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
-        a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.
+        a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.  `chosen`, the
+        positions of some blocks in the order they come (as in block_bounds), keeps only those, still one stack per
+        size; a size with none is skipped.
         """
-        values = self.triplets[2]
-        for members, k, slots in self._plan:
+        values, plan = self.triplets[2], self._plan
+        groups = range(len(plan.sizes))
+        if chosen is not None:
+            marked = np.zeros(plan.first[-1], dtype=bool)
+            marked[chosen] = True
+            groups = np.flatnonzero(np.logical_or.reduceat(marked, plan.first[:-1]))
+        for g in groups:
+            members, k, slots = plan.sizes[g]
+            if chosen is not None and not (pick := marked[plan.first[g]:plan.first[g + 1]]).all():
+                renumber = np.cumsum(pick) - 1  # the new stack position of each kept block
+                kept = pick[slots[0]]
+                members, k, slots = members[pick], k[kept], (renumber[slots[0][kept]], slots[1][kept], slots[2][kept])
             stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=np.complex128)
             stack[slots] = values[k]
             yield members, stack
 
+    def block_bounds(self) -> np.ndarray:
+        """A lower bound on the real parts of the eigenvalues of each block, in the order blocks() gives them.
+
+        Gershgorin: beta_b = min over the rows i of block b of (Re m_ii - sum_{j != i} |m_ij|), which holds for any
+        complex matrix.  A radius that overflows gives -inf.
+        """
+        rows, cols, values = self.triplets
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_row = np.bincount(rows, np.where(rows == cols, values.real, -np.abs(values)), minlength=self.dimension)
+        per_row[np.isnan(per_row)] = -np.inf
+        states, starts = self._plan.states
+        return np.minimum.reduceat(per_row[states], starts)
+
     def validate(self) -> float:
-        """Check the structure hint on the blocks; returns the deviation max|m -/+ m^dagger|, raises if violated."""
+        """Check the structure hint; returns the deviation max|m -/+ m^dagger|, raises if violated.
+
+        Every entry is compared with its transposed partner (zero where the pattern has none), which covers the whole
+        operator, one operator or a grid (values (nnz, G)).
+        """
         if self.hint is Hermiticity.GENERAL:
             return 0.0
         sign = -1.0 if self.hint is Hermiticity.HERMITIAN else 1.0
-        dev = np.max([np.abs(stack + sign * stack.conj().swapaxes(1, 2)).max() for _, stack in self.blocks()])
+        values = self.triplets[2]
+        partner, found = self._plan.mirror
+        mirror = values[partner]
+        mirror[~found] = 0.0
+        dev = np.abs(values + sign * mirror.conj()).max(initial=0.0)
         if not dev <= HINT_TOL:
             raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {HINT_TOL:.1e}")
         return float(dev)

@@ -8,7 +8,10 @@ forms), found once per (basis, model), and scattered straight from the
 triplets: no dim x dim array is formed.  Hermitian-hinted operators go
 through eigh (after the hint is validated), everything else through the
 general complex solver; the dense solve of the whole matrix is the test
-oracle.  block_eigenvalues solves the same blocks unsorted, for one operator
+oracle.  Asked for its k lowest levels only (levels=k, as converge_ground
+asks), it solves only the blocks whose Gershgorin lower bound can reach
+them, lowest bound first, and the full solve is that path's oracle.
+block_eigenvalues solves the same blocks unsorted, for one operator
 or a grid of them (reality_scan's gamma grid), 2x2 blocks in closed form;
 diagonalize is its oracle.  Eigenvalues are sorted by real part, then
 imaginary part, where real parts within LEVEL_GAP of each other (relative to
@@ -36,9 +39,13 @@ LEVEL_GAP = 1e-9  # relative; far above eigensolver round-off, far below level s
 class Spectrum:
     """Sorted eigenvalues with optional eigenvectors and convergence metadata.
 
-    cutoff_history holds (cutoff, ground_energy) pairs recorded by
-    converge_ground; the converged flag is honest (False when the schedule
-    ran out before the tolerance was met).
+    A spectrum asked for its lowest levels (diagonalize(..., levels=k))
+    records k in `levels` and holds only the blocks that were solved: every
+    eigenvalue up to its k-th lowest distinct level, and the rest of those
+    blocks, so it answers for its k lowest levels only.  cutoff_history
+    holds (cutoff, ground_energy) pairs recorded by converge_ground; the
+    converged flag is honest (False when the schedule ran out before the
+    tolerance was met).
     """
 
     eigenvalues: np.ndarray
@@ -47,11 +54,21 @@ class Spectrum:
     residual_norms: np.ndarray | None = None
     converged: bool = True
     cutoff_history: tuple[tuple[int, float], ...] = ()
+    levels: int | None = None  # None: every eigenvalue
 
     @property
     def ground_energy(self) -> float:
         """Smallest real part: within a LEVEL_GAP level the order is by imaginary part, not by real part."""
         return float(self.eigenvalues.real.min())
+
+    def lowest_levels(self, count: int) -> list[float]:
+        """The `count` lowest distinct levels (fewer if the spectrum runs out of them), as lowest_levels gives them.
+
+        A spectrum of its lowest `levels` only cannot tell the levels above them, and raises when asked for more.
+        """
+        if self.levels is not None and count > self.levels:
+            raise ValueError(f"the spectrum holds its {self.levels} lowest levels only, not {count}")
+        return lowest_levels(self.eigenvalues.real, count)
 
     def first_excited_energy(self) -> float:
         """Smallest real part above the ground level by more than DEGENERACY_GAP.
@@ -59,11 +76,23 @@ class Spectrum:
         With a degenerate ground multiplet this skips the whole multiplet,
         which is the convention used for the benchmark table.
         """
-        real = self.eigenvalues.real
-        above = real[real > self.ground_energy + DEGENERACY_GAP]
-        if above.size == 0:
+        found = self.lowest_levels(2)
+        if len(found) < 2:
             raise ValueError("no level above the ground multiplet within the spectrum")
-        return float(above.min())
+        return found[1]
+
+
+def lowest_levels(real: np.ndarray, count: int) -> list[float]:
+    """The `count` lowest distinct levels of the real parts `real`, fewer if it runs out of them.
+
+    The first is the smallest real part, and each next one the smallest that lies above the last by more than
+    DEGENERACY_GAP: a degenerate multiplet is one level.
+    """
+    real, found, at = np.sort(real), [], 0
+    while len(found) < count and at < real.size:
+        found.append(float(real[at]))
+        at = np.searchsorted(real, real[at] + DEGENERACY_GAP, side="right")
+    return found
 
 
 def level_order(vals: np.ndarray) -> np.ndarray:
@@ -100,41 +129,65 @@ def block_eigenvalues(op: OperatorMatrix) -> np.ndarray:
     return vals.T
 
 
-def diagonalize(op: OperatorMatrix, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of an operator, solved block by block.
+def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | None = None) -> Spectrum:
+    """Spectrum of an operator, solved block by block: the full spectrum, or the blocks that hold its lowest levels.
 
-    The blocks of the pattern (the conserved-quantity sectors) of
-    one size come as one stack from op.blocks(), solved by one stacked
-    LAPACK call; a matrix with one block is the dense solve.  A Hermitian
-    hint is validated (on the same blocks) before eigh is trusted with the
-    matrix.  Solver non-convergence
-    propagates as numpy.linalg.LinAlgError rather than being silently
-    truncated.  Eigenpair residuals ||Hv - lambda v|| are computed block by
-    block when vectors are requested.
+    The blocks of the pattern (the conserved-quantity sectors) of one size
+    come as one stack from op.blocks(), solved by one stacked LAPACK call;
+    a matrix with one block is the dense solve.  A Hermitian hint is
+    validated before eigh is trusted with the matrix.  Solver
+    non-convergence propagates as numpy.linalg.LinAlgError rather than
+    being silently truncated.  Eigenpair residuals ||Hv - lambda v|| are
+    computed block by block when vectors are requested.
+
+    With `levels` = k (no vectors) it solves only the blocks that can hold
+    the k lowest distinct levels (lowest_levels), in rounds of at most k
+    blocks, lowest Gershgorin bound (op.block_bounds()) first: the k lowest,
+    then those whose bound is at most L, the k-th lowest level found so far
+    (+inf while fewer are found).  L only falls, so every block left
+    unsolved lies above it: the spectrum holds whole blocks, among them
+    every eigenvalue whose real part is at most L.
     """
+    if levels is not None and (want_vectors or levels < 1):
+        raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")
     dim = op.dimension
     hermitian = op.hint is Hermiticity.HERMITIAN
-    vals = np.empty(dim, dtype=np.complex128)
+    vals, solved = np.empty(dim, dtype=np.complex128), np.zeros(dim, dtype=bool)
     vecs = np.zeros((dim, dim), dtype=np.complex128) if want_vectors else None
     residuals = np.empty(dim) if want_vectors else None
     if hermitian:
         op.validate()
-    for members, stack in op.blocks():
-        if hermitian:
-            stack = stack.real if not np.any(stack.imag) else stack
-            solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
-        else:
-            solve = np.linalg.eig if want_vectors else np.linalg.eigvals
-        if want_vectors:
-            w, v = solve(stack)
-            vals[members], vecs[members[:, :, None], members[:, None, :]] = w, v
-            residuals[members] = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
-        else:
-            vals[members] = solve(stack)
+    chosen = None  # every block, in one round
+    if levels is not None:
+        bounds = op.block_bounds()
+        left = np.argsort(bounds, kind="stable")  # the unsolved blocks, lowest bound first
+        chosen, left = left[:levels], left[levels:]
+    while True:
+        for members, stack in op.blocks(chosen):
+            if hermitian:
+                stack = stack.real if not np.any(stack.imag) else stack
+                solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
+            else:
+                solve = np.linalg.eig if want_vectors else np.linalg.eigvals
+            if want_vectors:
+                w, v = solve(stack)
+                vals[members], vecs[members[:, :, None], members[:, None, :]] = w, v
+                residuals[members] = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
+            else:
+                vals[members] = solve(stack)
+            solved[members] = True
+        if levels is None:
+            break
+        found = lowest_levels(vals[solved].real, levels)
+        take = min(levels, np.searchsorted(bounds[left], found[-1] if len(found) == levels else np.inf, "right"))
+        if not take:
+            break
+        chosen, left = left[:take], left[take:]
+    vals = vals[solved]
     order = level_order(vals)
     if want_vectors:
         vecs, residuals = vecs[:, order], residuals[order]
-    return Spectrum(vals[order], op.basis, eigenvectors=vecs, residual_norms=residuals)
+    return Spectrum(vals[order], op.basis, eigenvectors=vecs, residual_norms=residuals, levels=levels)
 
 
 def total_number_schedule(cutoffs: Iterable[int]) -> list[BasisSpec]:
@@ -146,13 +199,18 @@ def converge_ground(
     params: ModelParams,
     cutoff_schedule: Sequence[BasisSpec],
     tol: float = 1e-8,
+    levels: int | None = None,
 ) -> Spectrum:
-    """Re-diagonalize on growing cutoffs until the ground energy settles.
+    """Re-diagonalize on growing cutoffs until the `levels` lowest distinct levels settle.
 
-    Stops at the first cutoff whose ground energy agrees with the previous
-    one within `tol`; if the schedule is exhausted first, the spectrum of
-    the last cutoff is returned with converged=False and the full history.
-    A schedule of fewer than two cutoffs cannot converge and is rejected.
+    With `levels` given, each cutoff solves only the blocks that can hold
+    those levels (diagonalize(..., levels=levels)); None solves every block
+    and gates the ground level alone.  Stops at the first cutoff where each
+    gated level agrees with the previous cutoff's within `tol`; if the
+    schedule is exhausted first, the spectrum of the last cutoff is
+    returned with converged=False and the full history, which records the
+    ground energy per cutoff.  A schedule of fewer than two cutoffs cannot
+    converge and is rejected.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
@@ -163,12 +221,15 @@ def converge_ground(
         raise ValueError("cutoff schedule must be strictly ascending in dimension")
 
     history: list[tuple[int, float]] = []
+    previous: list[float] = []
     for spec in schedule:
-        spectrum = diagonalize(builder(params, make_basis(spec)))
+        spectrum = diagonalize(builder(params, make_basis(spec)), levels=levels)
         history.append((spec.cutoff, spectrum.ground_energy))
-        converged = len(history) > 1 and abs(history[-1][1] - history[-2][1]) <= tol
+        found = spectrum.lowest_levels(levels or 1)
+        converged = len(found) == len(previous) and all(abs(a - b) <= tol for a, b in zip(found, previous))
         if converged:
             break
+        previous = found
     return replace(spectrum, converged=converged, cutoff_history=tuple(history))
 
 

@@ -199,7 +199,8 @@ def residual_study(
                             for model in ("generator", "full", "second-order"))
     with np.errstate(over="ignore", invalid="ignore"):  # a remainder that overflows is rejected below
         core = _from_blocks(basis, _transformed_pairs(generator, h, second), keep)
-        fro = np.linalg.norm(core.triplets[2], axis=0)
+        scale = np.abs(core.triplets[2]).max(axis=0, initial=0.0)  # per coupling, so no square overflows
+        fro = scale * np.linalg.norm(core.triplets[2] / np.where(scale > 0, scale, 1.0), axis=0)
     if not (finite := np.isfinite(fro)).all():  # a finite Frobenius norm bounds every entry and the spectral norm
         kappa = kappas[np.argmin(finite)]
         raise ValueError(f"the transform remainder at kappa = {kappa:g} overflows: its norm is not finite")

@@ -210,16 +210,35 @@ def test_unused_coupling_is_usage_error(args):
         ["table1", "--omega", "1e308", "--kappa2", "0.5"],
         ["reality-scan", "--omega", "1e308"],
         ["pseudoherm", "--omega", "1e308"],
-        ["transform-residual", "--omega", "1e300", "--omega0", "0"],
+        ["transform-residual", "--omega", "1e308", "--omega0", "0"],
     ],
 )
 def test_overflowing_magnitudes_are_usage_errors(args):
-    # the operator entries (or the remainder norm) overflow to inf: one line, exit 2, no warning
+    # the operator entries overflow to inf: one line, exit 2, no warning
     result = run_cli(args)
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("Error: ")
     assert "not finite" in result.stderr
     assert result.stdout == ""
+
+
+def test_transform_residual_norms_stay_finite_where_only_their_squares_overflow():
+    # every remainder entry is finite (about 1e186); each norm is taken on its column scaled to a largest |entry| of 1
+    result = run_cli(["transform-residual", "--omega", "1e200", "--omega0", "0"])
+    assert result.exit_code == 1  # the remainder no longer falls with the coupling: the slope is about 0
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == 4 and all(1e186 < float(fro) < 1e188 for _, fro, _ in rows)
+    assert abs(float(result.stderr.splitlines()[0].split(" = ")[1])) < 1e-6
+
+
+def test_converge_at_an_absurd_coupling_reads_as_before():
+    # diagonalize(..., levels=1) solves a few blocks; the ground energies are those of the whole spectrum
+    result = run_cli(["converge", "--kappa2", "1e200"])
+    assert result.exit_code == 1
+    assert result.stdout == (
+        "cutoff,ground_energy\n10,-3.77625516e+100\n20,-5.62874773e+100\n30,-7.06018567e+100\n40,-8.26904092e+100\n"
+    )
+    assert result.stderr == "converged = False\ntol = 1e-08\n"
 
 
 def test_table1_zero_coupling_row(tmp_path):

@@ -357,3 +357,67 @@ def test_validate_leaves_entries_unbuilt():
     op = build_full_jt(ModelParams(omega=1.0, omega0=0.1, kappa=0.4), make_basis(BasisSpec.total_number(7)))
     assert op.validate() == 0.0
     assert "entries" not in vars(op)
+
+
+def _random_pattern(seed, density=0.08):
+    basis = make_basis(BasisSpec.per_mode(3, 2))
+    rng = np.random.default_rng(seed)
+    return rng, OperatorMatrix(basis, np.where(rng.random((24, 24)) < density, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_bounds_lie_below_every_eigenvalue_of_their_block(seed):
+    # Gershgorin holds for any complex matrix
+    rng, pattern = _random_pattern(seed, density=0.15)
+    rows = pattern.triplets[0]
+    op = pattern.with_values(rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size), Hermiticity.GENERAL)
+    lowest = np.concatenate([np.linalg.eigvals(stack).real.min(axis=1) for _, stack in op.blocks()])
+    assert np.all(op.block_bounds() <= lowest + 1e-12)
+
+
+def test_block_bounds_of_a_diagonal_operator_are_its_entries_and_an_overflowing_radius_is_minus_infinity():
+    basis = make_basis(BasisSpec.per_mode(1, 1))
+    diagonal = np.arange(8.0) - 3.0
+    assert np.array_equal(np.sort(OperatorMatrix(basis, np.diag(diagonal)).block_bounds()), diagonal)
+    m = np.diag(diagonal).astype(complex)
+    m[0, 1] = m[0, 2] = 1e308 + 1e308j
+    bounds = OperatorMatrix(basis, m).block_bounds()
+    assert np.isneginf(bounds).sum() == 1 and np.isfinite(bounds).sum() == bounds.size - 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chosen_blocks_are_the_blocks_at_those_positions(seed):
+    rng, pattern = _random_pattern(seed)
+    rows = pattern.triplets[0]
+    op = pattern.with_values(rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size), Hermiticity.GENERAL)
+    every = [(members[b], stack[b]) for members, stack in op.blocks() for b in range(len(members))]
+    chosen = rng.choice(len(every), size=rng.integers(0, len(every) + 1), replace=False)
+    got = [(members[b], stack[b]) for members, stack in op.blocks(chosen) for b in range(len(members))]
+    expected = [every[b] for b in np.sort(chosen)]
+    assert len(got) == len(expected)
+    for (m1, s1), (m2, s2) in zip(got, expected):
+        assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
+    assert len({m.shape[1] for m, _ in op.blocks(chosen)}) == len(list(op.blocks(chosen)))  # one stack per size
+
+
+@pytest.mark.parametrize("hint", [Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN])
+def test_grid_hint_deviation_is_the_largest_of_its_columns(hint):
+    rng, pattern = _random_pattern(5, density=0.2)
+    rows, cols, _ = pattern.triplets
+    sign = 1.0 if hint is Hermiticity.HERMITIAN else -1.0
+    values = rng.normal(size=(rows.size, 4)) + 1j * rng.normal(size=(rows.size, 4))
+    dense = np.zeros((24, 24, 4), dtype=complex)
+    dense[rows, cols] = values
+    dense = 0.5 * (dense + sign * dense.conj().transpose(1, 0, 2))  # (anti-)Hermitian, on a symmetric pattern
+    off = np.flatnonzero(rows != cols)[0]
+    dense[rows[off], cols[off], 2] += 1e-3  # one column lies
+    symmetric = OperatorMatrix(pattern.basis, np.abs(dense).sum(axis=2))
+    grid = symmetric.with_values(dense[symmetric.triplets[0], symmetric.triplets[1]], hint)
+    columns = [symmetric.with_values(dense[symmetric.triplets[0], symmetric.triplets[1], g], hint) for g in range(4)]
+    reference = max(np.abs(dense[..., g] - sign * dense[..., g].conj().T).max() for g in range(4))
+    message = f"matrix violates {hint.value} hint: deviation {reference:.3e} > 1.0e-12"
+    for op in [grid, columns[2]]:
+        with pytest.raises(ValueError) as failure:
+            op.validate()
+        assert str(failure.value) == message
+    assert max(columns[g].validate() for g in (0, 1, 3)) <= 1e-12

@@ -33,6 +33,8 @@ from jtrwa import (
     rwa_level_ladder,
     total_number_schedule,
 )
+from jtrwa import spectra
+from jtrwa.cli import MODELS
 from jtrwa.fockspace import _sectors
 from jtrwa.spectra import LEVEL_GAP, block_eigenvalues, level_order
 
@@ -630,3 +632,81 @@ def test_blockwise_residuals_match_the_dense_formula(model):
     vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
     dense = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
     assert np.abs(spectrum.residual_norms - dense).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(sorted(MODELS)),
+    total=st.booleans(),
+    cutoff=st.integers(1, 10),
+    coupling=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    omega0=st.sampled_from((-0.3, 0.0, 0.2)),
+    k=st.integers(1, 3),
+)
+def test_levels_spectrum_holds_the_lowest_levels_of_the_full_one(model, total, cutoff, coupling, omega0, k):
+    # the full spectrum is the oracle: its k lowest distinct levels come out exactly, and with them every
+    # eigenvalue whose real part lies at or below the k-th
+    params = ModelParams(omega=1.0, omega0=omega0, kappa=coupling, gamma=coupling)
+    spec = BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff, cutoff + 1)
+    op = MODELS[model](params, make_basis(spec))
+    full, part = diagonalize(op), diagonalize(op, levels=k)
+    found = part.lowest_levels(k)
+    assert found == full.lowest_levels(k)
+    assert np.isin(full.eigenvalues[full.eigenvalues.real <= found[-1]], part.eigenvalues).all()
+    assert np.array_equal(part.eigenvalues, part.eigenvalues[level_order(part.eigenvalues)])
+
+
+def test_levels_keep_the_hint_check():
+    basis = make_basis(BasisSpec.per_mode(1, 1))
+    m = np.zeros((8, 8))
+    m[0, 1] = 1.0
+    lying = OperatorMatrix(basis, m, Hermiticity.HERMITIAN)
+    with pytest.raises(ValueError, match=r"^matrix violates hermitian hint: deviation 1\.000e\+00 > 1\.0e-12$"):
+        diagonalize(lying, levels=1)
+
+
+def test_levels_take_a_positive_count_and_no_vectors():
+    op = build_full_jt(ModelParams(omega=1.0, kappa=0.5), make_basis(BasisSpec.total_number(4)))
+    for kwargs in ({"levels": 0}, {"levels": 2, "want_vectors": True}):
+        with pytest.raises(ValueError, match="levels takes a count >= 1 and no eigenvectors"):
+            diagonalize(op, **kwargs)
+
+
+def test_converge_ground_solves_only_the_blocks_of_the_low_levels(monkeypatch):
+    # the lowest levels sit in the J = +-1/2 and +-3/2 chains: 124 of the 132 + 462 states at N = 10 and 20
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(stack):
+        solved.append(stack.shape[0] * stack.shape[1])
+        return eigvalsh(stack)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", counting)
+    params = ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(0.9))
+    spectrum = converge_ground(build_full_jt, params, total_number_schedule((10, 20, 30, 40)), levels=2)
+    assert [c for c, _ in spectrum.cutoff_history] == [10, 20]
+    assert 0 < sum(solved) <= 150
+
+
+def test_converge_ground_gates_every_level():
+    # at kappa^2 = 2 the ground energy moves 6.1e-8 from N = 10 to 20, the first excited level 4.6e-7
+    params = ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(2.0))
+    schedule = total_number_schedule((10, 20, 30, 40))
+    ground = converge_ground(build_full_jt, params, schedule, tol=1e-7, levels=1)
+    both = converge_ground(build_full_jt, params, schedule, tol=1e-7, levels=2)
+    assert [c for c, _ in ground.cutoff_history] == [10, 20]
+    assert [c for c, _ in both.cutoff_history] == [10, 20, 30]
+    assert ground.converged and both.converged
+    assert both.cutoff_history[:2] == ground.cutoff_history
+
+
+def test_a_spectrum_of_its_lowest_levels_answers_for_those_only():
+    # the excited level of a levels=1 spectrum may lie in a block it never solved
+    params = ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(0.9))
+    schedule = total_number_schedule((10, 20, 30, 40))
+    ground = converge_ground(build_full_jt, params, schedule, levels=1)
+    with pytest.raises(ValueError, match="holds its 1 lowest levels only, not 2"):
+        ground.first_excited_energy()
+    every = converge_ground(build_full_jt, params, schedule)
+    assert every.levels is None and every.eigenvalues.size == 462
+    assert converge_ground(build_full_jt, params, schedule, levels=2).first_excited_energy() == (
+        every.first_excited_energy())

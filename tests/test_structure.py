@@ -119,3 +119,44 @@ def test_the_hint_rule_flags_a_builder_that_names_a_hint(tmp_path):
         "def build(params, basis):\n    return assemble(basis, 'full', (1.0,), fockspace.Hermiticity.GENERAL)\n"
     )
     assert list(_hints_named_outside_assemble(source)) == [5]
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_reads(path):
+    """(line, name) of every read of a single-underscore attribute `x._name`, x not self or cls, that `path` does not
+    define: as a function or method, a name bound in a class body, or an attribute it assigns."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined.update(target.id for item in node.body if isinstance(item, (ast.Assign, ast.AnnAssign))
+                           for target in getattr(item, "targets", [getattr(item, "target", None)])
+                           if isinstance(target, ast.Name))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and _private(node.attr)
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+                and node.attr not in defined):
+            yield node.lineno, node.attr
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_a_private_attribute_is_read_only_in_the_module_that_defines_it(path):
+    # the block layout and the transpose map of an operator (OperatorMatrix._plan) stay behind fockspace
+    assert list(_foreign_private_reads(path)) == []
+
+
+def test_the_attribute_rule_flags_a_read_of_another_modules_private_attribute(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "class Op:\n    _scale = 2.0\n\n    def _layout(self):\n        return self._plan\n\n"
+        "def solve(op, other):\n    other._cache = op._layout(), op._scale, other._cache\n"
+        "    return op._plan.sizes, op.__class__\n"
+    )
+    assert list(_foreign_private_reads(source)) == [(9, "_plan")]

@@ -268,6 +268,21 @@ def test_per_sector_spectral_norm_equals_the_dense_norm(spec):
         assert pair.residual_norms_spectral == pytest.approx(spectral, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("entry", [1e307, np.inf])
+def test_residual_study_rejects_a_remainder_whose_norm_overflows(monkeypatch, entry):
+    # finite entries whose Frobenius norm exceeds the largest double, or an entry that is itself infinite
+    transformed = transforms._transformed_pairs
+
+    def huge(*args):
+        for rows, cols, values in transformed(*args):
+            yield rows, cols, np.full(values.shape, entry)
+
+    monkeypatch.setattr(transforms, "_transformed_pairs", huge)
+    message = r"^the transform remainder at kappa = 0\.01 overflows: its norm is not finite$"
+    with pytest.raises(ValueError, match=message):
+        residual_study(STUDY_PARAMS, make_basis(BasisSpec.per_mode(6)), STUDY_GRID)
+
+
 def test_residual_study_residuals_increase_with_coupling():
     basis = make_basis(BasisSpec.per_mode(6, 6))
     report = residual_study(STUDY_PARAMS, basis, (0.01, 0.02, 0.04))
