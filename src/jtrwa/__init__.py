@@ -16,7 +16,6 @@ from .fockspace import (
     SPIN_UP,
     Truncation,
     boson_ops,
-    identity_op,
     interior_projector,
     make_basis,
     pauli_ops,
@@ -52,7 +51,6 @@ from .spectra import (
     block_solve,
     converge_ground,
     diagonalize,
-    enumerate_rwa_levels,
     rwa_energy,
     rwa_level_ladder,
     total_number_schedule,
@@ -101,8 +99,6 @@ __all__ = [
     "converge_ground",
     "decoupling_generator",
     "diagonalize",
-    "enumerate_rwa_levels",
-    "identity_op",
     "interior_projector",
     "make_basis",
     "mode_rotation",

@@ -220,7 +220,7 @@ MODEL = click.option("--model", type=click.Choice(sorted(MODELS)), default="full
     "table1",
     *_common(),
     click.option("--kappa2", type=NON_NEGATIVE, default=None, help="Single squared coupling instead of the benchmark grid."),
-    click.option("--tol", type=POSITIVE, default=1e-8, show_default=True, help="Ground-energy convergence tolerance."),
+    click.option("--tol", type=POSITIVE, default=1e-8, show_default=True, help="Convergence tolerance of E0 and E1."),
 )
 def table1_command(omega, omega0, kappa2, tol):
     """Reproduce the published benchmark table and self-check the exact column.
@@ -228,8 +228,8 @@ def table1_command(omega, omega0, kappa2, tol):
     Emits, per coupling and level, the closed-form eigenvalue, the empirical
     fit that matches the published RWA column, the cutoff-converged exact
     energy, and the published references.  Exits 1 if any exact energy
-    misses its published value by more than 5e-3, or if a row's ground energy
-    did not converge over the cutoff schedule.
+    misses its published value by more than 5e-3, or if a row's ground or
+    first excited energy (E0 or E1) did not converge over the cutoff schedule.
     """
     base = ModelParams(omega=omega, omega0=omega0)
     schedule = total_number_schedule(TABLE1_SCHEDULE)

@@ -343,10 +343,6 @@ def diagonal_op(basis: Basis, d) -> OperatorMatrix:
     return OperatorMatrix.from_triplets(basis, k, k, np.asarray(d, dtype=np.complex128)[k], Hermiticity.HERMITIAN)
 
 
-def identity_op(basis: Basis) -> OperatorMatrix:
-    return diagonal_op(basis, np.ones(basis.dimension))
-
-
 class Term:
     """Sum of monomials, each a partial column map: column j goes to row target[j] times value[j].
 

@@ -3,17 +3,20 @@
 Every model is affine in its parameters: a short table of sparse terms
 (products of the elementary operators of fockspace.elementary_ops), each
 scaled by a coefficient such as omega, omega0, kappa or kappa^2/(omega +
-2 omega0).  The terms are built once per (basis, model) as numpy (rows, cols,
-values) triplets in a bounded cache (model_terms), with the union of their
+2 omega0).  Each model is declared once, in MODELS: its terms, and one
+function of (params, coupling) that gives its coefficients, the sqrt(2) of
+the rotated form and the i sqrt(2) of the imaginary-coupling form folded in.
+The terms are built once per (basis, model) as numpy (rows, cols, values)
+triplets in a bounded cache (model_terms), with the union of their
 positions as the model's pattern, whose blocks (its sectors) are found once.
 So a coupling scan on one basis only scales cached terms: assemble sums
 coefficient * term onto the pattern, exact zeros included, with no dim x dim
-array, and decides the Hermiticity hint.  Each model's coefficients are
-written once, in COEFFICIENTS, as functions of its coupling: a number gives
-a builder's operator, an array of couplings a grid (coefficient_grid), on
-which transforms.residual_study runs.  Builders are pure functions of
-(params, basis) returning an immutable OperatorMatrix, and are safe to call
-concurrently.
+array, and decides the Hermiticity hint.  assemble is the one way to build
+a model operator: a number as coupling gives one operator, an array of
+couplings a grid, on which transforms.residual_study and
+pseudoherm.reality_scan run.  The builders are its one-line forms at
+params' own coupling; all are pure functions of (params, basis) returning
+an immutable OperatorMatrix, and are safe to call concurrently.
 
 Convention: sigma_0 = diag(1, -1), so the bare spin splitting is
 2*omega0 and the spin-flip ladder frequencies relative to the boson
@@ -24,6 +27,7 @@ omega = +/-2*omega0 with a ResonanceError.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,27 +90,55 @@ def spin_ladder_detunings(params: ModelParams) -> tuple[float, float]:
 
 TERM_CACHE_SIZE = 16  # (basis, model) entries; each holds O(nnz) sparse terms and the pattern's blocks
 
+# A model: its sparse terms on the elementary operators, and its coefficients at (params, coupling), one per term in
+# that order.  A number as coupling gives one operator's coefficients, an array of G couplings columns of G.
+Model = namedtuple("Model", "terms coefficients anti_hermitian", defaults=(False,))
+
 
 def _free(o: ElementaryOps) -> tuple[Term, Term]:
     """The terms scaled by omega and omega0: N + 1 and sigma0."""
     return o.a1d @ o.a1 + o.a2d @ o.a2 + o.eye, o.s0
 
 
-# Each model as its sparse terms; its builder gives one coefficient per term, in this order.
-_TERMS = {
-    "full": lambda o: (*_free(o), (o.a1 + o.a2d) @ o.sp + (o.a1d + o.a2) @ o.sm),
-    "rwa": lambda o: (*_free(o), (o.a1 + o.a2) @ o.sp + (o.a1d + o.a2d) @ o.sm),
-    "jaynes-cummings": lambda o: (*_free(o), o.a1 @ o.sp + o.a1d @ o.sm),
-    "second-order": lambda o: (
-        *_TERMS["rwa"](o),
+def _rwa(o: ElementaryOps) -> tuple[Term, ...]:
+    return *_free(o), (o.a1 + o.a2) @ o.sp + (o.a1d + o.a2d) @ o.sm
+
+
+def _jaynes_cummings(o: ElementaryOps) -> tuple[Term, ...]:
+    return *_free(o), o.a1 @ o.sp + o.a1d @ o.sm
+
+
+def _second_order(params: ModelParams, kappa) -> tuple:
+    plus, minus = spin_ladder_detunings(params)
+    k2 = kappa * kappa
+    return (params.omega, params.omega0, kappa,
+            k2 / plus, k2 / minus, params.omega * k2 / (plus * minus), k2 / minus, -(k2 / plus))
+
+
+def _generator(params: ModelParams, kappa) -> tuple:
+    plus, minus = spin_ladder_detunings(params)
+    return kappa / plus, -(kappa / minus)
+
+
+# Every model under its CLI name, and the decoupling generator and the mode rotation: rotated couples mode 1 with
+# sqrt(2) kappa, nonhermitian with i sqrt(2) gamma.
+MODELS = {
+    "full": Model(lambda o: (*_free(o), (o.a1 + o.a2d) @ o.sp + (o.a1d + o.a2) @ o.sm),
+                  lambda p, kappa: (p.omega, p.omega0, kappa)),
+    "rwa": Model(_rwa, lambda p, kappa: (p.omega, p.omega0, kappa)),
+    "rotated": Model(_jaynes_cummings, lambda p, kappa: (p.omega, p.omega0, np.sqrt(2.0) * kappa)),
+    "nonhermitian": Model(_jaynes_cummings, lambda p, gamma: (p.omega, p.omega0, 1j * np.sqrt(2.0) * gamma)),
+    "second-order": Model(lambda o: (
+        *_rwa(o),
         (o.a1d @ o.a2d + o.a1 @ o.a2) @ o.s0,
         (o.a1d @ o.a2 + o.a2d @ o.a1) @ o.s0,  # a2+ a1 is the truncated adjoint of a1+ a2
         (o.a2d @ o.a2d + o.a2 @ o.a2 + 2.0 * (o.a2d @ o.a2)) @ o.s0,
         o.sp @ o.sm,
         o.sm @ o.sp,
-    ),
-    "generator": lambda o: (o.sp @ o.a2d - o.sm @ o.a2, o.sm @ o.a2d - o.sp @ o.a2),
-    "rotation": lambda o: (o.a1d @ o.a2 - o.a2d @ o.a1,),
+    ), _second_order),
+    "generator": Model(lambda o: (o.sp @ o.a2d - o.sm @ o.a2, o.sm @ o.a2d - o.sp @ o.a2), _generator,
+                       anti_hermitian=True),
+    "rotation": Model(lambda o: (o.a1d @ o.a2 - o.a2d @ o.a1,), lambda _, angle: (angle,), anti_hermitian=True),
 }
 
 
@@ -117,63 +149,32 @@ def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[tuple[n
     Built on first use and shared: do not modify.
     """
     dim = basis.dimension
-    terms = [term.triplets() for term in _TERMS[model](elementary_ops(basis))]
+    terms = [term.triplets() for term in MODELS[model].terms(elementary_ops(basis))]
     keys = [rows * dim + cols for rows, cols, _ in terms]
     union = np.unique(np.concatenate(keys))
     pattern = OperatorMatrix.from_triplets(basis, union // dim, union % dim, np.ones(union.size, dtype=np.complex128))
     return pattern, tuple((np.searchsorted(union, key), t[2]) for key, t in zip(keys, terms))
 
 
-def assemble(basis: Basis, model: str, coefficients) -> OperatorMatrix:
-    """Sum of coefficient * term over the cached terms of `model`, in table order, on its pattern, with its hint.
+def assemble(basis: Basis, model: str, params: ModelParams | None, coupling) -> OperatorMatrix:
+    """The operator of `model` at params and `coupling`, on its pattern, with its hint: the only way to build one.
 
-    A (G, terms) array of coefficients gives the grid of G operators, values of shape (nnz, G), one column each: the
-    grid axis trails, so that a single operator takes numpy's fast 1-D indexing path unchanged.
+    Sums coefficient * term over the cached terms.  A number gives one operator; a 1-D array of G couplings the grid of
+    G operators, values of shape (nnz, G), one column each: the grid axis trails, so that a single operator takes
+    numpy's fast 1-D indexing path unchanged.  The coupling reaches the model's coefficients as given.
     """
     pattern, terms = model_terms(basis, model)
-    shape = (pattern.triplets[2].size,)
-    if isinstance(coefficients, np.ndarray) and coefficients.ndim == 2:  # per term, a column of G coefficients
-        shape, coefficients = (*shape, len(coefficients)), coefficients.T
-    summed = np.zeros(shape, dtype=np.complex128)
+    grid = np.shape(coupling)
+    summed = np.zeros((pattern.triplets[2].size, *grid), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = MODELS[model].coefficients(params, coupling)
         for coefficient, (slot, values) in zip(coefficients, terms, strict=True):
-            summed[slot] += np.multiply.outer(values, coefficient)
+            summed[slot] += np.multiply.outer(values, np.broadcast_to(coefficient, grid))
     if not np.isfinite(summed).all():
         raise ValueError(f"the {model} operator has an entry that is not finite: a parameter is too large")
-    real = Hermiticity.ANTI_HERMITIAN if model in ("generator", "rotation") else Hermiticity.HERMITIAN
-    return pattern.with_values(summed, Hermiticity.GENERAL if np.iscomplex(coefficients).any() else real)
-
-
-def _coupled(params: ModelParams, coupling) -> tuple:
-    return params.omega, params.omega0, coupling
-
-
-def _generator(params: ModelParams, kappa) -> tuple:
-    plus, minus = spin_ladder_detunings(params)
-    return kappa / plus, -(kappa / minus)
-
-
-def _second_order(params: ModelParams, kappa) -> tuple:
-    plus, minus = spin_ladder_detunings(params)
-    k2 = kappa * kappa
-    return (params.omega, params.omega0, kappa,
-            k2 / plus, k2 / minus, params.omega * k2 / (plus * minus), k2 / minus, -(k2 / plus))
-
-
-# Per model, its coefficients (one per term, in _TERMS order) at params and a coupling: a number gives one operator's,
-# an array of couplings the rows of a grid (coefficient_grid).
-COEFFICIENTS = {
-    "full": _coupled,
-    "rwa": _coupled,
-    "jaynes-cummings": _coupled,
-    "second-order": _second_order,
-    "generator": _generator,
-}
-
-
-def coefficient_grid(model: str, params: ModelParams, couplings) -> np.ndarray:
-    """The (G, terms) coefficients of `model` at params with each of the G `couplings` in turn, for assemble."""
-    return np.column_stack(np.broadcast_arrays(*COEFFICIENTS[model](params, np.asarray(couplings))))
+    real = Hermiticity.ANTI_HERMITIAN if MODELS[model].anti_hermitian else Hermiticity.HERMITIAN
+    general = any(np.iscomplex(coefficient).any() for coefficient in coefficients)
+    return pattern.with_values(summed, Hermiticity.GENERAL if general else real)
 
 
 def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -182,12 +183,12 @@ def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:
     H = omega (a1+a1 + a2+a2 + 1) + omega0 sigma0
         + kappa [(a1 + a2+) sigma+ + (a1+ + a2) sigma-]
     """
-    return assemble(basis, "full", COEFFICIENTS["full"](params, params.kappa))
+    return assemble(basis, "full", params, params.kappa)
 
 
 def build_rwa(params: ModelParams, basis: Basis) -> OperatorMatrix:
     """Rotating-wave form: both modes couple through number-conserving terms only."""
-    return assemble(basis, "rwa", COEFFICIENTS["rwa"](params, params.kappa))
+    return assemble(basis, "rwa", params, params.kappa)
 
 
 def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -195,7 +196,7 @@ def build_rotated(params: ModelParams, basis: Basis) -> OperatorMatrix:
 
     Only mode 1 couples, with strength sqrt(2)*kappa; mode 2 is a spectator.
     """
-    return assemble(basis, "jaynes-cummings", COEFFICIENTS["jaynes-cummings"](params, np.sqrt(2.0) * params.kappa))
+    return assemble(basis, "rotated", params, params.kappa)
 
 
 def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -204,15 +205,7 @@ def build_nonhermitian(params: ModelParams, basis: Basis) -> OperatorMatrix:
     Not Hermitian for gamma > 0: the adjoint is the same builder with
     gamma -> -gamma.
     """
-    coefficients = COEFFICIENTS["jaynes-cummings"](params, 1j * np.sqrt(2.0) * params.gamma)
-    return assemble(basis, "jaynes-cummings", coefficients)
-
-
-def build_nonhermitian_grid(params: ModelParams, basis: Basis, gammas: np.ndarray) -> OperatorMatrix:
-    """build_nonhermitian at every gamma of `gammas` (params.gamma aside): one grid operator, values (nnz, G)."""
-    with np.errstate(over="ignore"):  # assemble rejects an entry that overflows
-        coupling = 1j * np.sqrt(2.0) * gammas
-    return assemble(basis, "jaynes-cummings", coefficient_grid("jaynes-cummings", params, coupling))
+    return assemble(basis, "nonhermitian", params, params.gamma)
 
 
 def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
@@ -222,7 +215,7 @@ def build_second_order(params: ModelParams, basis: Basis) -> OperatorMatrix:
     correction, assembled term by term; the third-order remainder is
     deliberately not constructed (transforms.residual_study measures it).
     """
-    return assemble(basis, "second-order", COEFFICIENTS["second-order"](params, params.kappa))
+    return assemble(basis, "second-order", params, params.kappa)
 
 
 def conserved_excitation_op(basis: Basis) -> OperatorMatrix:

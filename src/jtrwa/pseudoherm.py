@@ -16,7 +16,7 @@ metric maps each block of h (OperatorMatrix.blocks()) to itself, and the
 conjugation closure pairs a spectrum with its conjugate in level order.
 
 The reality scan builds no operator and calls no LAPACK per gamma: it solves
-its grid as one operator grid (build_nonhermitian_grid) with
+its grid as one operator grid (models.assemble at an array of gammas) with
 spectra.block_eigenvalues, whose oracle is diagonalize.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import HINT_TOL, Basis, OperatorMatrix, diagonal_op
-from .models import ModelParams, build_nonhermitian_grid
+from .models import ModelParams, assemble
 from .spectra import block_eigenvalues, level_order
 
 REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
@@ -151,7 +151,7 @@ def reality_scan(
 
     max_imag, rows = [], max(1, GRID_STATES // basis.dimension)
     for start in range(0, gammas.size, rows):
-        vals = block_eigenvalues(build_nonhermitian_grid(params_template, basis, gammas[start:start + rows]))
+        vals = block_eigenvalues(assemble(basis, "nonhermitian", params_template, gammas[start:start + rows]))
         max_imag += np.abs(np.take_along_axis(vals, level_order(vals)[:, :k], axis=-1).imag).max(axis=-1).tolist()
     gammas = gammas.tolist()
     threshold = next((g for g, worst in zip(gammas, max_imag) if worst > REALITY_TOL), None)

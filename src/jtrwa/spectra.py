@@ -261,18 +261,6 @@ def rwa_energy(level: RwaLevel, params: ModelParams) -> float:
     return float((level.j + 1) * params.omega + 0.5 * sign * root)
 
 
-def enumerate_rwa_levels(params: ModelParams, j_max: int = 6) -> list[tuple[float, RwaLevel]]:
-    """All closed-form levels with j <= j_max, sorted by energy."""
-    levels = [
-        (rwa_energy(level, params), level)
-        for j in range(j_max + 1)
-        for n in range(2 * j + 1)
-        for level in (RwaLevel(j, n, Branch.MINUS), RwaLevel(j, n, Branch.PLUS))
-    ]
-    levels.sort(key=lambda item: item[0])
-    return levels
-
-
 def rwa_level_ladder(params: ModelParams, count: int) -> list[float]:
     """The `count` lowest distinct closed-form energies (degeneracy gap 1e-6).
 
@@ -281,17 +269,22 @@ def rwa_level_ladder(params: ModelParams, count: int) -> list[float]:
     shells are merged outward from the minimum of f, each once its f(j) can be the next level, and the work grows
     with count and the degeneracies, not with kappa.
     """
-    kappa2, detuning2 = params.real_kappa() ** 2, (params.omega - 2.0 * params.omega0) ** 2
+    kappa, detuning = params.real_kappa(), params.omega - 2.0 * params.omega0
+    kappa2, omega2, detuning2 = kappa * kappa, params.omega * params.omega, detuning * detuning  # inf on overflow
     # the run of shells at the minimum whose levels round alike grows as kappa^2 / omega^2: 3450 levels at 1e10
-    if not kappa2 <= 1e10 * params.omega**2:
-        raise ValueError(f"the closed-form ladder takes kappa^2 / omega^2 <= 1e10, got {kappa2 / params.omega**2:g}")
+    if not (kappa2 <= 1e10 * omega2 and max(omega2, detuning2) < np.inf):
+        raise ValueError(f"the closed-form ladder takes kappa^2 / omega^2 <= 1e10 and finite squares, got kappa^2 = "
+                         f"{kappa2:g}, omega^2 = {omega2:g}, (omega - 2 omega0)^2 = {detuning2:g}")
 
     def level(j: int, i: int) -> float:  # the i-th lowest level of shell j
         n, branch = (2 * j - i, Branch.MINUS) if i <= 2 * j else (i - 2 * j - 1, Branch.PLUS)
-        return rwa_energy(RwaLevel(j, n, branch), params)
+        energy = rwa_energy(RwaLevel(j, n, branch), params)
+        if not np.isfinite(energy):  # the merge below would never pass a level of -inf
+            raise ValueError(f"the closed-form level of shell j = {j} overflows at kappa^2 = {kappa2:g}")
+        return energy
 
     # f'(j) = 0 where sqrt(8 kappa^2 (2j+1) + detuning^2) = 4 kappa^2 / omega
-    stationary = kappa2 / params.omega**2 - detuning2 / (16.0 * kappa2) - 0.5 if kappa2 else 0.0
+    stationary = kappa2 / omega2 - detuning2 / (16.0 * kappa2) - 0.5 if kappa2 else 0.0
     left = right = min((int(max(stationary, 0.0)), int(max(stationary, 0.0)) + 1), key=lambda j: level(j, 0))
     heap, distinct = [(level(left, 0), left, 0)], []
     while len(distinct) < count:

@@ -5,7 +5,7 @@ and replaces it with the co-rotating one; conjugating the full Hamiltonian H
 with exp(T) reproduces the explicit second-order form H2 up to a remainder
 that is third order in the coupling.  residual_study measures that remainder
 over its whole coupling grid in one pass: T, H and H2 are assembled once each
-as grid operators (models.coefficient_grid), the blocks of T are exponentiated
+as grid operators (models.assemble), the blocks of T are exponentiated
 at every coupling by one stacked expm (unitary eigendecomposition of an
 anti-Hermitian matrix; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), and
 exp(T) H exp(-T) is formed on triplets, one pair of T blocks at a time.  T
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import HINT_TOL, Basis, OperatorMatrix, Truncation, interior
-from .models import COEFFICIENTS, ModelParams, assemble, coefficient_grid, spin_ladder_detunings
+from .models import ModelParams, assemble, spin_ladder_detunings
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def decoupling_generator(params: ModelParams, basis: Basis) -> OperatorMatrix:
     convention; each bracket pairs an operator with minus its adjoint, so T
     is anti-Hermitian for real kappa.
     """
-    return assemble(basis, "generator", COEFFICIENTS["generator"](params, params.kappa))
+    return assemble(basis, "generator", params, params.kappa)
 
 
 def _from_blocks(basis: Basis, parts, keep: np.ndarray | None = None) -> OperatorMatrix:
@@ -91,7 +91,7 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
             "use a total-number basis for exact closure",
             stacklevel=2,
         )
-    blocks = assemble(basis, "rotation", (np.pi / 4.0,)).blocks()
+    blocks = assemble(basis, "rotation", None, np.pi / 4.0).blocks()
     return _from_blocks(basis, [(members, members, expm(stack)) for members, stack in blocks])
 
 
@@ -195,7 +195,7 @@ def residual_study(
     keep = interior(basis, margin=2)
     if not keep.any():
         raise ValueError("the remainder is measured 2 layers inside the cutoff, where this basis has no state")
-    generator, h, second = (assemble(basis, model, coefficient_grid(model, params_template, kappas))
+    generator, h, second = (assemble(basis, model, params_template, np.array(kappas))
                             for model in ("generator", "full", "second-order"))
     with np.errstate(over="ignore", invalid="ignore"):  # a remainder that overflows is rejected below
         core = _from_blocks(basis, _transformed_pairs(generator, h, second), keep)

@@ -222,6 +222,24 @@ def test_overflowing_magnitudes_are_usage_errors(args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--omega", "1e-200"],  # omega^2 underflows to 0
+        ["--omega", "1e300"],
+        ["--omega", "1e160", "--kappa2", "0.5"],
+        ["--omega0", "1e300"],
+        ["--omega", "1e146", "--kappa2", "1e300"],  # 8 kappa^2 (n + 1) overflows in a shell near j = 1e8
+    ],
+)
+def test_table1_closed_forms_out_of_range_are_usage_errors(args):
+    # the operators stay finite; the closed-form ladder squares omega, omega - 2 omega0 and kappa
+    result = run_cli(["table1", *args])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("Error: the closed-form ")
+    assert result.stdout == ""
+
+
 def test_transform_residual_norms_stay_finite_where_only_their_squares_overflow():
     # every remainder entry is finite (about 1e186); each norm is taken on its column scaled to a largest |entry| of 1
     result = run_cli(["transform-residual", "--omega", "1e200", "--omega0", "0"])

@@ -14,13 +14,12 @@ from jtrwa import (
     build_full_jt,
     conserved_excitation_op,
     diagonalize,
-    identity_op,
     interior_projector,
     make_basis,
     parity_op,
     pauli_ops,
 )
-from jtrwa.fockspace import ElementaryOps, elementary_ops
+from jtrwa.fockspace import ElementaryOps, diagonal_op, elementary_ops
 
 
 def test_per_mode_dimension():
@@ -208,7 +207,7 @@ def test_hint_validation_catches_lies():
     lying = OperatorMatrix(basis, m, Hermiticity.HERMITIAN)
     with pytest.raises(ValueError, match="hermitian"):
         lying.validate()
-    identity_op(basis).validate()
+    diagonal_op(basis, np.ones(basis.dimension)).validate()
 
 
 @pytest.mark.parametrize("hint", [Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN])
@@ -259,7 +258,7 @@ def test_with_values_keeps_the_positions_and_shares_the_blocks():
 
 def test_entries_are_immutable():
     basis = make_basis(BasisSpec.per_mode(1, 1))
-    op = identity_op(basis)
+    op = diagonal_op(basis, np.ones(basis.dimension))
     with pytest.raises(ValueError):
         op.entries[0, 0] = 2.0
 
@@ -301,8 +300,9 @@ def test_difference_equals_the_dense_difference(case):
 
 
 def test_difference_of_operators_on_different_bases_is_rejected():
+    small, large = make_basis(BasisSpec.per_mode(1, 1)), make_basis(BasisSpec.per_mode(1, 2))
     with pytest.raises(ValueError, match="different bases"):
-        identity_op(make_basis(BasisSpec.per_mode(1, 1))) - identity_op(make_basis(BasisSpec.per_mode(1, 2)))
+        diagonal_op(small, np.ones(small.dimension)) - diagonal_op(large, np.ones(large.dimension))
 
 
 def _states(basis):

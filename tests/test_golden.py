@@ -12,15 +12,19 @@ is unchanged) and so was spectrum-nonhermitian (the same rows, reordered
 by imaginary part within each level of equal real part).  When table1 began
 exiting 1 on a row that does not converge, its summary gained one
 `converged` entry, and table1.err, table1-json.out, table1-json.err and
-table1-pretty.out were regenerated for that entry alone.
+table1-pretty.out were regenerated for that entry alone.  When the table1
+gate came to cover E0 and E1, help-table1 was regenerated for the two
+reworded strings (the command's description and `--tol`).
 Outputs listed as BYTES must match byte for byte.  The NUMERIC ones
 carry eigensolver round-off (imaginary parts of real levels, residual
 norms near machine precision) that differs between BLAS builds; their
 cells are compared to 1e-12 instead.
 
-Regenerate the fixtures with `PYTHONPATH=src python tests/test_golden.py`.
+Regenerate fixtures with `PYTHONPATH=src python tests/test_golden.py [NAME ...]`:
+the named ones only, every fixture when no name is given.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,9 +99,12 @@ def test_output_matches_numerically(name):
 
 
 if __name__ == "__main__":
+    FIXTURES = {**BYTES, **NUMERIC}
+    if unknown := sorted(set(sys.argv[1:]) - set(FIXTURES)):
+        sys.exit(f"unknown fixture {', '.join(unknown)}; known: {', '.join(sorted(FIXTURES))}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, (args, _) in {**BYTES, **NUMERIC}.items():
-        result = _run(args)
+    for name in sys.argv[1:] or FIXTURES:
+        result = _run(FIXTURES[name][0])
         (GOLDEN / f"{name}.out").write_text(result.stdout)
         (GOLDEN / f"{name}.err").write_text(result.stderr)
         print(f"{name}: exit {result.exit_code}")

@@ -24,7 +24,7 @@ from jtrwa import (
     reality_scan,
     spin_ladder_detunings,
 )
-from jtrwa import fockspace, models, pseudoherm, spectra
+from jtrwa import cli, fockspace, models, pseudoherm, spectra
 from jtrwa.transforms import decoupling_generator
 
 BUILDERS = (build_full_jt, build_rwa, build_rotated, build_second_order)
@@ -307,7 +307,7 @@ def test_reality_scan_assembles_its_basis_once(monkeypatch):
     report = reality_scan(ModelParams(omega=1.0, omega0=0.2), basis, np.linspace(0.0, 0.5, 101))
     assert len(report.gamma_values) == 101
     assert calls == [basis]
-    assert models.model_terms.cache_info().currsize == 1  # only the Jaynes-Cummings terms, built lazily
+    assert models.model_terms.cache_info().currsize == 1  # only the nonhermitian terms, built lazily
 
 
 def test_reality_scan_finds_the_sectors_once(monkeypatch):
@@ -334,7 +334,7 @@ def test_reality_scan_assembles_one_grid_and_never_diagonalizes(monkeypatch):
         return counted
 
     assemble, diagonalize = counting("assemble", models.assemble), counting("diagonalize", spectra.diagonalize)
-    monkeypatch.setattr(models, "assemble", assemble)  # which every builder calls
+    monkeypatch.setattr(pseudoherm, "assemble", assemble)  # where the scan looks it up
     for module in (spectra, pseudoherm):
         monkeypatch.setattr(module, "diagonalize", diagonalize, raising=False)
     basis = make_basis(BasisSpec.per_mode(8, 8))
@@ -363,19 +363,32 @@ def test_assemble_hints_equal_the_former_per_builder_rules(spec, kappa, gamma):
     assert decoupling_generator(params, basis).hint is _former_hint(kappa, anti=True)
 
 
+# real couplings, and complex ones whose squares are exact.  Each scalar coupling is the grid's own numpy element:
+# Python divides a complex number by a real one differently, and numpy's array loop may fuse the multiply-add of a
+# complex product that its scalar arithmetic rounds twice, so a grid and a scalar agree bit for bit only where nothing
+# rounds
+GRID_COUPLINGS = (np.array([0.0, 0.01, -0.2, 0.3, 1.5]), np.array([0.25j, 0.5 - 0.75j, -1.125 + 0.375j, 0.0625 + 0.5j]))
+
+
 @pytest.mark.parametrize("spec", [BasisSpec.per_mode(4), BasisSpec.total_number(5)])
-@pytest.mark.parametrize(
-    "model, builder",
-    [("full", build_full_jt), ("second-order", build_second_order), ("generator", decoupling_generator)],
-)
-def test_coefficient_grid_rows_equal_the_scalar_builders(spec, model, builder):
-    # one source for the coefficients: a grid row is the scalar builder's tuple, and a grid column its operator
-    basis, params = make_basis(spec), ModelParams(omega=1.3, omega0=0.2, kappa=0.7)
-    kappas = (0.0, 0.01, -0.2, 0.3, 1.5)
-    rows = models.coefficient_grid(model, params, kappas)
-    grid = models.assemble(basis, model, rows)
-    assert rows.shape == (len(kappas), len(models.COEFFICIENTS[model](params, 0.0)))
-    for row, column, kappa in zip(rows, grid.triplets[2].T, kappas):
-        scalar = replace(params, kappa=kappa)
-        assert row.tolist() == list(models.COEFFICIENTS[model](scalar, scalar.kappa))
-        assert np.array_equal(column, builder(scalar, basis).triplets[2])
+@pytest.mark.parametrize("model", sorted(models.MODELS))
+def test_grid_columns_equal_the_scalar_operators(spec, model):
+    # one table for every model: a grid column is the operator at that coupling alone, and so is its builder's output
+    basis, params = make_basis(spec), ModelParams(omega=1.3, omega0=0.2)
+    for couplings in GRID_COUPLINGS:
+        grid, hints = models.assemble(basis, model, params, couplings), set()
+        assert grid.triplets[2].shape == (grid.triplets[0].size, couplings.size)
+        for coupling, column in zip(couplings, grid.triplets[2].T):
+            one = models.assemble(basis, model, params, coupling)
+            assert np.array_equal(column, one.triplets[2])
+            hints.add(one.hint)
+            if model in SPARSE_ASSEMBLED and (model != "nonhermitian" or (coupling.imag == 0 and coupling.real >= 0)):
+                field = "gamma" if model == "nonhermitian" else "kappa"  # gamma is a non-negative magnitude
+                built = SPARSE_ASSEMBLED[model](replace(params, **{field: coupling}), basis)
+                assert np.array_equal(column, built.triplets[2]) and built.hint is one.hint
+        assert grid.hint is (Hermiticity.GENERAL if Hermiticity.GENERAL in hints else hints.pop())
+
+
+def test_every_cli_model_is_a_table_entry_and_its_builder():
+    for name, builder in cli.MODELS.items():
+        assert name in models.MODELS and builder is SPARSE_ASSEMBLED[name]

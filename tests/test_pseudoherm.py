@@ -16,7 +16,6 @@ from jtrwa import (
     check_pt,
     conjugation_closure,
     diagonalize,
-    identity_op,
     make_basis,
     parity_op,
     pauli_ops,
@@ -24,7 +23,8 @@ from jtrwa import (
     reality_scan,
 )
 from jtrwa import pseudoherm
-from jtrwa.models import build_nonhermitian_grid
+from jtrwa.fockspace import diagonal_op
+from jtrwa.models import assemble
 from jtrwa.pseudoherm import REALITY_TOL
 from jtrwa.spectra import block_eigenvalues, level_order
 
@@ -118,7 +118,7 @@ def test_parity_pseudo_hermiticity(gamma):
 
 def test_hermitian_hamiltonian_identity_metric():
     h = build_full_jt(ModelParams(omega=1.0, omega0=0.2, kappa=0.3), BASIS)
-    assert check_pseudo_hermitian(h, identity_op(BASIS)) <= 1e-12
+    assert check_pseudo_hermitian(h, diagonal_op(BASIS, np.ones(BASIS.dimension))) <= 1e-12
 
 
 def test_singular_metric_rejected():
@@ -158,7 +158,7 @@ def test_elementwise_metric_checks_match_the_dense_formulas():
 def test_metric_checks_leave_the_dense_views_unbuilt():
     # the checks read the blocks and triplets of h and of the metric
     h = _h(0.3, omega0=0.25)
-    metrics = (parity_op(BASIS), pauli_ops(BASIS)[2], identity_op(BASIS))
+    metrics = (parity_op(BASIS), pauli_ops(BASIS)[2], diagonal_op(BASIS, np.ones(BASIS.dimension)))
     for eta in metrics:
         check_pseudo_hermitian(h, eta)
     check_combined_symmetry(h)
@@ -278,7 +278,7 @@ def test_grid_solver_equals_diagonalize_per_gamma(spec, omega0, near, anywhere, 
     exceptional = abs(1.0 - 2.0 * omega0) / np.sqrt(8.0 * (np.arange(7) + 1))
     points = [exceptional[n1] * (1.0 + side * d) for n1, d, side in near]
     gammas = np.unique([g for g in (0.0, *points, *anywhere) if np.all(np.abs(g - exceptional) >= 1e-3 * exceptional)])
-    grid = build_nonhermitian_grid(params, basis, gammas)
+    grid = assemble(basis, "nonhermitian", params, gammas)
     vals = block_eigenvalues(grid)
     assert vals.shape == (gammas.size, basis.dimension)
     tol = []

@@ -15,15 +15,14 @@ from jtrwa import (
     conjugate,
     decoupling_generator,
     diagonalize,
-    identity_op,
     interior_projector,
     make_basis,
     mode_rotation,
     residual_study,
 )
 from jtrwa import transforms
-from jtrwa.fockspace import _sectors
-from jtrwa.models import assemble, coefficient_grid
+from jtrwa.fockspace import _sectors, diagonal_op
+from jtrwa.models import assemble
 
 STUDY_PARAMS = ModelParams(omega=1.0, omega0=0.2)
 STUDY_GRID = (0.01, 0.02, 0.04, 0.08)
@@ -190,10 +189,9 @@ def test_grid_conjugate_matches_the_dense_oracle_per_column(omega0, kappas, tota
 
     basis = make_basis(BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff, cutoff + 1))
     params = ModelParams(omega=1.0, omega0=omega0)
-    couplings = 1j * np.asarray(kappas) if imaginary else kappas  # a general (complex) Hamiltonian grid, or a real one
-    model = "jaynes-cummings" if imaginary else "full"
-    t = assemble(basis, "generator", coefficient_grid("generator", params, kappas))
-    h = assemble(basis, model, coefficient_grid(model, params, couplings))
+    kappas = np.asarray(kappas)
+    t = assemble(basis, "generator", params, kappas)
+    h = assemble(basis, "nonhermitian" if imaginary else "full", params, kappas)  # a general (complex) grid, or real
     if total:  # a block of every size 1..cutoff + 1, so products of blocks of unequal size
         assert [members.shape[1] for members, _ in t.blocks()] == list(range(1, cutoff + 2))
     transformed = conjugate(t, h)
@@ -223,8 +221,8 @@ def test_conjugate_preserves_spectrum_for_anti_hermitian_generator():
 
 
 def test_conjugate_rejects_basis_mismatch():
-    h = identity_op(make_basis(BasisSpec.per_mode(2, 2)))
-    g = identity_op(make_basis(BasisSpec.per_mode(3, 3)))
+    small, large = make_basis(BasisSpec.per_mode(2, 2)), make_basis(BasisSpec.per_mode(3, 3))
+    h, g = diagonal_op(small, np.ones(small.dimension)), diagonal_op(large, np.ones(large.dimension))
     with pytest.raises(ValueError, match="different bases"):
         conjugate(g, h)
 
