@@ -34,12 +34,14 @@ from .pseudoherm import (
     check_pseudo_hermitian,
     check_pt,
     conjugation_closure,
+    gamma_grids,
     parity_op,
     reality_scan,
 )
 from .reference import EXACT_TOL, TABLE1_KAPPA2, published_row
 from .spectra import (
     benchmark_rwa_energy,
+    block_eigenvalues,
     converge_ground,
     diagonalize,
     rwa_level_ladder,
@@ -337,25 +339,15 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     commutator, the conjugation closure of the spectrum, and the
     parity/time-reversal residual.  Exits 1 if an identity fails.
     """
-    base = ModelParams(omega=omega, omega0=omega0)
     basis = _basis(nmax, total_nmax)
-    sigma0 = diagonal_op(basis, basis.spin)
-    parity = parity_op(basis)
-    rows = []
-    failed = False
-    for gamma in grid:
-        h = build_nonhermitian(replace(base, gamma=float(gamma)), basis)
-        row = {
-            "gamma": float(gamma),
-            "sigma0_residual": check_pseudo_hermitian(h, sigma0),
-            "parity_residual": check_pseudo_hermitian(h, parity),
-            "combined_commutator": check_combined_symmetry(h),
-            "conjugation_closure": conjugation_closure(diagonalize(h).eigenvalues),
-            "pt_residual": check_pt(h),
-        }
-        rows.append(row)
-        identities = ("sigma0_residual", "parity_residual", "combined_commutator")
-        failed |= any(row[key] > IDENTITY_TOL for key in identities) or row["conjugation_closure"] > CLOSURE_TOL
+    sigma0, parity = diagonal_op(basis, basis.spin), parity_op(basis)
+    columns = "gamma sigma0_residual parity_residual combined_commutator conjugation_closure pt_residual".split()
+    rows, failed = [], False
+    for gammas, h in gamma_grids(ModelParams(omega=omega, omega0=omega0), basis, grid):
+        closure = [conjugation_closure(vals) for vals in block_eigenvalues(h)]
+        checks = (check_pseudo_hermitian(h, sigma0), check_pseudo_hermitian(h, parity), check_combined_symmetry(h))
+        failed |= any(v > IDENTITY_TOL for column in checks for v in column) or any(v > CLOSURE_TOL for v in closure)
+        rows += [dict(zip(columns, row)) for row in zip(gammas.tolist(), *checks, closure, check_pt(h))]
     return rows, {"identity_tol": IDENTITY_TOL, "closure_tol": CLOSURE_TOL}, int(failed)
 
 

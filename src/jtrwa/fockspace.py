@@ -21,9 +21,9 @@ all of them or a chosen few, read by the eigensolver, the transforms and the
 checks; block_bounds() bounds each block's spectrum from below (Gershgorin),
 and validation reads each entry's transposed partner.  A model operator holds
 its model's positions, zeros included, and their layout (blocks and transpose
-map), found once (with_values).  No module of the package calls the dense
-constructor or reads the dense view `entries`; both remain for tests, as
-their oracles.
+map), found once (with_values).  Triplets are the only way to build an
+operator (from_triplets); no module of the package reads the dense view
+`entries`, which remains for tests, as their oracle.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -156,7 +156,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _summed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
     """(rows, cols, values) of a dim x dim matrix in row-major order, the values at one position summed in order."""
     positions, slot = np.unique(rows * dim + cols, return_inverse=True)
-    summed = np.zeros(positions.size, dtype=values.dtype)
+    summed = np.zeros((positions.size, *values.shape[1:]), dtype=values.dtype)
     np.add.at(summed, slot, values)
     return positions // dim, positions % dim, summed
 
@@ -229,16 +229,9 @@ class _Plan:
 class OperatorMatrix:
     """Complex matrix tagged with its basis and a structure hint, held as (rows, cols, values) triplets.
 
-    Builders hand over those triplets, exact zeros included (`from_triplets`, `with_values`).  The constructor, which
-    finds the nonzeros of a dense matrix, and the dense view `entries`, built on first read, serve tests only.
+    Builders hand over those triplets, exact zeros included (`from_triplets`, `with_values`): there is no other
+    constructor.  The dense view `entries`, built on first read, serves tests only.
     """
-
-    def __init__(self, basis: Basis, entries: np.ndarray, hint: Hermiticity = Hermiticity.GENERAL) -> None:
-        entries = np.asarray(entries, dtype=np.complex128)
-        if entries.shape != (basis.dimension,) * 2:
-            raise ValueError(f"entries shape {entries.shape} does not match basis dimension {basis.dimension}")
-        rows, cols = np.nonzero(entries)
-        self.basis, self.hint, self.triplets = basis, hint, _read_only(rows, cols, entries[rows, cols])
 
     @classmethod
     def from_triplets(cls, basis: Basis, rows, cols, values, hint=Hermiticity.GENERAL) -> "OperatorMatrix":
@@ -250,7 +243,7 @@ class OperatorMatrix:
     def with_values(self, values, hint: Hermiticity) -> "OperatorMatrix":
         """The operator with `values` at this one's positions, in their order, sharing its blocks and transpose map.
 
-        `values` of shape (nnz, G) make a grid of G operators, one per column, read only through blocks().
+        `values` of shape (nnz, G) make a grid of G operators, one per column, which blocks(), validate() and `-` keep.
         """
         op = OperatorMatrix.from_triplets(self.basis, *self.triplets[:2], values, hint)
         op._plan = self._plan
@@ -264,12 +257,12 @@ class OperatorMatrix:
         return _read_only(m)[0]
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """self - other on the union of their nonzero positions, in row-major order; exact zeros are dropped."""
+        """self - other on the union of their positions (row-major); a position zero in every column is dropped."""
         if other.basis != self.basis:
             raise ValueError("operators live on different bases")
         (r1, c1, v1), (r2, c2, v2) = self.triplets, other.triplets
         rows, cols, values = _summed(np.r_[r1, r2], np.r_[c1, c2], np.r_[v1, -v2], self.dimension)
-        keep = values != 0
+        keep = np.any(values != 0, axis=tuple(range(1, values.ndim)))
         return OperatorMatrix.from_triplets(self.basis, rows[keep], cols[keep], values[keep])
 
     @property

@@ -14,7 +14,7 @@ coefficient * term onto the pattern, exact zeros included, with no dim x dim
 array, and decides the Hermiticity hint.  assemble is the one way to build
 a model operator: a number as coupling gives one operator, an array of
 couplings a grid, on which transforms.residual_study and
-pseudoherm.reality_scan run.  The builders are its one-line forms at
+pseudoherm.gamma_grids run.  The builders are its one-line forms at
 params' own coupling; all are pure functions of (params, basis) returning
 an immutable OperatorMatrix, and are safe to call concurrently.
 

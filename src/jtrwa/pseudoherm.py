@@ -11,18 +11,20 @@ single matrix; the plain -i sigma_y K time reversal exchanges raising and
 lowering operators instead and does NOT leave the number-conserving
 coupling invariant.
 
-No check reads a dense matrix: the PT map moves the triplets of h, a diagonal
-metric maps each block of h (OperatorMatrix.blocks()) to itself, and the
-conjugation closure pairs a spectrum with its conjugate in level order.
+No check reads a dense matrix: each residual is the difference of two triplet
+operators, and the conjugation closure pairs a spectrum with its conjugate in
+level order.  Each check takes one operator (a float) or a grid (G floats).
 
-The reality scan builds no operator and calls no LAPACK per gamma: it solves
-its grid as one operator grid (models.assemble at an array of gammas) with
-spectra.block_eigenvalues, whose oracle is diagonalize.
+Both gamma commands run on gamma_grids, which builds no operator and calls no
+LAPACK per gamma: it assembles a pass of grid points as one operator grid
+(models.assemble at an array of gammas), which spectra.block_eigenvalues
+solves; diagonalize is its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .models import ModelParams, assemble
 from .spectra import block_eigenvalues, level_order
 
 REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
-GRID_STATES = 1 << 17  # grid points x basis states that reality_scan solves at once: memory stays flat in grid size
+GRID_STATES = 1 << 17  # grid points x basis states that gamma_grids assembles at once: memory stays flat in grid size
 
 
 def parity_op(basis: Basis) -> OperatorMatrix:
@@ -48,24 +50,32 @@ def pt_transform(h: OperatorMatrix) -> OperatorMatrix:
     dim, (rows, cols, values) = h.dimension, h.triplets
     same = (rows < dim // 2) == (cols < dim // 2)
     rows, cols = (np.where(same, (k + dim // 2) % dim, k) for k in (rows, cols))
-    return OperatorMatrix.from_triplets(h.basis, rows, cols, np.where(same, values.conj(), -values.conj()))
+    return OperatorMatrix.from_triplets(h.basis, rows, cols, np.where(same, values.T, -values.T).conj().T)
 
 
-def check_pt(h: OperatorMatrix) -> float:
+def _norms(values: np.ndarray) -> float | list[float]:
+    """Frobenius norm of one operator's values (nnz,), or per column of a grid's (nnz, G), summed alike for any G."""
+    return np.linalg.norm(np.ascontiguousarray(values.T), axis=-1).tolist()
+
+
+def check_pt(h: OperatorMatrix) -> float | list[float]:
     """Frobenius norm of (PT) h (PT)^-1 - h under the combined map, taken on the triplets of the difference.
 
     For the imaginary-coupling Hamiltonian the image differs from h only in
     the sign of the omega0 sigma0 term, so the residual equals
     2|omega0| sqrt(dim) and vanishes at omega0 = 0.
     """
-    return float(np.linalg.norm((pt_transform(h) - h).triplets[2]))
+    return _norms((pt_transform(h) - h).triplets[2])
 
 
-def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float:
+def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float | list[float]:
     """Frobenius norm of eta h eta^-1 - h^dagger, elementwise d_i h_ij / d_j for a diagonal metric eta = diag(d)."""
+    def adjoint(op: OperatorMatrix) -> OperatorMatrix:  # on the transposed positions, so no block is scattered
+        return OperatorMatrix.from_triplets(op.basis, op.triplets[1], op.triplets[0], op.triplets[2].conj())
+
     if h.basis != eta.basis:
         raise ValueError("Hamiltonian and metric live on different bases")
-    dev = np.max([np.abs(stack - stack.conj().swapaxes(1, 2)).max() for _, stack in eta.blocks()])
+    dev = np.abs((eta - adjoint(eta)).triplets[2]).max(initial=0.0)
     if not dev <= HINT_TOL:
         raise ValueError(f"metric is not Hermitian (deviation {dev:.3e})")
     rows, cols, values = eta.triplets
@@ -75,11 +85,12 @@ def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float:
     d[rows] = values
     if not 0 < np.abs(d).max() <= 1e12 * np.abs(d).min():  # condition number max|d| / min|d|
         raise ValueError("metric is singular or numerically non-invertible")
-    return float(np.linalg.norm([np.linalg.norm(d[m][:, :, None] * s / d[m][:, None, :] - s.conj().swapaxes(1, 2))
-                                 for m, s in h.blocks()]))
+    rows, cols, values = h.triplets
+    scaled = OperatorMatrix.from_triplets(h.basis, rows, cols, (d[rows] * values.T / d[cols]).T)
+    return _norms((scaled - adjoint(h)).triplets[2])
 
 
-def check_combined_symmetry(h: OperatorMatrix) -> float:
+def check_combined_symmetry(h: OperatorMatrix) -> float | list[float]:
     """Frobenius norm of the commutator [h, P sigma0].
 
     Pseudo-Hermiticity with respect to two metrics implies symmetry under
@@ -88,7 +99,7 @@ def check_combined_symmetry(h: OperatorMatrix) -> float:
     """
     g = h.basis.spin * (-1.0) ** (h.basis.n1 + h.basis.n2)
     rows, cols, values = h.triplets
-    return float(np.linalg.norm(values * (g[cols] - g[rows])))
+    return _norms((values.T * (g[cols] - g[rows])).T)
 
 
 def conjugation_closure(eigenvalues: np.ndarray) -> float:
@@ -116,11 +127,27 @@ class RealityReport:
     max_imag_lowk: tuple[float, ...]
     k: int
     detected_threshold: float | None
-    basis: Basis
 
     def __post_init__(self) -> None:
         if len(self.gamma_values) != len(self.max_imag_lowk):
             raise ValueError("gamma grid and imaginary-part lists must have equal length")
+
+
+def gamma_grids(params_template: ModelParams, basis: Basis, gamma_grid) -> Iterator[tuple[np.ndarray, OperatorMatrix]]:
+    """The imaginary-coupling Hamiltonian along a gamma grid, checked at once: (gammas, operator grid) per pass.
+
+    A pass assembles GRID_STATES grid points x basis states (the default grids in one), values (nnz, G).
+    """
+    gammas = np.array([float(g) for g in gamma_grid])
+    if not gammas.size:
+        raise ValueError("gamma grid must not be empty")
+    if not (np.isfinite(gammas) & (gammas >= 0)).all():
+        raise ValueError("gamma values must be finite and non-negative")
+    if np.any(np.diff(gammas) <= 0):
+        raise ValueError("gamma grid must be strictly ascending")
+    rows = max(1, GRID_STATES // basis.dimension)
+    return ((chunk, assemble(basis, "nonhermitian", params_template, chunk))
+            for chunk in np.split(gammas, range(rows, gammas.size, rows)))
 
 
 def reality_scan(
@@ -129,30 +156,20 @@ def reality_scan(
     gamma_grid,
     k: int = 4,
 ) -> RealityReport:
-    """Solve the imaginary-coupling Hamiltonian along a gamma grid, many grid points per stacked pass.
+    """Solve the imaginary-coupling Hamiltonian along a gamma grid, pass by pass of gamma_grids.
 
     Records max |Im| over the k lowest-by-real-part eigenvalues per grid
     point and detects the first reality-breaking gamma.  The lowest coupled
     block breaks at gamma^2 = (omega - 2 omega0)^2 / 8, which the detected
-    threshold matches to within one grid step.  A stacked pass solves
-    GRID_STATES grid points x basis states (the default grid in one).
+    threshold matches to within one grid step.
     """
-    gammas = np.array([float(g) for g in gamma_grid])
-    if not gammas.size:
-        raise ValueError("gamma grid must not be empty")
-    if not np.isfinite(gammas).all():
-        raise ValueError("gamma values must be finite")
-    if np.any(gammas < 0):
-        raise ValueError("gamma values must be non-negative")
-    if np.any(np.diff(gammas) <= 0):
-        raise ValueError("gamma grid must be strictly ascending")
     if not 1 <= k <= basis.dimension:
         raise ValueError(f"k must lie in 1..{basis.dimension}, the basis dimension, got {k}")
 
-    max_imag, rows = [], max(1, GRID_STATES // basis.dimension)
-    for start in range(0, gammas.size, rows):
-        vals = block_eigenvalues(assemble(basis, "nonhermitian", params_template, gammas[start:start + rows]))
+    gammas, max_imag = [], []
+    for chunk, h in gamma_grids(params_template, basis, gamma_grid):
+        vals = block_eigenvalues(h)
+        gammas += chunk.tolist()
         max_imag += np.abs(np.take_along_axis(vals, level_order(vals)[:, :k], axis=-1).imag).max(axis=-1).tolist()
-    gammas = gammas.tolist()
     threshold = next((g for g, worst in zip(gammas, max_imag) if worst > REALITY_TOL), None)
-    return RealityReport(tuple(gammas), tuple(max_imag), k, threshold, basis)
+    return RealityReport(tuple(gammas), tuple(max_imag), k, threshold)

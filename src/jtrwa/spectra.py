@@ -11,8 +11,8 @@ general complex solver; the dense solve of the whole matrix is the test
 oracle.  Asked for its k lowest levels only (levels=k, as converge_ground
 asks), it solves only the blocks whose Gershgorin lower bound can reach
 them, lowest bound first, and the full solve is that path's oracle.
-block_eigenvalues solves the same blocks unsorted, for one operator
-or a grid of them (reality_scan's gamma grid), 2x2 blocks in closed form;
+block_eigenvalues solves the same blocks unsorted, for one operator or a
+grid of them (a pass of pseudoherm.gamma_grids), 2x2 blocks in closed form;
 diagonalize is its oracle.  Eigenvalues are sorted by real part, then
 imaginary part, where real parts within LEVEL_GAP of each other (relative to
 the spectral radius) are one level: exactly degenerate levels are ordered by
@@ -49,7 +49,6 @@ class Spectrum:
     """
 
     eigenvalues: np.ndarray
-    basis: Basis
     eigenvectors: np.ndarray | None = None
     residual_norms: np.ndarray | None = None
     converged: bool = True
@@ -187,7 +186,7 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     order = level_order(vals)
     if want_vectors:
         vecs, residuals = vecs[:, order], residuals[order]
-    return Spectrum(vals[order], op.basis, eigenvectors=vecs, residual_norms=residuals, levels=levels)
+    return Spectrum(vals[order], eigenvectors=vecs, residual_norms=residuals, levels=levels)
 
 
 def total_number_schedule(cutoffs: Iterable[int]) -> list[BasisSpec]:

@@ -38,7 +38,6 @@ class TransformReport:
     residual_norms: tuple[float, ...]
     residual_norms_spectral: tuple[float, ...]
     fitted_slope: float
-    basis: Basis
 
     def __post_init__(self) -> None:
         if not (len(self.kappa_values) == len(self.residual_norms) == len(self.residual_norms_spectral)):
@@ -207,7 +206,7 @@ def residual_study(
     spectral = [_spectral_norm(core.with_values(column, core.hint)) for column in core.triplets[2].T]
 
     slope = float(np.polyfit(np.log(kappas), np.log(fro), 1)[0])
-    return TransformReport(tuple(kappas), tuple(fro.tolist()), tuple(spectral), slope, basis)
+    return TransformReport(tuple(kappas), tuple(fro.tolist()), tuple(spectral), slope)
 
 
 def _spectral_norm(op: OperatorMatrix) -> float:

@@ -11,8 +11,26 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from jtrwa import (
+    BasisSpec,
+    ModelParams,
+    build_nonhermitian,
+    check_combined_symmetry,
+    check_pseudo_hermitian,
+    check_pt,
+    conjugation_closure,
+    diagonalize,
+    make_basis,
+    models,
+    parity_op,
+    pseudoherm,
+    reality_scan,
+    spectra,
+)
 from jtrwa import cli as cli_module
 from jtrwa.cli import MAX_GRID_POINTS, cli, parse_grid
+from jtrwa.fockspace import diagonal_op
+from jtrwa.models import assemble
 
 
 def run_cli(args, out=None):
@@ -354,12 +372,19 @@ def test_grid_length_is_capped():
 
 
 @pytest.mark.parametrize(
-    "args", [["reality-scan", "--k-low", "0"], ["converge", "--tol", "0"], ["spectrum", "--kappa2", "-1"]]
+    "args",
+    [
+        ["reality-scan", "--k-low", "0"],
+        ["converge", "--tol", "0"],
+        ["spectrum", "--kappa2", "-1"],
+        ["pseudoherm", "--grid", "-0.1:0.1:0.1"],
+    ],
 )
 def test_out_of_range_option_is_usage_error(args):
     result = run_cli(args)
     assert result.exit_code == 2
     assert "Traceback" not in result.output
+    assert len([line for line in result.stderr.splitlines() if line.startswith("Error:")]) == 1
 
 
 def test_oversized_grid_is_usage_error():
@@ -428,6 +453,59 @@ def test_pseudoherm_identities_hold(tmp_path):
         values = [float(v) for v in line.split(",")]
         assert values[1] <= 1e-12 and values[2] <= 1e-12 and values[3] <= 1e-12
         assert values[4] <= 1e-10
+
+
+def _exceptional_points(omega0, nmax):
+    # gamma where the 2x2 block of n1 is defective: both solvers err by sqrt(eps) there
+    return abs(1.0 - 2.0 * omega0) / np.sqrt(8.0 * (np.arange(nmax + 1) + 1))
+
+
+@pytest.mark.parametrize("omega0, nmax, total_nmax, grid", [
+    (0.0, 5, None, "0.1:0.3:0.1"),
+    (0.2, 8, None, "0:0.6:0.01"),
+    (-0.3, 8, 20, "0:0.5:0.01"),
+    (0.7, 8, 20, "0:0.5:0.01"),
+])
+def test_pseudoherm_rows_equal_the_per_gamma_path(omega0, nmax, total_nmax, grid):
+    # reference: one builder call, one diagonalize and the scalar checks per gamma
+    basis = make_basis(BasisSpec.total_number(total_nmax) if total_nmax else BasisSpec.per_mode(nmax))
+    eps = _exceptional_points(omega0, total_nmax or nmax)
+    gammas = tuple(g for g in parse_grid(grid) if np.all(np.abs(g - eps) >= 1e-3 * eps))
+    rows, _, code = cli_module.pseudoherm_command(1.0, omega0, nmax, total_nmax, gammas)
+    assert code == 0 and len(rows) == len(gammas)
+    sigma0, parity = diagonal_op(basis, basis.spin), parity_op(basis)
+    for row, gamma in zip(rows, gammas):
+        h = build_nonhermitian(ModelParams(omega=1.0, omega0=omega0, gamma=gamma), basis)
+        expected = {
+            "gamma": gamma,
+            "sigma0_residual": check_pseudo_hermitian(h, sigma0),
+            "parity_residual": check_pseudo_hermitian(h, parity),
+            "combined_commutator": check_combined_symmetry(h),
+            "conjugation_closure": conjugation_closure(diagonalize(h).eigenvalues),
+            "pt_residual": check_pt(h),
+        }
+        assert list(row) == list(expected)
+        assert all(abs(row[key] - value) <= 1e-12 * max(1.0, abs(value)) for key, value in expected.items()), row
+        assert row["conjugation_closure"] <= 1e-10
+
+
+def test_gamma_commands_in_several_passes_equal_one_pass(monkeypatch):
+    basis, grid = make_basis(BasisSpec.per_mode(4)), parse_grid("0:0.5:0.01")  # 51 points
+    params = ModelParams(omega=1.0, omega0=0.1)
+    whole = cli_module.pseudoherm_command(1.0, 0.1, 4, None, grid), reality_scan(params, basis, grid)
+    passes = []
+
+    def counted(*args):
+        passes.append(args[3].size)
+        return assemble(*args)
+
+    monkeypatch.setattr(pseudoherm, "assemble", counted)  # where gamma_grids looks it up
+    monkeypatch.setattr(pseudoherm, "GRID_STATES", 5 * basis.dimension)  # passes of five grid points
+    for module in (cli_module, spectra, models):  # neither command builds or diagonalizes one operator per gamma
+        for name in ("build_nonhermitian", "diagonalize"):
+            monkeypatch.setattr(module, name, _raise(AssertionError(name)), raising=False)
+    assert (cli_module.pseudoherm_command(1.0, 0.1, 4, None, grid), reality_scan(params, basis, grid)) == whole
+    assert passes == 2 * ([5] * 10 + [1])
 
 
 def test_json_format_mirrors_csv_fields(tmp_path):

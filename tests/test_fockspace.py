@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense import dense_op
 from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
@@ -204,7 +205,7 @@ def test_hint_validation_catches_lies():
     basis = make_basis(BasisSpec.per_mode(1, 1))
     m = np.zeros((8, 8))
     m[0, 1] = 1.0
-    lying = OperatorMatrix(basis, m, Hermiticity.HERMITIAN)
+    lying = dense_op(basis, m, Hermiticity.HERMITIAN)
     with pytest.raises(ValueError, match="hermitian"):
         lying.validate()
     diagonal_op(basis, np.ones(basis.dimension)).validate()
@@ -224,7 +225,7 @@ def test_hint_deviation_equals_the_dense_formula(hint):
             reference = np.abs(m - m.conj().T).max()
         else:
             reference = np.abs(m + m.conj().T).max()
-        op = OperatorMatrix(basis, m, hint)
+        op = dense_op(basis, m, hint)
         if reference > 1e-12:
             message = f"matrix violates {hint.value} hint: deviation {reference:.3e} > 1.0e-12"
             with pytest.raises(ValueError) as failure:
@@ -237,7 +238,7 @@ def test_hint_deviation_equals_the_dense_formula(hint):
 def test_with_values_keeps_the_positions_and_shares_the_blocks():
     basis = make_basis(BasisSpec.per_mode(3, 2))
     rng = np.random.default_rng(13)
-    pattern = OperatorMatrix(basis, np.where(rng.random((24, 24)) < 0.08, 1.0, 0.0))
+    pattern = dense_op(basis, np.where(rng.random((24, 24)) < 0.08, 1.0, 0.0))
     rows, cols, _ = pattern.triplets
     ops = []
     for scale in (0.0, 1.5):  # all zeros, then values on every position
@@ -263,18 +264,18 @@ def test_entries_are_immutable():
         op.entries[0, 0] = 2.0
 
 
-def test_dense_construction_keeps_only_the_triplets():
-    # one storage form: the dense argument is scanned once and not kept; entries is rebuilt from the triplets
+def test_from_triplets_is_the_only_constructor_and_keeps_only_the_triplets():
+    # one storage form: the triplets are owned and made read-only; entries is rebuilt from them on first read
     basis = make_basis(BasisSpec.per_mode(2, 1))
     m = np.random.default_rng(5).normal(size=(12, 12)) * (np.arange(12) % 3 == 0)
-    original = m.copy()
-    op = OperatorMatrix(basis, m)
-    assert "triplets" in vars(op) and "entries" not in vars(op)
     rows, cols = np.nonzero(m)
-    assert [a.tolist() for a in op.triplets] == [rows.tolist(), cols.tolist(), m[rows, cols].tolist()]
+    op = OperatorMatrix.from_triplets(basis, rows, cols, m[rows, cols].astype(complex))
+    assert "triplets" in vars(op) and "entries" not in vars(op)
+    assert op.triplets[0] is rows and op.triplets[1] is cols
     assert not any(a.flags.writeable for a in op.triplets)
-    m[0, 0] += 1.0
-    assert np.array_equal(op.entries, original) and not op.entries.flags.writeable
+    assert np.array_equal(op.entries, m) and not op.entries.flags.writeable
+    with pytest.raises(TypeError):
+        OperatorMatrix(basis, m)  # the dense constructor is gone
 
 
 def _random_sparse(basis, rng, density):
@@ -293,10 +294,31 @@ def test_difference_equals_the_dense_difference(case):
         b = _random_sparse(basis, rng, 1.0) * (a == 0)
     else:
         b = a * (rng.random(a.shape) < 0.5)  # a - b keeps half of a's entries, the others cancel exactly
-    diff = OperatorMatrix(basis, a) - OperatorMatrix(basis, b)
+    diff = dense_op(basis, a) - dense_op(basis, b)
     rows, cols = np.nonzero(a - b)
     assert [t.tolist() for t in diff.triplets] == [rows.tolist(), cols.tolist(), (a - b)[rows, cols].tolist()]
     assert np.array_equal(diff.entries, a - b)
+
+
+def test_grid_difference_is_the_difference_per_column():
+    # a position is dropped only where every column of the difference is zero
+    basis = make_basis(BasisSpec.total_number(3))
+    rng = np.random.default_rng(17)
+    a, b = (np.stack([_random_sparse(basis, rng, 0.3) for _ in range(3)], axis=-1) for _ in range(2))
+    b[..., 1] = a[..., 1]  # column 1 cancels everywhere
+    a[0, 0, :] = b[0, 0, :] = 1.0 + 2.0j  # position (0, 0) is held by both and cancels in every column
+    grid_a, grid_b = (_grid_op(basis, m) for m in (a, b))
+    diff = grid_a - grid_b
+    rows, cols = np.nonzero(np.any(a != b, axis=-1))
+    assert [t.tolist() for t in diff.triplets[:2]] == [rows.tolist(), cols.tolist()]
+    assert np.array_equal(diff.triplets[2], (a - b)[rows, cols])
+    assert not diff.triplets[2][:, 1].any() and (0, 0) not in zip(rows.tolist(), cols.tolist())
+
+
+def _grid_op(basis, stack):
+    """The grid of operators stack[..., g] on the union of their nonzero positions, values (nnz, G)."""
+    rows, cols = np.nonzero(np.any(stack != 0, axis=-1))
+    return OperatorMatrix.from_triplets(basis, rows, cols, stack[rows, cols])
 
 
 def test_difference_of_operators_on_different_bases_is_rejected():
@@ -362,7 +384,7 @@ def test_validate_leaves_entries_unbuilt():
 def _random_pattern(seed, density=0.08):
     basis = make_basis(BasisSpec.per_mode(3, 2))
     rng = np.random.default_rng(seed)
-    return rng, OperatorMatrix(basis, np.where(rng.random((24, 24)) < density, 1.0, 0.0))
+    return rng, dense_op(basis, np.where(rng.random((24, 24)) < density, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -378,10 +400,10 @@ def test_block_bounds_lie_below_every_eigenvalue_of_their_block(seed):
 def test_block_bounds_of_a_diagonal_operator_are_its_entries_and_an_overflowing_radius_is_minus_infinity():
     basis = make_basis(BasisSpec.per_mode(1, 1))
     diagonal = np.arange(8.0) - 3.0
-    assert np.array_equal(np.sort(OperatorMatrix(basis, np.diag(diagonal)).block_bounds()), diagonal)
+    assert np.array_equal(np.sort(dense_op(basis, np.diag(diagonal)).block_bounds()), diagonal)
     m = np.diag(diagonal).astype(complex)
     m[0, 1] = m[0, 2] = 1e308 + 1e308j
-    bounds = OperatorMatrix(basis, m).block_bounds()
+    bounds = dense_op(basis, m).block_bounds()
     assert np.isneginf(bounds).sum() == 1 and np.isfinite(bounds).sum() == bounds.size - 1
 
 
@@ -411,7 +433,7 @@ def test_grid_hint_deviation_is_the_largest_of_its_columns(hint):
     dense = 0.5 * (dense + sign * dense.conj().transpose(1, 0, 2))  # (anti-)Hermitian, on a symmetric pattern
     off = np.flatnonzero(rows != cols)[0]
     dense[rows[off], cols[off], 2] += 1e-3  # one column lies
-    symmetric = OperatorMatrix(pattern.basis, np.abs(dense).sum(axis=2))
+    symmetric = dense_op(pattern.basis, np.abs(dense).sum(axis=2))
     grid = symmetric.with_values(dense[symmetric.triplets[0], symmetric.triplets[1]], hint)
     columns = [symmetric.with_values(dense[symmetric.triplets[0], symmetric.triplets[1], g], hint) for g in range(4)]
     reference = max(np.abs(dense[..., g] - sign * dense[..., g].conj().T).max() for g in range(4))

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense import dense_op
 from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
@@ -94,7 +95,7 @@ def test_pt_transform_equals_the_dense_block_formula(spec):
     shape = (basis.dimension,) * 2
     m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.4)
     np.fill_diagonal(m, 0.0)  # exact zeros on the diagonal; the random pattern is not PT-invariant
-    h = OperatorMatrix(basis, m)
+    h = dense_op(basis, m)
     assert np.array_equal(pt_transform(h).entries, _dense_pt(m))
     assert check_pt(h) == pytest.approx(np.linalg.norm(_dense_pt(m) - m, "fro"), rel=1e-12, abs=0.0)
 
@@ -122,35 +123,33 @@ def test_hermitian_hamiltonian_identity_metric():
 
 
 def test_singular_metric_rejected():
-    from jtrwa import Hermiticity, OperatorMatrix
+    from jtrwa import Hermiticity
 
-    singular = OperatorMatrix(BASIS, np.zeros((BASIS.dimension,) * 2), Hermiticity.HERMITIAN)
+    singular = dense_op(BASIS, np.zeros((BASIS.dimension,) * 2), Hermiticity.HERMITIAN)
     with pytest.raises(ValueError, match="singular"):
         check_pseudo_hermitian(_h(0.2), singular)
 
 
 def test_non_hermitian_metric_rejected():
-    from jtrwa import Hermiticity, OperatorMatrix
-
     m = np.eye(BASIS.dimension, dtype=complex)
     m[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        check_pseudo_hermitian(_h(0.2), OperatorMatrix(BASIS, m))
+        check_pseudo_hermitian(_h(0.2), dense_op(BASIS, m))
 
 
 def test_non_diagonal_metric_rejected():
     m = np.eye(BASIS.dimension, dtype=complex)
     m[0, 1] = m[1, 0] = 0.5
     with pytest.raises(ValueError, match="not diagonal"):
-        check_pseudo_hermitian(_h(0.2), OperatorMatrix(BASIS, m))
+        check_pseudo_hermitian(_h(0.2), dense_op(BASIS, m))
 
 
 def test_elementwise_metric_checks_match_the_dense_formulas():
     h = _h(0.3, omega0=0.25).entries + 0.01 * np.triu(np.ones((BASIS.dimension,) * 2))
-    op = OperatorMatrix(BASIS, h)
+    op = dense_op(BASIS, h)
     d = np.random.default_rng(2).uniform(0.5, 2.0, BASIS.dimension) * np.sign(np.diag(parity_op(BASIS).entries))
     dense = np.linalg.norm(np.diag(d) @ h @ np.linalg.inv(np.diag(d)) - h.conj().T, "fro")
-    assert abs(check_pseudo_hermitian(op, OperatorMatrix(BASIS, np.diag(d))) - dense) <= 1e-12 * dense
+    assert abs(check_pseudo_hermitian(op, dense_op(BASIS, np.diag(d))) - dense) <= 1e-12 * dense
     g = parity_op(BASIS).entries @ pauli_ops(BASIS)[2].entries
     assert check_combined_symmetry(op) == pytest.approx(np.linalg.norm(h @ g - g @ h, "fro"), rel=1e-14)
 
@@ -166,11 +165,48 @@ def test_metric_checks_leave_the_dense_views_unbuilt():
     assert not any("entries" in vars(op) for op in (h, *metrics))
 
 
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(5, 3), BasisSpec.total_number(8)],
+                         ids=lambda spec: spec.truncation.value)
+@pytest.mark.parametrize("omega0", [0.0, 0.2, -0.3])
+@pytest.mark.parametrize("model, builder, coupling", [("nonhermitian", build_nonhermitian, "gamma"),
+                                                      ("full", build_full_jt, "kappa")])  # a nonzero metric residual
+def test_grid_checks_equal_the_scalar_checks_per_coupling(spec, omega0, model, builder, coupling):
+    basis, params = make_basis(spec), ModelParams(omega=1.0, omega0=omega0)
+    couplings = np.array([0.0, 0.05, 0.2, 0.35, 0.6])
+    grid = assemble(basis, model, params, couplings)
+    scalars = [builder(replace(params, **{coupling: c}), basis) for c in couplings.tolist()]
+    metrics = (pauli_ops(basis)[2], parity_op(basis))
+    checks = [*(lambda h, eta=eta: check_pseudo_hermitian(h, eta) for eta in metrics),
+              check_combined_symmetry, check_pt]
+    for check in checks:
+        columns = check(grid)
+        assert isinstance(columns, list) and len(columns) == couplings.size
+        np.testing.assert_allclose(columns, [check(h) for h in scalars], rtol=1e-14, atol=0.0)
+        assert isinstance(check(scalars[0]), float)
+    if model == "full":
+        assert min(check_pseudo_hermitian(grid, metrics[0])[1:]) > 0.1
+
+
+def test_symmetry_checks_scatter_no_block(monkeypatch):
+    # the metric checks, the commutator and the PT residual work on triplets, for one operator and for a grid
+    h, grid = _h(0.3, omega0=0.25), assemble(BASIS, "nonhermitian", ModelParams(omega=1.0), np.array([0.1, 0.3]))
+    monkeypatch.setattr(OperatorMatrix, "blocks", _raise_on_call)
+    for op in (h, grid):
+        check_pseudo_hermitian(op, parity_op(BASIS))
+        check_pseudo_hermitian(op, pauli_ops(BASIS)[2])
+        check_combined_symmetry(op)
+        check_pt(op)
+
+
+def _raise_on_call(*_args, **_kwargs):
+    raise AssertionError("a block was scattered")
+
+
 def test_metric_hermiticity_is_checked_before_diagonality():
     m = np.eye(BASIS.dimension, dtype=complex)
     m[0, 1], m[1, 0] = 0.5, 0.5 + 1e-9j  # neither Hermitian nor diagonal
     with pytest.raises(ValueError, match=r"^metric is not Hermitian \(deviation 1\.000e-09\)$"):
-        check_pseudo_hermitian(_h(0.2), OperatorMatrix(BASIS, m))
+        check_pseudo_hermitian(_h(0.2), dense_op(BASIS, m))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5])
@@ -186,7 +222,7 @@ def test_combined_symmetry_for_real_coupling_model():
 def test_combined_symmetry_broken_by_displacement_term():
     a1, a1d = boson_ops(BASIS, 1)
     h = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=0.3), BASIS)
-    perturbed = OperatorMatrix(BASIS, h.entries + 0.05 * (a1.entries + a1d.entries))
+    perturbed = dense_op(BASIS, h.entries + 0.05 * (a1.entries + a1d.entries))
     assert check_combined_symmetry(perturbed) > 1e-3
 
 
@@ -253,6 +289,14 @@ def test_reality_scan_in_several_passes_equals_one_pass(monkeypatch):
     monkeypatch.setattr(pseudoherm, "GRID_STATES", 5 * BASIS.dimension)  # passes of five grid points
     assert reality_scan(params, BASIS, grid) == whole
     assert whole.detected_threshold is not None
+
+
+def test_gamma_grids_checks_the_whole_grid_before_the_first_pass():
+    params = ModelParams(omega=1.0)
+    for grid, message in (([], "empty"), ([0.1, -0.1], "non-negative"), ([0.1, np.nan], "finite"),
+                          ([0.2, 0.1], "ascending")):
+        with pytest.raises(ValueError, match=message):
+            pseudoherm.gamma_grids(params, BASIS, grid)  # raises on the call, not when the passes are drawn
 
 
 def _reality_by_diagonalize(params, basis, gammas, k):

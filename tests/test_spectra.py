@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense import dense_op
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -8,7 +9,6 @@ from jtrwa import (
     Branch,
     Hermiticity,
     ModelParams,
-    OperatorMatrix,
     RwaLevel,
     SPIN_DOWN,
     SPIN_UP,
@@ -48,7 +48,7 @@ BUILDERS = {
 def test_diagonal_matrix_spectrum_is_sorted_diagonal():
     basis = make_basis(BasisSpec.per_mode(1, 1))
     diag = np.array([3.0, -1.0, 2.0, 0.0, 5.0, 4.0, -2.0, 1.0])
-    op = OperatorMatrix(basis, np.diag(diag), Hermiticity.HERMITIAN)
+    op = dense_op(basis, np.diag(diag), Hermiticity.HERMITIAN)
     spectrum = diagonalize(op)
     assert np.allclose(spectrum.eigenvalues.real, np.sort(diag))
     assert np.abs(spectrum.eigenvalues.imag).max() == 0.0
@@ -86,7 +86,7 @@ def test_lying_hermitian_hint_is_caught():
     m = np.zeros((8, 8))
     m[1, 0] = 1.0
     with pytest.raises(ValueError, match="hermitian"):
-        diagonalize(OperatorMatrix(basis, m, Hermiticity.HERMITIAN))
+        diagonalize(dense_op(basis, m, Hermiticity.HERMITIAN))
 
 
 def test_full_model_splits_into_one_block_per_angular_momentum():
@@ -183,7 +183,7 @@ def test_level_order_orders_each_row_as_the_one_dimensional_call(rows):
 ])
 def test_ground_and_first_excited_are_the_smallest_real_parts(diagonal, ground, excited):
     # real parts within LEVEL_GAP are one level, ordered by imaginary part, so the order is not ascending in them
-    spectrum = diagonalize(OperatorMatrix(make_basis(BasisSpec.per_mode(1, 1)), np.diag(diagonal)))
+    spectrum = diagonalize(dense_op(make_basis(BasisSpec.per_mode(1, 1)), np.diag(diagonal)))
     assert spectrum.ground_energy == ground
     assert spectrum.first_excited_energy() == excited
 
@@ -193,7 +193,7 @@ def test_one_block_is_the_dense_solve():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
     m = m + m.conj().T
-    spectrum = diagonalize(OperatorMatrix(basis, m, Hermiticity.HERMITIAN))
+    spectrum = diagonalize(dense_op(basis, m, Hermiticity.HERMITIAN))
     assert np.array_equal(spectrum.eigenvalues.real, np.linalg.eigvalsh(m))
 
 
@@ -206,7 +206,7 @@ def test_degenerate_real_parts_are_ordered_by_imaginary_part_in_any_basis_order(
                                 (0.5, 0.4), (2.5, 0.6), (0.5, 0.1), (1.5, 0.2), (2.5, 0.3)]):
         m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, 1j * b], [1j * b, a]]
     m[20:, 20:] = np.diag([1.5, 2.5, 0.5, 1.5])
-    expected = diagonalize(OperatorMatrix(basis, m)).eigenvalues
+    expected = diagonalize(dense_op(basis, m)).eigenvalues
     real = np.round(expected.real, 9)
     assert np.all(np.diff(real) >= 0)
     for level in np.unique(real):
@@ -214,7 +214,7 @@ def test_degenerate_real_parts_are_ordered_by_imaginary_part_in_any_basis_order(
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = rng.permutation(24)
-        got = diagonalize(OperatorMatrix(basis, m[np.ix_(p, p)])).eigenvalues
+        got = diagonalize(dense_op(basis, m[np.ix_(p, p)])).eigenvalues
         assert np.abs(got - expected).max() <= 1e-12
 
 
@@ -573,8 +573,7 @@ def test_blockwise_hint_deviation_equals_validate(hint):
     matrices = [dense, scattered, h, hermitian, hermitian + 1e-14 * in_pattern, hermitian + 1e-9 * in_pattern,
                 np.zeros((24, 24)), nan]
     for m in (phase * m for m in matrices):
-        rows, cols = np.nonzero(m)
-        op = OperatorMatrix.from_triplets(basis, rows, cols, m[rows, cols], hint)
+        op = dense_op(basis, m, hint)
         if hint is Hermiticity.HERMITIAN:
             def consume():
                 assert np.abs(diagonalize(op).eigenvalues.real - np.linalg.eigvalsh(m)).max() <= 1e-12
@@ -657,7 +656,7 @@ def test_levels_keep_the_hint_check():
     basis = make_basis(BasisSpec.per_mode(1, 1))
     m = np.zeros((8, 8))
     m[0, 1] = 1.0
-    lying = OperatorMatrix(basis, m, Hermiticity.HERMITIAN)
+    lying = dense_op(basis, m, Hermiticity.HERMITIAN)
     with pytest.raises(ValueError, match=r"^matrix violates hermitian hint: deviation 1\.000e\+00 > 1\.0e-12$"):
         diagonalize(lying, levels=1)
 

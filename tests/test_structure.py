@@ -105,10 +105,13 @@ def _hints_named_outside_assemble(path):
     yield from walk(ast.parse(path.read_text(), filename=str(path)), False)
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in ("models.py", "transforms.py")],
-                         ids=lambda path: path.name)
+HINT_RULED = ("models.py", "transforms.py", "pseudoherm.py", "cli.py")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name in HINT_RULED], ids=lambda path: path.name)
 def test_only_assemble_decides_a_model_operators_hint(path):
-    # assemble derives the hint from the model and its coefficients; no builder, generator or consumer picks one
+    # assemble derives the hint from the model and its coefficients; no builder, generator, consumer or scan
+    # (gamma_grids and the commands on it) picks one
     assert list(_hints_named_outside_assemble(path)) == []
 
 
