@@ -4,7 +4,8 @@ Every command emits one table (CSV by default, JSON/pretty on request)
 with a mandatory header row; floats are fixed at 9 significant digits so
 identical configurations produce byte-identical output.  Summary lines go
 to stderr so CSV on stdout stays clean.  Each command is declared once,
-by `command(name, *options)`.
+by `command(name, *options)`; its body returns the table as columns, and
+`_emit` formats a whole table with one `%`, one spec per column.
 
 Exit codes: 0 success, 1 acceptance-threshold failure or eigensolver
 failure, 2 usage error (a problem too large for memory included).
@@ -16,6 +17,7 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import click
 import numpy as np
@@ -102,29 +104,41 @@ def _kappa_grid(text: str | None) -> tuple[float, ...]:
 def _format_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return "%.9g" % value
-    return str(value)
+    return "%.9g" % value if isinstance(value, float) else str(value)
 
 
-def _emit(command: str, rows: list, summary: dict, exit_code: int, fmt: str, out: str | None) -> int:
+def _spec(column: list) -> str:
+    """The `%` spec of a column: "%.9g" for floats alone, "%d" for ints alone, else "%s" of `_format_value`."""
+    types = set(map(type, column))
+    if all(issubclass(t, float) for t in types):
+        return "%.9g"
+    return "%d" if types == {int} else "%s"
+
+
+def _emit(command: str, columns: dict, summary: dict, exit_code: int, fmt: str, out: str | None) -> int:
     """Write a command's table to stdout or `out` and its summary lines, and pass its exit code on.
 
+    `columns` maps each column name, in table order, to its values (an array or a sequence, all of one length).
+    Each column has one spec (`_spec`); the CSV is one `%` of the repeated row format over the cells in row order.
     The summary goes to stderr, except in the pretty format, which appends it to the table.
     """
     notes = [f"{key} = {'none' if value is None else _format_value(value)}" for key, value in summary.items()]
-    lines = []
+    values = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns.values()]
+    count = len(values[0]) if values else 0
+    text = ""
     if fmt == "json":
-        lines = [json.dumps({"command": command, "rows": rows, "summary": summary}, indent=2)]
-    elif rows:
-        columns = list(rows[0])
-        table = [columns] + [[_format_value(row[c]) for c in columns] for row in rows]
+        rows = [dict(zip(columns, row)) for row in zip(*values)]
+        text = json.dumps({"command": command, "rows": rows, "summary": summary}, indent=2) + "\n"
+    elif count:
+        specs = [_spec(column) for column in values]
+        cells = [column if spec != "%s" else [_format_value(v) for v in column] for spec, column in zip(specs, values)]
         if fmt == "csv":
-            lines = [",".join(cells) for cells in table]
+            text = ",".join(columns) + "\n" + (",".join(specs) + "\n") * count % tuple(chain.from_iterable(zip(*cells)))
         else:
-            widths = [max(map(len, column)) for column in zip(*table)]
-            lines = ["  ".join(v.ljust(w) for v, w in zip(cells, widths)) for cells in table] + notes
-    text = "".join(line + "\n" for line in lines)
+            table = [[name] + [spec % v for v in column] for name, spec, column in zip(columns, specs, cells)]
+            widths = [max(map(len, column)) for column in table]
+            lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in zip(*table)] + notes
+            text = "".join(line + "\n" for line in lines)
     if out:
         try:
             with open(out, "w") as handle:
@@ -177,7 +191,7 @@ def cli() -> None:
 def command(name: str, *options):
     """Declare the CLI command `name` with its click options, `--format` and `--out` among them.
 
-    The decorated body takes the other option values and returns (rows, summary, exit code).
+    The decorated body takes the other option values and returns (columns, summary, exit code): see `_emit`.
     The process exits only after the body has returned, so the traceback that the exit
     carries holds none of the body's arrays.
     """
@@ -252,20 +266,11 @@ def table1_command(omega, omega0, kappa2, tol):
                 pub_rwa, pub_exact = published[2 * level], published[2 * level + 1]
                 delta = abs(exact[level] - pub_exact)
                 worst_delta = max(worst_delta, delta)
-            rows.append(
-                {
-                    "kappa2": float(k2),
-                    "level": name,
-                    "e_rwa_closed_form": closed_form[level],
-                    "e_rwa_fit": benchmark_rwa_energy(level, params),
-                    "e_exact_computed": exact[level],
-                    "e_rwa_published": pub_rwa,
-                    "e_exact_published": pub_exact,
-                    "abs_delta": delta,
-                }
-            )
+            cells = (closed_form[level], benchmark_rwa_energy(level, params), exact[level], pub_rwa, pub_exact, delta)
+            rows.append((float(k2), name, *cells))
+    names = "kappa2 level e_rwa_closed_form e_rwa_fit e_exact_computed e_rwa_published e_exact_published abs_delta"
     summary = {"worst_abs_delta": worst_delta, "tolerance": EXACT_TOL, "converged": converged}
-    return rows, summary, int(worst_delta > EXACT_TOL or not converged)
+    return dict(zip(names.split(), zip(*rows))), summary, int(worst_delta > EXACT_TOL or not converged)
 
 
 @command(
@@ -280,12 +285,9 @@ def spectrum_command(omega, omega0, nmax, total_nmax, model, kappa2, gamma):
     """Diagonalize one model Hamiltonian and list its eigenvalues."""
     params = _model_params(model, omega, omega0, kappa2, gamma)
     basis = _basis(nmax, total_nmax)
-    spectrum = diagonalize(MODELS[model](params, basis))
-    rows = [
-        {"index": k, "re_energy": float(v.real), "im_energy": float(v.imag)}
-        for k, v in enumerate(spectrum.eigenvalues)
-    ]
-    return rows, {"dimension": basis.dimension, "model": model}, 0
+    levels = diagonalize(MODELS[model](params, basis)).eigenvalues
+    columns = {"index": np.arange(len(levels)), "re_energy": levels.real, "im_energy": levels.imag}
+    return columns, {"dimension": basis.dimension, "model": model}, 0
 
 
 @command(
@@ -304,8 +306,8 @@ def converge_command(omega, omega0, model, kappa2, gamma, tol, grid):
     """
     params = _model_params(model, omega, omega0, kappa2, gamma)
     spectrum = converge_ground(MODELS[model], params, total_number_schedule(grid), tol, levels=1)
-    rows = [{"cutoff": c, "ground_energy": e} for c, e in spectrum.cutoff_history]
-    return rows, {"converged": spectrum.converged, "tol": tol}, int(not spectrum.converged)
+    columns = dict(zip(("cutoff", "ground_energy"), zip(*spectrum.cutoff_history)))
+    return columns, {"converged": spectrum.converged, "tol": tol}, int(not spectrum.converged)
 
 
 @command(
@@ -322,13 +324,10 @@ def transform_residual_command(omega, omega0, nmax, total_nmax, grid):
     """
     params = ModelParams(omega=omega, omega0=omega0)
     report = residual_study(params, _basis(nmax, total_nmax), grid)
-    rows = [
-        {"kappa": k, "residual_fro": f, "residual_spec": s}
-        for k, f, s in zip(report.kappa_values, report.residual_norms, report.residual_norms_spectral)
-    ]
+    norms = {"residual_fro": report.residual_norms, "residual_spec": report.residual_norms_spectral}
     in_range = SLOPE_RANGE[0] <= report.fitted_slope <= SLOPE_RANGE[1]
     summary = {"fitted_slope": report.fitted_slope, "slope_range": f"{SLOPE_RANGE[0]}..{SLOPE_RANGE[1]}"}
-    return rows, summary, int(not in_range)
+    return {"kappa": report.kappa_values, **norms}, summary, int(not in_range)
 
 
 @command("pseudoherm", *_common(), *BASIS, _grid("0.1:0.3:0.1", "Gamma grid start:stop:step."))
@@ -341,14 +340,15 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     """
     basis = _basis(nmax, total_nmax)
     sigma0, parity = diagonal_op(basis, basis.spin), parity_op(basis)
-    columns = "gamma sigma0_residual parity_residual combined_commutator conjugation_closure pt_residual".split()
-    rows, failed = [], False
+    names = "gamma sigma0_residual parity_residual combined_commutator conjugation_closure pt_residual".split()
+    columns, failed = {name: [] for name in names}, False
     for gammas, h in gamma_grids(ModelParams(omega=omega, omega0=omega0), basis, grid):
         closure = [conjugation_closure(vals) for vals in block_eigenvalues(h)]
         checks = (check_pseudo_hermitian(h, sigma0), check_pseudo_hermitian(h, parity), check_combined_symmetry(h))
         failed |= any(v > IDENTITY_TOL for column in checks for v in column) or any(v > CLOSURE_TOL for v in closure)
-        rows += [dict(zip(columns, row)) for row in zip(gammas.tolist(), *checks, closure, check_pt(h))]
-    return rows, {"identity_tol": IDENTITY_TOL, "closure_tol": CLOSURE_TOL}, int(failed)
+        for column, values in zip(columns.values(), (gammas.tolist(), *checks, closure, check_pt(h))):
+            column.extend(values)
+    return columns, {"identity_tol": IDENTITY_TOL, "closure_tol": CLOSURE_TOL}, int(failed)
 
 
 @command(
@@ -363,8 +363,8 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
 def reality_scan_command(omega, omega0, nmax, total_nmax, grid, k_low):
     """Scan the imaginary coupling and report where low-lying reality breaks."""
     report = reality_scan(ModelParams(omega=omega, omega0=omega0), _basis(nmax, total_nmax), grid, k=k_low)
-    rows = [{"gamma": g, "max_imag_lowk": m} for g, m in zip(report.gamma_values, report.max_imag_lowk)]
-    return rows, {"detected_threshold": report.detected_threshold, "k": report.k}, 0
+    columns = {"gamma": report.gamma_values, "max_imag_lowk": report.max_imag_lowk}
+    return columns, {"detected_threshold": report.detected_threshold, "k": report.k}, 0
 
 
 def main() -> None:

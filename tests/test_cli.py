@@ -471,7 +471,8 @@ def test_pseudoherm_rows_equal_the_per_gamma_path(omega0, nmax, total_nmax, grid
     basis = make_basis(BasisSpec.total_number(total_nmax) if total_nmax else BasisSpec.per_mode(nmax))
     eps = _exceptional_points(omega0, total_nmax or nmax)
     gammas = tuple(g for g in parse_grid(grid) if np.all(np.abs(g - eps) >= 1e-3 * eps))
-    rows, _, code = cli_module.pseudoherm_command(1.0, omega0, nmax, total_nmax, gammas)
+    columns, _, code = cli_module.pseudoherm_command(1.0, omega0, nmax, total_nmax, gammas)
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     assert code == 0 and len(rows) == len(gammas)
     sigma0, parity = diagonal_op(basis, basis.spin), parity_op(basis)
     for row, gamma in zip(rows, gammas):

@@ -91,18 +91,27 @@ def test_the_dense_view_rule_sees_a_dense_constructor_call(tmp_path):
 HINTS = {"HERMITIAN", "ANTI_HERMITIAN", "GENERAL"}
 
 
-def _hints_named_outside_assemble(path):
-    """Line of every `Hermiticity.<member>` in `path` outside a function named `assemble`."""
+def _lines_outside(path, function, matches):
+    """Line of every node of `path` for which `matches` holds, outside a function named `function`."""
     def walk(node, inside):
-        inside = inside or (isinstance(node, ast.FunctionDef) and node.name == "assemble")
-        if isinstance(node, ast.Attribute) and node.attr in HINTS and not inside:
-            named = node.value.id if isinstance(node.value, ast.Name) else getattr(node.value, "attr", None)
-            if named == "Hermiticity":
-                yield node.lineno
+        inside = inside or (isinstance(node, ast.FunctionDef) and node.name == function)
+        if not inside and matches(node):
+            yield node.lineno
         for child in ast.iter_child_nodes(node):
             yield from walk(child, inside)
 
     yield from walk(ast.parse(path.read_text(), filename=str(path)), False)
+
+
+def _names_a_hint(node):
+    if not (isinstance(node, ast.Attribute) and node.attr in HINTS):
+        return False
+    return (node.value.id if isinstance(node.value, ast.Name) else getattr(node.value, "attr", None)) == "Hermiticity"
+
+
+def _hints_named_outside_assemble(path):
+    """Line of every `Hermiticity.<member>` in `path` outside a function named `assemble`."""
+    return _lines_outside(path, "assemble", _names_a_hint)
 
 
 HINT_RULED = ("models.py", "transforms.py", "pseudoherm.py", "cli.py")
@@ -122,6 +131,30 @@ def test_the_hint_rule_flags_a_builder_that_names_a_hint(tmp_path):
         "def build(params, basis):\n    return assemble(basis, 'full', (1.0,), fockspace.Hermiticity.GENERAL)\n"
     )
     assert list(_hints_named_outside_assemble(source)) == [5]
+
+
+def _cell_formatting_outside_emit(path):
+    """Line of every use of the name `_format_value`, called or passed on, outside a function named `_emit`."""
+    def names_it(node):
+        return "_format_value" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    return _lines_outside(path, "_emit", names_it)
+
+
+def test_only_emit_formats_a_cell():
+    # a table is formatted in one place, column by column; a command body hands `_emit` its values unformatted
+    assert list(_cell_formatting_outside_emit(SOURCES[0].with_name("cli.py"))) == []
+
+
+def test_the_cell_rule_flags_a_command_body_that_formats_its_cells(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "def _format_value(value):\n    return str(value)\n\n"
+        "def _emit(columns):\n    return [_format_value(v) for v in columns]\n\n"
+        "def spectrum_command(levels):\n    index = list(map(_format_value, range(len(levels))))\n"
+        "    return {'index': index, 're_energy': [cli._format_value(v) for v in levels]}\n"
+    )
+    assert list(_cell_formatting_outside_emit(source)) == [8, 9]
 
 
 def _private(name):
