@@ -25,6 +25,7 @@ import numpy as np
 from .fockspace import BasisSpec, diagonal_op, make_basis
 from .models import (
     ModelParams,
+    assemble,
     build_full_jt,
     build_nonhermitian,
     build_rotated,
@@ -150,8 +151,7 @@ def _emit(command: str, columns: dict, summary: dict, exit_code: int, fmt: str, 
         # so it would keep the captured streams of every in-process (CliRunner) invocation
         click.echo(text, file=click.get_text_stream("stdout"), nl=False)
     if fmt != "pretty":
-        for note in notes:
-            click.echo(note, file=click.get_text_stream("stderr"))
+        click.echo("".join(note + "\n" for note in notes), file=click.get_text_stream("stderr"), nl=False)
     return exit_code
 
 
@@ -342,7 +342,8 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     sigma0, parity = diagonal_op(basis, basis.spin), parity_op(basis)
     names = "gamma sigma0_residual parity_residual combined_commutator conjugation_closure pt_residual".split()
     columns, failed = {name: [] for name in names}, False
-    for gammas, h in gamma_grids(ModelParams(omega=omega, omega0=omega0), basis, grid):
+    for gammas in gamma_grids(basis, grid):
+        h = assemble(basis, "nonhermitian", ModelParams(omega=omega, omega0=omega0), gammas)
         closure = [conjugation_closure(vals) for vals in block_eigenvalues(h)]
         checks = (check_pseudo_hermitian(h, sigma0), check_pseudo_hermitian(h, parity), check_combined_symmetry(h))
         failed |= any(v > IDENTITY_TOL for column in checks for v in column) or any(v > CLOSURE_TOL for v in closure)

@@ -17,13 +17,13 @@ arithmetic.  Operators are assembled sparse, as Terms: sums of products of
 ladder, Pauli and identity column maps (models caches their triplets per
 basis), and held in an OperatorMatrix as (rows, cols, values) triplets.  Its
 blocks() are the blocks of their pattern (the conserved-quantity sectors),
-all of them or a chosen few, read by the eigensolver, the transforms and the
-checks; block_bounds() bounds each block's spectrum from below (Gershgorin),
-and validation reads each entry's transposed partner.  A model operator holds
-its model's positions, zeros included, and their layout (blocks and transpose
-map), found once (with_values).  Triplets are the only way to build an
-operator (from_triplets); no module of the package reads the dense view
-`entries`, which remains for tests, as their oracle.
+all or a chosen few (as restricted keeps them), read by the eigensolver, the
+transforms and the checks; block_bounds() bounds each block's spectrum from
+below (Gershgorin, through block_minima), and validation reads each entry's
+transposed partner.  A model operator holds its model's positions, zeros
+included, and their layout (blocks and transpose map), found once
+(with_values).  Triplets are the only way to build an operator
+(from_triplets); no module reads the dense view `entries`, the tests' oracle.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -194,7 +194,7 @@ class _Plan:
 
     @cached_property
     def sizes(self) -> list[tuple]:
-        """Per block size: the (count, size) members, the indices of its triplets and their (block, row, col) slots."""
+        """Per block size: the (count, size) members, its triplets (indices, a slice) and (block, row, col) slots."""
         rows, cols, dim = self.rows, self.cols, self.dim
         sectors = _sectors(rows, cols, dim)
         group, block, slot = (np.empty(dim, dtype=np.intp) for _ in range(3))  # of each state
@@ -215,6 +215,18 @@ class _Plan:
         states = np.concatenate([members.ravel() for members, _, _ in self.sizes])
         width = np.concatenate([np.full(len(members), members.shape[1]) for members, _, _ in self.sizes])
         return states, np.cumsum(width) - width
+
+    def chosen(self, chosen: np.ndarray) -> list[tuple]:
+        """`sizes` for the blocks `chosen` alone (positions among all blocks), renumbered; a size with none drops."""
+        marked = np.zeros(self.first[-1], dtype=bool)
+        marked[chosen] = True
+        picked = []
+        for g in np.flatnonzero(np.logical_or.reduceat(marked, self.first[:-1])):
+            members, k, (block, row, col) = self.sizes[g]
+            pick = marked[self.first[g]:self.first[g + 1]]
+            on, renumber = pick[block], np.cumsum(pick) - 1  # the new stack position of each kept block
+            picked.append((members[pick], k[on], (renumber[block[on]], row[on], col[on])))
+        return picked
 
     @cached_property
     def mirror(self) -> tuple[np.ndarray, np.ndarray]:
@@ -273,30 +285,36 @@ class OperatorMatrix:
     def _plan(self) -> _Plan:
         return _Plan(*self.triplets[:2], self.dimension)
 
+    def restricted(self, chosen: np.ndarray) -> tuple["OperatorMatrix", np.ndarray]:
+        """This operator on its blocks `chosen` alone, in this one's layout, and where each triplet went (or -1)."""
+        sizes, (rows, cols, values) = self._plan.chosen(chosen), self.triplets
+        kept = np.concatenate([k for _, k, _ in sizes])
+        op = OperatorMatrix.from_triplets(self.basis, rows[kept], cols[kept], values[kept], self.hint)
+        op._plan, ends = _Plan(*op.triplets[:2], self.dimension), np.cumsum([len(k) for _, k, _ in sizes])
+        op._plan.sizes = [(members, slice(end - len(k), end), slots) for (members, k, slots), end in zip(sizes, ends)]
+        where = np.full(rows.size, -1)
+        where[kept] = np.arange(kept.size)
+        return op, where
+
     def blocks(self, chosen: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
         Values of shape (nnz, G), a grid of operators on one pattern, give stacks of shape (count, size, size, G).
         The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
-        a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.  `chosen`, the
-        positions of some blocks in the order they come (as in block_bounds), keeps only those, still one stack per
-        size; a size with none is skipped.
+        a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.  `chosen`
+        keeps only those blocks (see restricted), still one stack per size; a size with none is skipped.
         """
         values, plan = self.triplets[2], self._plan
-        groups = range(len(plan.sizes))
-        if chosen is not None:
-            marked = np.zeros(plan.first[-1], dtype=bool)
-            marked[chosen] = True
-            groups = np.flatnonzero(np.logical_or.reduceat(marked, plan.first[:-1]))
-        for g in groups:
-            members, k, slots = plan.sizes[g]
-            if chosen is not None and not (pick := marked[plan.first[g]:plan.first[g + 1]]).all():
-                renumber = np.cumsum(pick) - 1  # the new stack position of each kept block
-                kept = pick[slots[0]]
-                members, k, slots = members[pick], k[kept], (renumber[slots[0][kept]], slots[1][kept], slots[2][kept])
+        for members, k, slots in plan.sizes if chosen is None else plan.chosen(chosen):
             stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=np.complex128)
             stack[slots] = values[k]
             yield members, stack
+
+    def block_minima(self, per_state: np.ndarray) -> np.ndarray:
+        """The least of `per_state` (dim, ...) over the states of each block, (blocks, ...) in the order blocks() gives
+        them; nan reads as -inf.  The one reduction of a per-state bound to the blocks."""
+        states, starts = self._plan.states
+        return np.minimum.reduceat(np.where(np.isnan(per_state), -np.inf, per_state)[states], starts)
 
     def block_bounds(self) -> np.ndarray:
         """A lower bound on the real parts of the eigenvalues of each block, in the order blocks() gives them.
@@ -307,9 +325,7 @@ class OperatorMatrix:
         rows, cols, values = self.triplets
         with np.errstate(over="ignore", invalid="ignore"):
             per_row = np.bincount(rows, np.where(rows == cols, values.real, -np.abs(values)), minlength=self.dimension)
-        per_row[np.isnan(per_row)] = -np.inf
-        states, starts = self._plan.states
-        return np.minimum.reduceat(per_row[states], starts)
+        return self.block_minima(per_row)
 
     def validate(self) -> float:
         """Check the structure hint; returns the deviation max|m -/+ m^dagger|, raises if violated.

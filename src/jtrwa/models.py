@@ -8,15 +8,15 @@ function of (params, coupling) that gives its coefficients, the sqrt(2) of
 the rotated form and the i sqrt(2) of the imaginary-coupling form folded in.
 The terms are built once per (basis, model) as numpy (rows, cols, values)
 triplets in a bounded cache (model_terms), with the union of their
-positions as the model's pattern, whose blocks (its sectors) are found once.
-So a coupling scan on one basis only scales cached terms: assemble sums
-coefficient * term onto the pattern, exact zeros included, with no dim x dim
-array, and decides the Hermiticity hint.  assemble is the one way to build
-a model operator: a number as coupling gives one operator, an array of
-couplings a grid, on which transforms.residual_study and
-pseudoherm.gamma_grids run.  The builders are its one-line forms at
-params' own coupling; all are pure functions of (params, basis) returning
-an immutable OperatorMatrix, and are safe to call concurrently.
+positions as the model's pattern, whose blocks (its sectors) are found once
+and bounded at any coupling by gershgorin.  So a coupling scan on one basis
+only scales cached terms: assemble sums coefficient * term onto the pattern,
+exact zeros included, with no dim x dim array, and decides the Hermiticity
+hint.  assemble is the one way to build a model operator: a number as
+coupling gives one operator, an array of couplings a grid (as in
+transforms.residual_study and the gamma commands), or some of its blocks.
+The builders, its one-line forms at params' own coupling, are pure and
+thread-safe functions of (params, basis) returning an immutable OperatorMatrix.
 
 Convention: sigma_0 = diag(1, -1), so the bare spin splitting is
 2*omega0 and the spin-flip ladder frequencies relative to the boson
@@ -143,8 +143,9 @@ MODELS = {
 
 
 @lru_cache(maxsize=TERM_CACHE_SIZE)
-def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """The pattern of `model` on `basis` (ones on the union of its term positions), and per term (slots, values).
+def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[tuple[np.ndarray, np.ndarray], ...], tuple]:
+    """The pattern of `model` on `basis` (ones on the union of its term positions), per term (slots, values), and per
+    row and term its diagonal entry and the sum of its off-diagonal |entries|, two (dim, terms) arrays.
 
     Built on first use and shared: do not modify.
     """
@@ -153,17 +154,26 @@ def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[tuple[n
     keys = [rows * dim + cols for rows, cols, _ in terms]
     union = np.unique(np.concatenate(keys))
     pattern = OperatorMatrix.from_triplets(basis, union // dim, union % dim, np.ones(union.size, dtype=np.complex128))
-    return pattern, tuple((np.searchsorted(union, key), t[2]) for key, t in zip(keys, terms))
+    diagonal, radius = (np.zeros((dim, len(terms)), dtype=dtype) for dtype in (np.complex128, np.float64))
+    for t, (rows, cols, values) in enumerate(terms):
+        diagonal[rows[rows == cols], t] = values[rows == cols]
+        radius[:, t] = np.bincount(rows, np.where(rows == cols, 0.0, np.abs(values)), minlength=dim)
+    return pattern, tuple((np.searchsorted(union, key), t[2]) for key, t in zip(keys, terms)), (diagonal, radius)
 
 
-def assemble(basis: Basis, model: str, params: ModelParams | None, coupling) -> OperatorMatrix:
+def assemble(basis: Basis, model: str, params: ModelParams | None, coupling, blocks=None) -> OperatorMatrix:
     """The operator of `model` at params and `coupling`, on its pattern, with its hint: the only way to build one.
 
     Sums coefficient * term over the cached terms.  A number gives one operator; a 1-D array of G couplings the grid of
     G operators, values of shape (nnz, G), one column each: the grid axis trails, so that a single operator takes
-    numpy's fast 1-D indexing path unchanged.  The coupling reaches the model's coefficients as given.
+    numpy's fast 1-D indexing path unchanged.  The coupling reaches the model's coefficients as given.  `blocks` (their
+    positions, as in gershgorin) builds those alone, each entry summed as in the whole operator (restricted).
     """
-    pattern, terms = model_terms(basis, model)
+    pattern, terms, _ = model_terms(basis, model)
+    if blocks is not None:  # each term's entries on the kept positions, renumbered
+        pattern, where = pattern.restricted(blocks)
+        terms = [(where[slot], values) for slot, values in terms]
+        terms = [(slot[slot >= 0], values[slot >= 0]) for slot, values in terms]
     grid = np.shape(coupling)
     summed = np.zeros((pattern.triplets[2].size, *grid), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -175,6 +185,21 @@ def assemble(basis: Basis, model: str, params: ModelParams | None, coupling) -> 
     real = Hermiticity.ANTI_HERMITIAN if MODELS[model].anti_hermitian else Hermiticity.HERMITIAN
     general = any(np.iscomplex(coefficient).any() for coefficient in coefficients)
     return pattern.with_values(summed, Hermiticity.GENERAL if general else real)
+
+
+def gershgorin(basis: Basis, model: str, params: ModelParams | None, coupling) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of `model`'s pattern, its Gershgorin lower bound, and max_i (|h_ii| + sum_{j != i} |h_ij|), a bound on
+    the spectral radius, at params and `coupling` ((blocks, G) and (G,) for G), from two products of the coefficients
+    c_t with the per-row term data (model_terms): sum_t c_t d_t and sum_t |c_t| r_t.  The latter is the radius, or
+    above it where two terms share a position, so the bound is block_bounds()' or below it.  A block with a radius
+    that overflows or an entry that is not finite gives -inf."""
+    pattern, _, (diagonal, radius) = model_terms(basis, model)
+    grid = np.shape(coupling)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.stack([np.broadcast_to(c, grid) for c in MODELS[model].coefficients(params, coupling)])
+        diagonal, radius = diagonal @ coefficients, radius @ np.abs(coefficients)
+        lower = pattern.block_minima(np.where(np.isfinite(diagonal), diagonal.real - radius, -np.inf))
+        return lower, (np.abs(diagonal) + radius).max(axis=0)
 
 
 def build_full_jt(params: ModelParams, basis: Basis) -> OperatorMatrix:

@@ -15,25 +15,24 @@ No check reads a dense matrix: each residual is the difference of two triplet
 operators, and the conjugation closure pairs a spectrum with its conjugate in
 level order.  Each check takes one operator (a float) or a grid (G floats).
 
-Both gamma commands run on gamma_grids, which builds no operator and calls no
-LAPACK per gamma: it assembles a pass of grid points as one operator grid
-(models.assemble at an array of gammas), which spectra.block_eigenvalues
-solves; diagonalize is its oracle.
+Both gamma commands take passes from gamma_grids, building no operator and
+calling no LAPACK per gamma: pseudoherm assembles a pass whole (models.assemble
+at an array of gammas), reality_scan only the blocks that can hold its k lowest
+levels (models.gershgorin).  spectra.block_eigenvalues solves them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .fockspace import HINT_TOL, Basis, OperatorMatrix, diagonal_op
-from .models import ModelParams, assemble
-from .spectra import block_eigenvalues, level_order
+from .models import ModelParams, assemble, gershgorin
+from .spectra import LEVEL_GAP, block_eigenvalues, level_order
 
 REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
-GRID_STATES = 1 << 17  # grid points x basis states that gamma_grids assembles at once: memory stays flat in grid size
+GRID_STATES = 1 << 17  # grid points x basis states in a pass of gamma_grids: memory stays flat in grid size
 
 
 def parity_op(basis: Basis) -> OperatorMatrix:
@@ -133,11 +132,8 @@ class RealityReport:
             raise ValueError("gamma grid and imaginary-part lists must have equal length")
 
 
-def gamma_grids(params_template: ModelParams, basis: Basis, gamma_grid) -> Iterator[tuple[np.ndarray, OperatorMatrix]]:
-    """The imaginary-coupling Hamiltonian along a gamma grid, checked at once: (gammas, operator grid) per pass.
-
-    A pass assembles GRID_STATES grid points x basis states (the default grids in one), values (nnz, G).
-    """
+def gamma_grids(basis: Basis, gamma_grid) -> list[np.ndarray]:
+    """A gamma grid, checked at once, in passes of GRID_STATES grid points x basis states (the default grids in one)."""
     gammas = np.array([float(g) for g in gamma_grid])
     if not gammas.size:
         raise ValueError("gamma grid must not be empty")
@@ -146,8 +142,7 @@ def gamma_grids(params_template: ModelParams, basis: Basis, gamma_grid) -> Itera
     if np.any(np.diff(gammas) <= 0):
         raise ValueError("gamma grid must be strictly ascending")
     rows = max(1, GRID_STATES // basis.dimension)
-    return ((chunk, assemble(basis, "nonhermitian", params_template, chunk))
-            for chunk in np.split(gammas, range(rows, gammas.size, rows)))
+    return np.split(gammas, range(rows, gammas.size, rows))
 
 
 def reality_scan(
@@ -156,20 +151,31 @@ def reality_scan(
     gamma_grid,
     k: int = 4,
 ) -> RealityReport:
-    """Solve the imaginary-coupling Hamiltonian along a gamma grid, pass by pass of gamma_grids.
+    """Solve the imaginary-coupling Hamiltonian on a gamma grid, pass by pass of gamma_grids, where its k lowest lie.
 
     Records max |Im| over the k lowest-by-real-part eigenvalues per grid
     point and detects the first reality-breaking gamma.  The lowest coupled
     block breaks at gamma^2 = (omega - 2 omega0)^2 / 8, which the detected
     threshold matches to within one grid step.
+
+    A pass solves at all its gammas the blocks of the k lowest bounds (models.gershgorin), then in rounds each block
+    whose bound lies within n + 1 level gaps of the k-th lowest real part, n the eigenvalues solved: its level ends
+    n - k gaps above it at most.  Gaps are relative to gershgorin's bound on the spectral radius, whatever is solved.
     """
     if not 1 <= k <= basis.dimension:
         raise ValueError(f"k must lie in 1..{basis.dimension}, the basis dimension, got {k}")
 
     gammas, max_imag = [], []
-    for chunk, h in gamma_grids(params_template, basis, gamma_grid):
-        vals = block_eigenvalues(h)
+    for chunk in gamma_grids(basis, gamma_grid):
+        lower, scale = gershgorin(basis, "nonhermitian", params_template, chunk)  # (blocks, G), (G,)
+        reach = np.sort(lower, axis=0)[:k][-1]  # the k-th lowest bound per gamma, or the highest with fewer blocks
+        unsolved, vals = np.ones(len(lower), dtype=bool), np.empty((chunk.size, 0), dtype=np.complex128)
+        while (new := np.flatnonzero(unsolved & (lower <= reach).any(axis=1))).size:
+            unsolved[new] = False
+            h = assemble(basis, "nonhermitian", params_template, chunk, blocks=new)
+            vals = np.concatenate((vals, block_eigenvalues(h)), axis=1)
+            reach = np.partition(vals.real, k - 1)[:, k - 1] + (vals.shape[1] + 1) * LEVEL_GAP * np.maximum(1.0, scale)
         gammas += chunk.tolist()
-        max_imag += np.abs(np.take_along_axis(vals, level_order(vals)[:, :k], axis=-1).imag).max(axis=-1).tolist()
+        max_imag += np.abs(np.take_along_axis(vals, level_order(vals, scale)[:, :k], -1).imag).max(-1).tolist()
     threshold = next((g for g, worst in zip(gammas, max_imag) if worst > REALITY_TOL), None)
     return RealityReport(tuple(gammas), tuple(max_imag), k, threshold)

@@ -11,12 +11,12 @@ general complex solver; the dense solve of the whole matrix is the test
 oracle.  Asked for its k lowest levels only (levels=k, as converge_ground
 asks), it solves only the blocks whose Gershgorin lower bound can reach
 them, lowest bound first, and the full solve is that path's oracle.
-block_eigenvalues solves the same blocks unsorted, for one operator or a
-grid of them (a pass of pseudoherm.gamma_grids), 2x2 blocks in closed form;
-diagonalize is its oracle.  Eigenvalues are sorted by real part, then
-imaginary part, where real parts within LEVEL_GAP of each other (relative to
-the spectral radius) are one level: exactly degenerate levels are ordered by
-imaginary part, not by round-off.
+block_eigenvalues solves the blocks an operator holds unsorted, for one
+operator or a grid of them (a pass of pseudoherm.gamma_grids), 2x2 blocks in
+closed form; diagonalize is its oracle.  Eigenvalues are sorted by real part,
+then imaginary part, where real parts within LEVEL_GAP of each other (relative
+to the spectral radius, or a bound on it) are one level: exactly degenerate
+levels are ordered by imaginary part, not by round-off.
 """
 
 from __future__ import annotations
@@ -94,38 +94,40 @@ def lowest_levels(real: np.ndarray, count: int) -> list[float]:
     return found
 
 
-def level_order(vals: np.ndarray) -> np.ndarray:
+def level_order(vals: np.ndarray, scale=None) -> np.ndarray:
     """Indices sorting by level (real parts chained within LEVEL_GAP), then imaginary part; conjugates share a level.
 
-    Each row of a (G, n) array is ordered on its own, along the last axis.
+    Each row of a (G, n) array is ordered on its own, along the last axis.  LEVEL_GAP is relative to `scale`, one per
+    row, else its largest |value|; a bound on the spectral radius gives a part of a spectrum the levels of the whole.
     """
     by_real = np.argsort(vals.real, axis=-1, kind="stable")
     ordered = np.take_along_axis(vals, by_real, axis=-1)
-    gap = LEVEL_GAP * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0, keepdims=True))
+    gap = LEVEL_GAP * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
     level = np.cumsum(np.diff(ordered.real, axis=-1, prepend=ordered.real[..., :1]) > gap, axis=-1)
     return np.take_along_axis(by_real, np.lexsort((ordered.imag, level), axis=-1), axis=-1)
 
 
 def block_eigenvalues(op: OperatorMatrix) -> np.ndarray:
-    """Unsorted eigenvalues of an operator, shape (dim,), or of a grid of operators, shape (G, dim), block by block.
+    """Unsorted eigenvalues of the states of an operator's blocks, block after block: (n,), or (G, n) for a grid.
 
     A 1x1 block is its entry.  A 2x2 block [[a, b], [c, d]] is solved in closed form, m +/- sqrt(((a - d)/2)^2 + bc)
     with m = (a + d)/2, on the block divided by its largest |entry|, so that at any magnitude no square overflows and
     none that matters underflows.  Blocks of any other size go to one stacked eigvals per size.  diagonalize, through
     LAPACK alone, is its oracle.
     """
-    vals = np.empty((op.dimension, *op.triplets[2].shape[1:]), dtype=np.complex128)  # a grid axis trails until the end
+    grid, found = op.triplets[2].shape[1:], []  # a grid axis trails until the end
     for members, stack in op.blocks():
         if members.shape[1] == 1:
-            vals[members[:, 0]] = stack[:, 0, 0]
+            vals = stack[:, 0, 0]
         elif members.shape[1] == 2:
             scale = np.abs(stack).max(axis=(1, 2))
             (a, b), (c, d) = np.moveaxis(stack / np.where(scale > 0, scale, 1.0)[:, None, None], (1, 2), (0, 1))
             mean, root = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b * c)
-            vals[members] = scale[:, None] * np.stack((mean - root, mean + root), axis=1)
+            vals = scale[:, None] * np.stack((mean - root, mean + root), axis=1)
         else:  # LAPACK wants the matrix axes last
-            vals[members] = np.moveaxis(np.linalg.eigvals(np.moveaxis(stack, (1, 2), (-2, -1))), -1, 1)
-    return vals.T
+            vals = np.moveaxis(np.linalg.eigvals(np.moveaxis(stack, (1, 2), (-2, -1))), -1, 1)
+        found.append(vals.reshape(-1, *grid))
+    return np.concatenate(found).T
 
 
 def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | None = None) -> Spectrum:

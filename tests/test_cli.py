@@ -227,6 +227,7 @@ def test_unused_coupling_is_usage_error(args):
         ["spectrum", "--omega", "1e308"],
         ["table1", "--omega", "1e308", "--kappa2", "0.5"],
         ["reality-scan", "--omega", "1e308"],
+        ["reality-scan", "--omega", "1e307", "--nmax", "9"],  # only the states of n1 + n2 >= 17, in no solved block
         ["pseudoherm", "--omega", "1e308"],
         ["transform-residual", "--omega", "1e308", "--omega0", "0"],
     ],
@@ -496,17 +497,20 @@ def test_gamma_commands_in_several_passes_equal_one_pass(monkeypatch):
     whole = cli_module.pseudoherm_command(1.0, 0.1, 4, None, grid), reality_scan(params, basis, grid)
     passes = []
 
-    def counted(*args):
-        passes.append(args[3].size)
-        return assemble(*args)
+    def counted(*args, blocks=None):
+        passes.append((args[3].size, blocks is None))
+        return assemble(*args, blocks=blocks)
 
-    monkeypatch.setattr(pseudoherm, "assemble", counted)  # where gamma_grids looks it up
+    for module in (cli_module, pseudoherm):  # where each command looks it up
+        monkeypatch.setattr(module, "assemble", counted)
     monkeypatch.setattr(pseudoherm, "GRID_STATES", 5 * basis.dimension)  # passes of five grid points
     for module in (cli_module, spectra, models):  # neither command builds or diagonalizes one operator per gamma
         for name in ("build_nonhermitian", "diagonalize"):
             monkeypatch.setattr(module, name, _raise(AssertionError(name)), raising=False)
     assert (cli_module.pseudoherm_command(1.0, 0.1, 4, None, grid), reality_scan(params, basis, grid)) == whole
-    assert passes == 2 * ([5] * 10 + [1])
+    # pseudoherm assembles each pass whole; reality-scan assembles some blocks of a whole pass once per round, in one
+    # or two rounds per pass: 19 calls for its 11 passes
+    assert passes == [(5, True)] * 10 + [(1, True)] + [(5, False)] * 17 + [(1, False)] * 2
 
 
 def test_json_format_mirrors_csv_fields(tmp_path):

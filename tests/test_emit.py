@@ -119,3 +119,17 @@ def test_spectrum_csv_cells_are_the_json_values_at_nine_digits():
     assert header == list(rows[0]) and len(csv) == 1 + len(rows) == 1 + 61 * 62
     for line, row in zip(csv[1:], rows):
         assert line.split(",") == ["%.9g" % row[name] for name in header]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_summary_notes_reach_stderr_in_one_write(monkeypatch, fmt):
+    writes, echo = [], click.echo
+
+    def recording(message=None, file=None, **kwargs):
+        writes.append(message)
+        return echo(message, file=file, **kwargs)
+
+    monkeypatch.setattr(cli_module.click, "echo", recording)
+    result = CliRunner().invoke(cli, ["table1", "--kappa2", "0.5", "--format", fmt], catch_exceptions=False)
+    assert len(writes) == 2 and writes[1] == result.stderr  # the table, then its three notes at once
+    assert result.stderr.count("\n") == 3

@@ -392,3 +392,70 @@ def test_grid_columns_equal_the_scalar_operators(spec, model):
 def test_every_cli_model_is_a_table_entry_and_its_builder():
     for name, builder in cli.MODELS.items():
         assert name in models.MODELS and builder is SPARSE_ASSEMBLED[name]
+
+
+# the models whose terms share no off-diagonal position: there the term radius is the operator's, to rounding
+DISJOINT = {"full", "rwa", "rotated", "nonhermitian"}
+SPECS = st.sampled_from([BasisSpec.per_mode(2, 3), BasisSpec.per_mode(3, 1), BasisSpec.total_number(4)])
+COUPLINGS = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SPECS, model=st.sampled_from(sorted(models.MODELS)), omega=st.floats(0.5, 2.0),
+       omega0=st.floats(-0.2, 0.2), couplings=st.lists(COUPLINGS, min_size=1, max_size=4), single=st.booleans())
+def test_term_bounds_lie_at_or_below_the_assembled_operators_bounds(spec, model, omega, omega0, couplings, single):
+    basis, params = make_basis(spec), ModelParams(omega=omega, omega0=omega0)
+    coupling = couplings[0] if single else np.array(couplings)
+    lower, scale = models.gershgorin(basis, model, params, coupling)
+    whole = models.assemble(basis, model, params, coupling)
+    values = whole.triplets[2].reshape(len(whole.triplets[2]), -1)
+    for column, term_bound, bound_on_radius in zip(values.T, lower.reshape(len(lower), -1).T, np.reshape(scale, -1)):
+        op = whole.with_values(column, Hermiticity.GENERAL)  # one operator of the grid
+        bound, row_sums = op.block_bounds(), np.abs(op.entries).sum(axis=1)
+        slack = 1e-14 * row_sums.max()  # the two radii sum the same products in another order
+        assert np.all(term_bound <= bound + slack)
+        assert row_sums.max() <= bound_on_radius + slack
+        if model in DISJOINT:
+            assert np.all(np.abs(term_bound - bound) <= slack)
+
+
+def test_a_term_bound_whose_radius_overflows_is_minus_infinity():
+    # every entry is finite, but sqrt(2) kappa + kappa overflows in the rows with two couplings
+    basis, params, kappa = make_basis(BasisSpec.per_mode(2)), ModelParams(omega=1.0), 8e307
+    lower, _ = models.gershgorin(basis, "full", params, kappa)
+    bounds = models.assemble(basis, "full", params, kappa).block_bounds()
+    assert np.array_equal(lower, bounds) and np.isneginf(lower).any() and np.isfinite(lower).any()
+
+
+def test_a_block_with_an_entry_that_is_not_finite_has_the_term_bound_minus_infinity():
+    # omega (n1 + n2 + 1) overflows for n1 + n2 >= 17 alone: the highest blocks, which then come first, not last
+    basis = make_basis(BasisSpec.per_mode(9))
+    lower, _ = models.gershgorin(basis, "nonhermitian", ModelParams(omega=1e307), np.array([0.0, 0.1]))
+    op = models.assemble(basis, "nonhermitian", ModelParams(omega=1.0), 0.1)
+    high = np.concatenate([(basis.n1 + basis.n2)[members].max(axis=1) >= 17 for members, _ in op.blocks()])
+    assert high.any() and np.array_equal(np.isneginf(lower), np.repeat(high[:, None], 2, axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=SPECS, model=st.sampled_from(sorted(models.MODELS)), couplings=st.lists(COUPLINGS, min_size=1, max_size=3),
+       single=st.booleans(), data=st.data())
+def test_assembling_some_blocks_gives_the_whole_operators_values_there_bit_for_bit(spec, model, couplings, single,
+                                                                                    data):
+    basis, params = make_basis(spec), ModelParams(omega=1.1, omega0=0.15)
+    coupling = couplings[0] if single else np.array(couplings)
+    whole = models.assemble(basis, model, params, coupling)
+    count = len(models.gershgorin(basis, model, params, coupling)[0])
+    chosen = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True)))
+    part = models.assemble(basis, model, params, coupling, blocks=chosen)
+    restricted, where = whole.restricted(chosen)
+    went = where >= 0
+    assert np.array_equal(restricted.triplets[2][where[went]], whole.triplets[2][went])
+    assert np.array_equal(np.sort(where[went]), np.arange(len(restricted.triplets[2])))
+    for a, b in zip(part.triplets, restricted.triplets, strict=True):
+        assert np.array_equal(a, b)
+    assert part.hint is whole.hint
+    for (members, stack), (chosen_members, chosen_stack) in zip(part.blocks(), whole.blocks(chosen), strict=True):
+        assert np.array_equal(members, chosen_members) and np.array_equal(stack, chosen_stack)
+    states = np.concatenate([members.ravel() for members, _ in whole.blocks()])
+    picked = np.isin(states, np.concatenate([members.ravel() for members, _ in part.blocks()]))
+    assert np.array_equal(spectra.block_eigenvalues(part), spectra.block_eigenvalues(whole)[..., picked])

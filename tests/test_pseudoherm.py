@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,8 @@ from jtrwa import (
 )
 from jtrwa import pseudoherm
 from jtrwa.fockspace import diagonal_op
-from jtrwa.models import assemble
+from jtrwa.cli import parse_grid
+from jtrwa.models import assemble, gershgorin, model_terms
 from jtrwa.pseudoherm import REALITY_TOL
 from jtrwa.spectra import block_eigenvalues, level_order
 
@@ -292,11 +294,10 @@ def test_reality_scan_in_several_passes_equals_one_pass(monkeypatch):
 
 
 def test_gamma_grids_checks_the_whole_grid_before_the_first_pass():
-    params = ModelParams(omega=1.0)
     for grid, message in (([], "empty"), ([0.1, -0.1], "non-negative"), ([0.1, np.nan], "finite"),
                           ([0.2, 0.1], "ascending")):
         with pytest.raises(ValueError, match=message):
-            pseudoherm.gamma_grids(params, BASIS, grid)  # raises on the call, not when the passes are drawn
+            pseudoherm.gamma_grids(BASIS, grid)
 
 
 def _reality_by_diagonalize(params, basis, gammas, k):
@@ -335,3 +336,85 @@ def test_grid_solver_equals_diagonalize_per_gamma(spec, omega0, near, anywhere, 
     max_imag, threshold = _reality_by_diagonalize(params, basis, gammas, k)
     assert np.all(np.abs(np.subtract(report.max_imag_lowk, max_imag)) <= tol)
     assert report.detected_threshold == threshold
+
+
+def _reality_by_whole_pass(params, basis, gammas, k):
+    # oracle: every block of a pass solved, then level-ordered on the same scale, the Gershgorin spectral radius bound
+    max_imag = []
+    for chunk in pseudoherm.gamma_grids(basis, gammas):
+        vals = block_eigenvalues(assemble(basis, "nonhermitian", params, chunk))
+        order = level_order(vals, gershgorin(basis, "nonhermitian", params, chunk)[1])[:, :k]
+        max_imag += np.abs(np.take_along_axis(vals, order, axis=-1).imag).max(axis=-1).tolist()
+    return max_imag, next((g for g, m in zip(gammas, max_imag) if m > REALITY_TOL), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([BasisSpec.per_mode(5, 2), BasisSpec.per_mode(2, 4), BasisSpec.total_number(6)]),
+    omega0=st.sampled_from([0.0, 0.2, 0.5, -0.3]),
+    k=st.integers(1, 8),
+    anywhere=st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_reality_scan_equals_the_whole_pass_bit_for_bit(spec, omega0, k, anywhere):
+    # every exceptional point |omega - 2 omega0| / sqrt(8 (n1 + 1)) of the basis, exactly and 1e-12 to either side,
+    # where the real parts of a block lie within a level gap; and 1e200, where every real part is one level
+    basis, params = make_basis(spec), ModelParams(omega=1.0, omega0=omega0)
+    exceptional = abs(1.0 - 2.0 * omega0) / np.sqrt(8.0 * (np.arange(basis.n1.max()) + 1))
+    gammas = np.unique(np.r_[exceptional, exceptional - 1e-12, exceptional + 1e-12, anywhere, 1e200].clip(min=0.0))
+    report = reality_scan(params, basis, gammas, k=k)
+    max_imag, threshold = _reality_by_whole_pass(params, basis, gammas, k)
+    assert report.max_imag_lowk == tuple(max_imag)
+    assert report.detected_threshold == threshold
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.0013, 0.0025, 0.0049])
+def test_reality_scan_solves_at_most_14_of_the_162_states_of_the_bench_grid(monkeypatch, offset):
+    # the benchmark's reality-scan: 101 gammas from an offset within one step, per-mode cutoff 8, k = 4, in one pass
+    solved, solve = [], pseudoherm.block_eigenvalues
+
+    def recording(h):
+        solved.append(sum(members.size for members, _ in h.blocks()))
+        return solve(h)
+
+    monkeypatch.setattr(pseudoherm, "block_eigenvalues", recording)
+    basis, gammas = make_basis(BasisSpec.per_mode(8)), offset + 0.005 * np.arange(101)
+    report = reality_scan(ModelParams(omega=1.0), basis, gammas)
+    assert basis.dimension == 162 and 4 <= sum(solved) <= 14
+    assert report.max_imag_lowk == tuple(_reality_by_whole_pass(ModelParams(omega=1.0), basis, gammas, 4)[0])
+
+
+def test_reality_scan_at_total_cutoff_100_peaks_at_or_below_21_mib():
+    # the whole-pass assembly of a default grid at dimension 10 302 peaked at 21.06 MiB, terms cached
+    basis, params, grid = make_basis(BasisSpec.total_number(100)), ModelParams(omega=1.0), parse_grid("0:0.5:0.005")
+    model_terms(basis, "nonhermitian")
+    tracemalloc.start()
+    try:
+        reality_scan(params, basis, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 2**20
+
+
+@pytest.mark.parametrize("spec, omega0, gamma, k", [
+    # each |down, 0, n2> lies 5e-10 above the real part of a broken pair of its n1 + n2, in its level: the bound of
+    # that 1x1 block (its entry) lies above the k-th lowest real part, within the margin of level gaps
+    (BasisSpec.per_mode(3, 2), -0.5 - 5e-10, 1.0, 2),
+    # at the exceptional point 1/sqrt(8) the real parts of the blocks of n1 = 0 split by round-off near the level gap:
+    # one level on the Gershgorin bound of the spectral radius, two on the largest |eigenvalue| solved
+    (BasisSpec.total_number(6), 0.0, 1.0 / np.sqrt(8.0), 5),
+])
+def test_reality_scan_solves_the_k_lowest_of_the_whole_spectrum_in_its_order(monkeypatch, spec, omega0, gamma, k):
+    lowest = []
+
+    def recording(vals, scale=None):
+        positions = level_order(vals, scale)
+        lowest.append(np.take_along_axis(vals, positions[:, :k], axis=-1))
+        return positions
+
+    monkeypatch.setattr(pseudoherm, "level_order", recording)
+    basis, params, gammas = make_basis(spec), ModelParams(omega=1.0, omega0=omega0), np.array([gamma])
+    reality_scan(params, basis, gammas, k=k)
+    every = block_eigenvalues(assemble(basis, "nonhermitian", params, gammas))
+    order = level_order(every, gershgorin(basis, "nonhermitian", params, gammas)[1])
+    assert np.array_equal(lowest[0], np.take_along_axis(every, order[:, :k], axis=-1))

@@ -196,3 +196,31 @@ def test_the_attribute_rule_flags_a_read_of_another_modules_private_attribute(tm
         "    return op._plan.sizes, op.__class__\n"
     )
     assert list(_foreign_private_reads(source)) == [(9, "_plan")]
+
+
+def _minimum_reduceat_calls(path):
+    """Line of every call of `minimum.reduceat` (np.minimum, numpy.minimum or a bare imported minimum) in `path`."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reduceat":
+            if "minimum" in (getattr(node.func.value, "id", None), getattr(node.func.value, "attr", None)):
+                yield node.lineno
+
+
+def _modules_reducing_bounds_to_blocks(paths):
+    return [path.name for path in paths if list(_minimum_reduceat_calls(path))]
+
+
+def test_one_module_reduces_a_per_state_bound_to_the_blocks():
+    # OperatorMatrix.block_minima serves block_bounds (table1's bound) and models.gershgorin (reality-scan's)
+    assert _modules_reducing_bounds_to_blocks(SOURCES) == ["fockspace.py"]
+
+
+def test_the_reduction_rule_flags_a_second_caller(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\nfrom numpy import minimum\n\n"
+        "def term_bounds(per_row, states, starts):\n    lower = np.minimum.reduceat(per_row[states], starts)\n"
+        "    return lower, minimum.reduceat(per_row, starts), np.maximum.reduceat(per_row, starts)\n"
+    )
+    assert list(_minimum_reduceat_calls(source)) == [5, 6]
+    assert _modules_reducing_bounds_to_blocks([*SOURCES, source]) == ["fockspace.py", "probe.py"]
