@@ -14,16 +14,17 @@ Two truncation schemes are supported:
 A Basis holds the quantum numbers of its states as three read-only
 integer arrays, spin, n1 and n2, in that order, and inverts them by offset
 arithmetic.  Operators are assembled sparse, as Terms: sums of products of
-ladder, Pauli and identity column maps (models caches their triplets per
-basis), and held in an OperatorMatrix as (rows, cols, values) triplets.  Its
-blocks() are the blocks of their pattern (the conserved-quantity sectors),
-all or a chosen few (as restricted keeps them), read by the eigensolver, the
-transforms and the checks; block_bounds() bounds each block's spectrum from
-below (Gershgorin, through block_minima), and validation reads each entry's
-transposed partner.  A model operator holds its model's positions, zeros
-included, and their layout (blocks and transpose map), found once
-(with_values).  Triplets are the only way to build an operator
-(from_triplets); no module reads the dense view `entries`, the tests' oracle.
+ladder, Pauli and identity column maps (models caches a model's terms per
+basis as one operator, a column of values per term), and held in an
+OperatorMatrix as (rows, cols, values) triplets.  Its blocks() are the
+blocks of their pattern (the conserved-quantity sectors), all or a chosen
+few, read by the eigensolver, the transforms and the checks; block_bounds()
+bounds each block's spectrum from below (Gershgorin, through block_minima),
+and validation reads each entry's transposed partner.  A model operator
+holds its model's positions, zeros included, and their layout (blocks and
+transpose map), found once (with_values).  Triplets are the only way to
+build an operator (from_triplets); no module reads the dense view
+`entries`, the tests' oracle.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -285,24 +286,13 @@ class OperatorMatrix:
     def _plan(self) -> _Plan:
         return _Plan(*self.triplets[:2], self.dimension)
 
-    def restricted(self, chosen: np.ndarray) -> tuple["OperatorMatrix", np.ndarray]:
-        """This operator on its blocks `chosen` alone, in this one's layout, and where each triplet went (or -1)."""
-        sizes, (rows, cols, values) = self._plan.chosen(chosen), self.triplets
-        kept = np.concatenate([k for _, k, _ in sizes])
-        op = OperatorMatrix.from_triplets(self.basis, rows[kept], cols[kept], values[kept], self.hint)
-        op._plan, ends = _Plan(*op.triplets[:2], self.dimension), np.cumsum([len(k) for _, k, _ in sizes])
-        op._plan.sizes = [(members, slice(end - len(k), end), slots) for (members, k, slots), end in zip(sizes, ends)]
-        where = np.full(rows.size, -1)
-        where[kept] = np.arange(kept.size)
-        return op, where
-
     def blocks(self, chosen: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
         Values of shape (nnz, G), a grid of operators on one pattern, give stacks of shape (count, size, size, G).
         The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
         a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.  `chosen`
-        keeps only those blocks (see restricted), still one stack per size; a size with none is skipped.
+        (positions among all blocks) keeps only those blocks, still one stack per size; a size with none is skipped.
         """
         values, plan = self.triplets[2], self._plan
         for members, k, slots in plan.sizes if chosen is None else plan.chosen(chosen):

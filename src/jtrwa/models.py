@@ -6,15 +6,14 @@ scaled by a coefficient such as omega, omega0, kappa or kappa^2/(omega +
 2 omega0).  Each model is declared once, in MODELS: its terms, and one
 function of (params, coupling) that gives its coefficients, the sqrt(2) of
 the rotated form and the i sqrt(2) of the imaginary-coupling form folded in.
-The terms are built once per (basis, model) as numpy (rows, cols, values)
-triplets in a bounded cache (model_terms), with the union of their
-positions as the model's pattern, whose blocks (its sectors) are found once
-and bounded at any coupling by gershgorin.  So a coupling scan on one basis
-only scales cached terms: assemble sums coefficient * term onto the pattern,
-exact zeros included, with no dim x dim array, and decides the Hermiticity
-hint.  assemble is the one way to build a model operator: a number as
-coupling gives one operator, an array of couplings a grid (as in
-transforms.residual_study and the gamma commands), or some of its blocks.
+The terms are built once per (basis, model) in a bounded cache (model_terms)
+as one operator on the union of their positions, a column of values per term,
+whose blocks (the model's sectors) are found once and bounded at any coupling
+by gershgorin.  So a coupling scan on one basis only scales cached terms:
+assemble sums coefficient * term in table order, with no dim x dim array, and
+decides the Hermiticity hint; assemble_blocks sums the same on chosen blocks,
+bit for bit.  A number as coupling gives one operator, an array of couplings
+a grid (as in transforms.residual_study and the gamma commands).
 The builders, its one-line forms at params' own coupling, are pure and
 thread-safe functions of (params, basis) returning an immutable OperatorMatrix.
 
@@ -88,7 +87,7 @@ def spin_ladder_detunings(params: ModelParams) -> tuple[float, float]:
     return plus, minus
 
 
-TERM_CACHE_SIZE = 16  # (basis, model) entries; each holds O(nnz) sparse terms and the pattern's blocks
+TERM_CACHE_SIZE = 16  # (basis, model) entries; each holds its terms as (nnz, terms) values and their blocks
 
 # A model: its sparse terms on the elementary operators, and its coefficients at (params, coupling), one per term in
 # that order.  A number as coupling gives one operator's coefficients, an array of G couplings columns of G.
@@ -143,48 +142,53 @@ MODELS = {
 
 
 @lru_cache(maxsize=TERM_CACHE_SIZE)
-def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[tuple[np.ndarray, np.ndarray], ...], tuple]:
-    """The pattern of `model` on `basis` (ones on the union of its term positions), per term (slots, values), and per
-    row and term its diagonal entry and the sum of its off-diagonal |entries|, two (dim, terms) arrays.
+def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[np.ndarray, np.ndarray]]:
+    """The terms of `model` on `basis`: one operator on the union of their positions, values (nnz, terms) a column per
+    term (zeros where it has none); and per row and term its diagonal entry and off-diagonal |entry| sum, (dim, terms).
 
     Built on first use and shared: do not modify.
     """
     dim = basis.dimension
     terms = [term.triplets() for term in MODELS[model].terms(elementary_ops(basis))]
-    keys = [rows * dim + cols for rows, cols, _ in terms]
-    union = np.unique(np.concatenate(keys))
-    pattern = OperatorMatrix.from_triplets(basis, union // dim, union % dim, np.ones(union.size, dtype=np.complex128))
-    diagonal, radius = (np.zeros((dim, len(terms)), dtype=dtype) for dtype in (np.complex128, np.float64))
-    for t, (rows, cols, values) in enumerate(terms):
-        diagonal[rows[rows == cols], t] = values[rows == cols]
-        radius[:, t] = np.bincount(rows, np.where(rows == cols, 0.0, np.abs(values)), minlength=dim)
-    return pattern, tuple((np.searchsorted(union, key), t[2]) for key, t in zip(keys, terms)), (diagonal, radius)
+    union = np.unique(np.concatenate([rows * dim + cols for rows, cols, _ in terms]))
+    rows, cols, values = union // dim, union % dim, np.zeros((union.size, len(terms)), order="F")
+    for t, (term_rows, term_cols, term_values) in enumerate(terms):
+        values[np.searchsorted(union, term_rows * dim + term_cols), t] = term_values
+    on, diagonal, radius = rows == cols, np.zeros((dim, len(terms)), dtype=np.complex128), np.zeros((dim, len(terms)))
+    diagonal[rows[on]] = values[on]
+    np.add.at(radius, rows[~on], np.abs(values[~on]))
+    return OperatorMatrix.from_triplets(basis, rows, cols, values), (diagonal, radius)
 
 
-def assemble(basis: Basis, model: str, params: ModelParams | None, coupling, blocks=None) -> OperatorMatrix:
-    """The operator of `model` at params and `coupling`, on its pattern, with its hint: the only way to build one.
-
-    Sums coefficient * term over the cached terms.  A number gives one operator; a 1-D array of G couplings the grid of
-    G operators, values of shape (nnz, G), one column each: the grid axis trails, so that a single operator takes
-    numpy's fast 1-D indexing path unchanged.  The coupling reaches the model's coefficients as given.  `blocks` (their
-    positions, as in gershgorin) builds those alone, each entry summed as in the whole operator (restricted).
-    """
-    pattern, terms, _ = model_terms(basis, model)
-    if blocks is not None:  # each term's entries on the kept positions, renumbered
-        pattern, where = pattern.restricted(blocks)
-        terms = [(where[slot], values) for slot, values in terms]
-        terms = [(slot[slot >= 0], values[slot >= 0]) for slot, values in terms]
+def _term_sum(model: str, params: ModelParams | None, coupling, terms: np.ndarray) -> tuple[np.ndarray, bool]:
+    """sum_t c_t terms[..., t] at params and `coupling` (a trailing grid axis for an array), from zeros in table order,
+    checked finite; and whether a coefficient is complex.  The coupling reaches the coefficients as given."""
     grid = np.shape(coupling)
-    summed = np.zeros((pattern.triplets[2].size, *grid), dtype=np.complex128)
+    summed = np.zeros((*terms.shape[:-1], *grid), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = MODELS[model].coefficients(params, coupling)
-        for coefficient, (slot, values) in zip(coefficients, terms, strict=True):
-            summed[slot] += np.multiply.outer(values, np.broadcast_to(coefficient, grid))
+        for t, coefficient in zip(range(terms.shape[-1]), coefficients, strict=True):
+            summed += np.multiply.outer(terms[..., t], np.broadcast_to(coefficient, grid))
     if not np.isfinite(summed).all():
         raise ValueError(f"the {model} operator has an entry that is not finite: a parameter is too large")
+    return summed, any(np.iscomplex(coefficient).any() for coefficient in coefficients)
+
+
+def assemble(basis: Basis, model: str, params: ModelParams | None, coupling) -> OperatorMatrix:
+    """The operator of `model` at params and `coupling`, on its terms' positions, with its hint.  A number gives one
+    operator; a 1-D array of G couplings the grid of G operators, values (nnz, G), one column each: the grid axis
+    trails, so that a single operator takes numpy's fast 1-D indexing path unchanged."""
+    terms, _ = model_terms(basis, model)
+    summed, general = _term_sum(model, params, coupling, terms.triplets[2])
     real = Hermiticity.ANTI_HERMITIAN if MODELS[model].anti_hermitian else Hermiticity.HERMITIAN
-    general = any(np.iscomplex(coefficient).any() for coefficient in coefficients)
-    return pattern.with_values(summed, Hermiticity.GENERAL if general else real)
+    return terms.with_values(summed, Hermiticity.GENERAL if general else real)
+
+
+def assemble_blocks(basis: Basis, model: str, params: ModelParams | None, coupling, blocks) -> list[tuple]:
+    """(members, stack) per block size of the blocks `blocks` of `model`'s operator (their positions, as in
+    gershgorin), as OperatorMatrix.blocks(blocks) gives them: each entry summed as in the whole operator (assemble)."""
+    terms, _ = model_terms(basis, model)
+    return [(members, _term_sum(model, params, coupling, stack)[0]) for members, stack in terms.blocks(blocks)]
 
 
 def gershgorin(basis: Basis, model: str, params: ModelParams | None, coupling) -> tuple[np.ndarray, np.ndarray]:
@@ -193,12 +197,12 @@ def gershgorin(basis: Basis, model: str, params: ModelParams | None, coupling) -
     c_t with the per-row term data (model_terms): sum_t c_t d_t and sum_t |c_t| r_t.  The latter is the radius, or
     above it where two terms share a position, so the bound is block_bounds()' or below it.  A block with a radius
     that overflows or an entry that is not finite gives -inf."""
-    pattern, _, (diagonal, radius) = model_terms(basis, model)
+    terms, (diagonal, radius) = model_terms(basis, model)
     grid = np.shape(coupling)
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = np.stack([np.broadcast_to(c, grid) for c in MODELS[model].coefficients(params, coupling)])
         diagonal, radius = diagonal @ coefficients, radius @ np.abs(coefficients)
-        lower = pattern.block_minima(np.where(np.isfinite(diagonal), diagonal.real - radius, -np.inf))
+        lower = terms.block_minima(np.where(np.isfinite(diagonal), diagonal.real - radius, -np.inf))
         return lower, (np.abs(diagonal) + radius).max(axis=0)
 
 

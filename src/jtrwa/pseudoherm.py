@@ -18,7 +18,7 @@ level order.  Each check takes one operator (a float) or a grid (G floats).
 Both gamma commands take passes from gamma_grids, building no operator and
 calling no LAPACK per gamma: pseudoherm assembles a pass whole (models.assemble
 at an array of gammas), reality_scan only the blocks that can hold its k lowest
-levels (models.gershgorin).  spectra.block_eigenvalues solves them.
+levels (gershgorin, assemble_blocks).  spectra.block_eigenvalues solves them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import HINT_TOL, Basis, OperatorMatrix, diagonal_op
-from .models import ModelParams, assemble, gershgorin
+from .models import ModelParams, assemble_blocks, gershgorin
 from .spectra import LEVEL_GAP, block_eigenvalues, level_order
 
 REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
@@ -172,8 +172,8 @@ def reality_scan(
         unsolved, vals = np.ones(len(lower), dtype=bool), np.empty((chunk.size, 0), dtype=np.complex128)
         while (new := np.flatnonzero(unsolved & (lower <= reach).any(axis=1))).size:
             unsolved[new] = False
-            h = assemble(basis, "nonhermitian", params_template, chunk, blocks=new)
-            vals = np.concatenate((vals, block_eigenvalues(h)), axis=1)
+            blocks = assemble_blocks(basis, "nonhermitian", params_template, chunk, new)
+            vals = np.concatenate((vals, block_eigenvalues(blocks)), axis=1)
             reach = np.partition(vals.real, k - 1)[:, k - 1] + (vals.shape[1] + 1) * LEVEL_GAP * np.maximum(1.0, scale)
         gammas += chunk.tolist()
         max_imag += np.abs(np.take_along_axis(vals, level_order(vals, scale)[:, :k], -1).imag).max(-1).tolist()

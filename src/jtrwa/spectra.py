@@ -11,9 +11,9 @@ general complex solver; the dense solve of the whole matrix is the test
 oracle.  Asked for its k lowest levels only (levels=k, as converge_ground
 asks), it solves only the blocks whose Gershgorin lower bound can reach
 them, lowest bound first, and the full solve is that path's oracle.
-block_eigenvalues solves the blocks an operator holds unsorted, for one
-operator or a grid of them (a pass of pseudoherm.gamma_grids), 2x2 blocks in
-closed form; diagonalize is its oracle.  Eigenvalues are sorted by real part,
+block_eigenvalues solves blocks (members, stack) unsorted, for one operator
+or a grid of them (a pass of pseudoherm.gamma_grids), 2x2 blocks in closed
+form; diagonalize is its oracle.  Eigenvalues are sorted by real part,
 then imaginary part, where real parts within LEVEL_GAP of each other (relative
 to the spectral radius, or a bound on it) are one level: exactly degenerate
 levels are ordered by imaginary part, not by round-off.
@@ -107,16 +107,16 @@ def level_order(vals: np.ndarray, scale=None) -> np.ndarray:
     return np.take_along_axis(by_real, np.lexsort((ordered.imag, level), axis=-1), axis=-1)
 
 
-def block_eigenvalues(op: OperatorMatrix) -> np.ndarray:
-    """Unsorted eigenvalues of the states of an operator's blocks, block after block: (n,), or (G, n) for a grid.
+def block_eigenvalues(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Unsorted eigenvalues of blocks (members, stack), from blocks() or assemble_blocks: (n,), or (G, n) for a grid.
 
     A 1x1 block is its entry.  A 2x2 block [[a, b], [c, d]] is solved in closed form, m +/- sqrt(((a - d)/2)^2 + bc)
     with m = (a + d)/2, on the block divided by its largest |entry|, so that at any magnitude no square overflows and
     none that matters underflows.  Blocks of any other size go to one stacked eigvals per size.  diagonalize, through
     LAPACK alone, is its oracle.
     """
-    grid, found = op.triplets[2].shape[1:], []  # a grid axis trails until the end
-    for members, stack in op.blocks():
+    found = []  # a grid axis trails until the end
+    for members, stack in blocks:
         if members.shape[1] == 1:
             vals = stack[:, 0, 0]
         elif members.shape[1] == 2:
@@ -126,7 +126,7 @@ def block_eigenvalues(op: OperatorMatrix) -> np.ndarray:
             vals = scale[:, None] * np.stack((mean - root, mean + root), axis=1)
         else:  # LAPACK wants the matrix axes last
             vals = np.moveaxis(np.linalg.eigvals(np.moveaxis(stack, (1, 2), (-2, -1))), -1, 1)
-        found.append(vals.reshape(-1, *grid))
+        found.append(vals.reshape(-1, *stack.shape[3:]))
     return np.concatenate(found).T
 
 

@@ -30,7 +30,7 @@ from jtrwa import (
 from jtrwa import cli as cli_module
 from jtrwa.cli import MAX_GRID_POINTS, cli, parse_grid
 from jtrwa.fockspace import diagonal_op
-from jtrwa.models import assemble
+from jtrwa.models import assemble, assemble_blocks
 
 
 def run_cli(args, out=None):
@@ -497,12 +497,15 @@ def test_gamma_commands_in_several_passes_equal_one_pass(monkeypatch):
     whole = cli_module.pseudoherm_command(1.0, 0.1, 4, None, grid), reality_scan(params, basis, grid)
     passes = []
 
-    def counted(*args, blocks=None):
-        passes.append((args[3].size, blocks is None))
-        return assemble(*args, blocks=blocks)
+    def counted(function, is_whole):
+        def count(*args):
+            passes.append((args[3].size, is_whole))
+            return function(*args)
+        return count
 
-    for module in (cli_module, pseudoherm):  # where each command looks it up
-        monkeypatch.setattr(module, "assemble", counted)
+    # where each command looks its assembly up: pseudoherm's body in cli, reality_scan in pseudoherm
+    monkeypatch.setattr(cli_module, "assemble", counted(assemble, True))
+    monkeypatch.setattr(pseudoherm, "assemble_blocks", counted(assemble_blocks, False))
     monkeypatch.setattr(pseudoherm, "GRID_STATES", 5 * basis.dimension)  # passes of five grid points
     for module in (cli_module, spectra, models):  # neither command builds or diagonalizes one operator per gamma
         for name in ("build_nonhermitian", "diagonalize"):

@@ -333,8 +333,8 @@ def test_reality_scan_assembles_one_grid_and_never_diagonalizes(monkeypatch):
             return function(*args, **kwargs)
         return counted
 
-    assemble, diagonalize = counting("assemble", models.assemble), counting("diagonalize", spectra.diagonalize)
-    monkeypatch.setattr(pseudoherm, "assemble", assemble)  # where the scan looks it up
+    assemble, diagonalize = counting("assemble", models.assemble_blocks), counting("diagonalize", spectra.diagonalize)
+    monkeypatch.setattr(pseudoherm, "assemble_blocks", assemble)  # where the scan looks it up
     for module in (spectra, pseudoherm):
         monkeypatch.setattr(module, "diagonalize", diagonalize, raising=False)
     basis = make_basis(BasisSpec.per_mode(8, 8))
@@ -446,16 +446,28 @@ def test_assembling_some_blocks_gives_the_whole_operators_values_there_bit_for_b
     whole = models.assemble(basis, model, params, coupling)
     count = len(models.gershgorin(basis, model, params, coupling)[0])
     chosen = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True)))
-    part = models.assemble(basis, model, params, coupling, blocks=chosen)
-    restricted, where = whole.restricted(chosen)
-    went = where >= 0
-    assert np.array_equal(restricted.triplets[2][where[went]], whole.triplets[2][went])
-    assert np.array_equal(np.sort(where[went]), np.arange(len(restricted.triplets[2])))
-    for a, b in zip(part.triplets, restricted.triplets, strict=True):
-        assert np.array_equal(a, b)
-    assert part.hint is whole.hint
-    for (members, stack), (chosen_members, chosen_stack) in zip(part.blocks(), whole.blocks(chosen), strict=True):
+    part = models.assemble_blocks(basis, model, params, coupling, chosen)
+    for (members, stack), (chosen_members, chosen_stack) in zip(part, whole.blocks(chosen), strict=True):
         assert np.array_equal(members, chosen_members) and np.array_equal(stack, chosen_stack)
+        assert stack.dtype == chosen_stack.dtype and stack.shape == chosen_stack.shape
     states = np.concatenate([members.ravel() for members, _ in whole.blocks()])
-    picked = np.isin(states, np.concatenate([members.ravel() for members, _ in part.blocks()]))
-    assert np.array_equal(spectra.block_eigenvalues(part), spectra.block_eigenvalues(whole)[..., picked])
+    picked = np.isin(states, np.concatenate([members.ravel() for members, _ in part]))
+    assert np.array_equal(spectra.block_eigenvalues(part), spectra.block_eigenvalues(whole.blocks())[..., picked])
+
+
+def test_assembling_blocks_that_overflow_raises_the_whole_operators_error():
+    # omega (n1 + n2 + 1) overflows for n1 + n2 >= 17 alone: a block there fails as the whole operator does, in one
+    # line, and the blocks below it build
+    basis, params = make_basis(BasisSpec.per_mode(9)), ModelParams(omega=1e307)
+    op = models.assemble(basis, "nonhermitian", ModelParams(omega=1.0), 0.1)
+    high = np.concatenate([(basis.n1 + basis.n2)[members].max(axis=1) >= 17 for members, _ in op.blocks()])
+    message = "the nonhermitian operator has an entry that is not finite: a parameter is too large"
+    one_high = [high.argmax()]
+    for coupling in (0.1, np.array([0.0, 0.1])):
+        for build in (lambda: models.assemble(basis, "nonhermitian", params, coupling),
+                      lambda: models.assemble_blocks(basis, "nonhermitian", params, coupling, one_high)):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+        below = models.assemble_blocks(basis, "nonhermitian", params, coupling, np.flatnonzero(~high))
+        assert all(np.isfinite(stack).all() for _, stack in below)

@@ -324,7 +324,7 @@ def test_grid_solver_equals_diagonalize_per_gamma(spec, omega0, near, anywhere, 
     points = [exceptional[n1] * (1.0 + side * d) for n1, d, side in near]
     gammas = np.unique([g for g in (0.0, *points, *anywhere) if np.all(np.abs(g - exceptional) >= 1e-3 * exceptional)])
     grid = assemble(basis, "nonhermitian", params, gammas)
-    vals = block_eigenvalues(grid)
+    vals = block_eigenvalues(grid.blocks())
     assert vals.shape == (gammas.size, basis.dimension)
     tol = []
     for values, row, gamma in zip(grid.triplets[2].T, vals, gammas):
@@ -342,7 +342,7 @@ def _reality_by_whole_pass(params, basis, gammas, k):
     # oracle: every block of a pass solved, then level-ordered on the same scale, the Gershgorin spectral radius bound
     max_imag = []
     for chunk in pseudoherm.gamma_grids(basis, gammas):
-        vals = block_eigenvalues(assemble(basis, "nonhermitian", params, chunk))
+        vals = block_eigenvalues(assemble(basis, "nonhermitian", params, chunk).blocks())
         order = level_order(vals, gershgorin(basis, "nonhermitian", params, chunk)[1])[:, :k]
         max_imag += np.abs(np.take_along_axis(vals, order, axis=-1).imag).max(axis=-1).tolist()
     return max_imag, next((g for g, m in zip(gammas, max_imag) if m > REALITY_TOL), None)
@@ -372,9 +372,9 @@ def test_reality_scan_solves_at_most_14_of_the_162_states_of_the_bench_grid(monk
     # the benchmark's reality-scan: 101 gammas from an offset within one step, per-mode cutoff 8, k = 4, in one pass
     solved, solve = [], pseudoherm.block_eigenvalues
 
-    def recording(h):
-        solved.append(sum(members.size for members, _ in h.blocks()))
-        return solve(h)
+    def recording(blocks):
+        solved.append(sum(members.size for members, _ in blocks))
+        return solve(blocks)
 
     monkeypatch.setattr(pseudoherm, "block_eigenvalues", recording)
     basis, gammas = make_basis(BasisSpec.per_mode(8)), offset + 0.005 * np.arange(101)
@@ -415,6 +415,6 @@ def test_reality_scan_solves_the_k_lowest_of_the_whole_spectrum_in_its_order(mon
     monkeypatch.setattr(pseudoherm, "level_order", recording)
     basis, params, gammas = make_basis(spec), ModelParams(omega=1.0, omega0=omega0), np.array([gamma])
     reality_scan(params, basis, gammas, k=k)
-    every = block_eigenvalues(assemble(basis, "nonhermitian", params, gammas))
+    every = block_eigenvalues(assemble(basis, "nonhermitian", params, gammas).blocks())
     order = level_order(every, gershgorin(basis, "nonhermitian", params, gammas)[1])
     assert np.array_equal(lowest[0], np.take_along_axis(every, order[:, :k], axis=-1))

@@ -135,12 +135,12 @@ def test_triplet_sectors_equal_the_dense_pattern_sectors(spec, model, coupling):
 def test_block_eigenvalues_equal_diagonalize(spec, model):
     # 1x1 and 2x2 blocks (rotated, nonhermitian) and larger ones (stacked eigvals); a grid of zero operators is zero
     op = BUILDERS[model](ModelParams(omega=1.1, omega0=0.15, kappa=0.37, gamma=0.37), make_basis(spec))
-    vals = block_eigenvalues(op)
+    vals = block_eigenvalues(op.blocks())
     cost = np.abs(vals[:, None] - diagonalize(op).eigenvalues[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-13 * np.abs(op.triplets[2]).max()
     zeros = op.with_values(np.zeros((op.triplets[2].size, 3)), Hermiticity.GENERAL)
-    assert np.array_equal(block_eigenvalues(zeros), np.zeros((3, op.dimension)))
+    assert np.array_equal(block_eigenvalues(zeros.blocks()), np.zeros((3, op.dimension)))
 
 
 def _level_order_1d(vals):

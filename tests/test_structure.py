@@ -92,7 +92,7 @@ HINTS = {"HERMITIAN", "ANTI_HERMITIAN", "GENERAL"}
 
 
 def _lines_outside(path, function, matches):
-    """Line of every node of `path` for which `matches` holds, outside a function named `function`."""
+    """Line of every node of `path` for which `matches` holds, outside a function named `function` (None: anywhere)."""
     def walk(node, inside):
         inside = inside or (isinstance(node, ast.FunctionDef) and node.name == function)
         if not inside and matches(node):
@@ -198,12 +198,18 @@ def test_the_attribute_rule_flags_a_read_of_another_modules_private_attribute(tm
     assert list(_foreign_private_reads(source)) == [(9, "_plan")]
 
 
+def _calls(ufunc, method):
+    """Whether a node calls `<ufunc>.<method>`: on np.<ufunc>, numpy.<ufunc> or a bare imported <ufunc>."""
+    def matches(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method
+                and ufunc in (getattr(node.func.value, "id", None), getattr(node.func.value, "attr", None)))
+
+    return matches
+
+
 def _minimum_reduceat_calls(path):
-    """Line of every call of `minimum.reduceat` (np.minimum, numpy.minimum or a bare imported minimum) in `path`."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reduceat":
-            if "minimum" in (getattr(node.func.value, "id", None), getattr(node.func.value, "attr", None)):
-                yield node.lineno
+    """Line of every call of `minimum.reduceat` in `path`."""
+    return _lines_outside(path, None, _calls("minimum", "reduceat"))
 
 
 def _modules_reducing_bounds_to_blocks(paths):
@@ -224,3 +230,28 @@ def test_the_reduction_rule_flags_a_second_caller(tmp_path):
     )
     assert list(_minimum_reduceat_calls(source)) == [5, 6]
     assert _modules_reducing_bounds_to_blocks([*SOURCES, source]) == ["fockspace.py", "probe.py"]
+
+
+def _term_products(path):
+    """Line of every call of `multiply.outer` in `path`, and of those outside a function named `_term_sum`."""
+    calls = _calls("multiply", "outer")
+    return list(_lines_outside(path, None, calls)), list(_lines_outside(path, "_term_sum", calls))
+
+
+def test_one_function_multiplies_coefficients_into_terms():
+    # models._term_sum sums coefficient * term for assemble and assemble_blocks alike, so that a block assembled alone
+    # holds the whole operator's values bit for bit
+    everywhere, outside = _term_products(SOURCES[0].with_name("models.py"))
+    assert len(everywhere) == 1 and outside == []
+
+
+def test_the_term_product_rule_flags_a_second_site(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\nfrom numpy import multiply\n\n"
+        "def _term_sum(terms, c):\n    return sum(np.multiply.outer(t, c) for t in terms)\n\n"
+        "def assemble_blocks(stacks, c):\n    return [multiply.outer(s, c) for s in stacks], np.add.outer(c, c)\n"
+    )
+    assert _term_products(source) == ([5, 8], [8])
+    source.write_text("def _term_sum(a, b, c):\n    return np.multiply.outer(a, c) + np.multiply.outer(b, c)\n")
+    assert _term_products(source) == ([2, 2], [])
