@@ -87,6 +87,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise click.UsageError("grid stop must not precede start")
     if (stop - start) / step + 0.5 > MAX_GRID_POINTS:
         raise click.UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    if stop == start:  # a step too small to move stop + step / 2 off stop would give arange no point
+        return (start,)
     return tuple(float(v) for v in np.arange(start, stop + 0.5 * step, step))
 
 

@@ -20,11 +20,13 @@ OperatorMatrix as (rows, cols, values) triplets.  Its blocks() are the
 blocks of their pattern (the conserved-quantity sectors), all or a chosen
 few, read by the eigensolver, the transforms and the checks; block_bounds()
 bounds each block's spectrum from below (Gershgorin, through block_minima),
-and validation reads each entry's transposed partner.  A model operator
-holds its model's positions, zeros included, and their layout (blocks and
-transpose map), found once (with_values).  Triplets are the only way to
-build an operator (from_triplets); no module reads the dense view
-`entries`, the tests' oracle.
+and validation reads each entry's transposed partner.  twins() pairs the
+blocks that the spin flip with the mode swap, (s, n1, n2) -> (-s, n2, n1),
+maps onto each other, where the operator commutes with it exactly.  A model
+operator holds its model's positions, zeros included, and their layout
+(blocks, transpose map and swap map), found once (with_values).  Triplets
+are the only way to build an operator (from_triplets); no module reads the
+dense view `entries`, the tests' oracle.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -184,14 +186,20 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
     return [order[end - size * number:end].reshape(number, size) for size, number, end in zip(sizes, numbers, ends)]
 
 
+# Theta on a pattern it maps onto itself: its state map (an involution), per triplet the index of the triplet at its
+# Theta-image, per block (in the order blocks() gives them) its representative, the lower-positioned of it and its
+# twin, and the representatives' `chosen` layout.
+Swap = namedtuple("Swap", "state partner representative layout")
+
+
 class _Plan:
     """The layout that the positions (rows, cols) of a dim x dim operator decide, each part found on first use.
 
     Shared by every operator on those positions (with_values), so it is found once per pattern.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, dim: int) -> None:
-        self.rows, self.cols, self.dim = rows, cols, dim
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, basis: Basis) -> None:
+        self.rows, self.cols, self.basis, self.dim = rows, cols, basis, basis.dimension
 
     @cached_property
     def sizes(self) -> list[tuple]:
@@ -229,14 +237,37 @@ class _Plan:
             picked.append((members[pick], k[on], (renumber[block[on]], row[on], col[on])))
         return picked
 
+    def find(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per position (rows[k], cols[k]), the index of the triplet there and whether there is one (the positions of
+        the triplets are distinct, as in every operator the package builds)."""
+        keys, wanted = self.rows * self.dim + self.cols, rows * self.dim + cols
+        order = np.argsort(keys)
+        partner = order[np.searchsorted(keys, wanted, sorter=order).clip(max=keys.size - 1)]
+        return partner, keys[partner] == wanted
+
     @cached_property
     def mirror(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per triplet, the index of the triplet at the transposed position and whether it is there (the positions
-        are distinct, as in every operator the package builds)."""
-        keys, mirrored = self.rows * self.dim + self.cols, self.cols * self.dim + self.rows
-        order = np.argsort(keys)
-        partner = order[np.searchsorted(keys, mirrored, sorter=order).clip(max=keys.size - 1)]
-        return partner, keys[partner] == mirrored
+        """Per triplet, the index of the triplet at the transposed position and whether it is there."""
+        return self.find(self.cols, self.rows)
+
+    @cached_property
+    def swap(self) -> Swap | None:
+        """Theta, the spin flip with the mode swap (s, n1, n2) -> (-s, n2, n1), where it maps the pattern onto itself
+        (on a mode-symmetric basis, every triplet's Theta-image a triplet; else None), and so each block onto a block,
+        its twin."""
+        basis = self.basis
+        if basis.spec.n_max_1 != basis.spec.n_max_2:
+            return None
+        state = basis.index(-basis.spin, basis.n2, basis.n1)
+        partner, found = self.find(state[self.rows], state[self.cols])
+        if not found.all():
+            return None
+        states, starts = self.states
+        position = np.arange(starts.size)
+        block = np.empty(self.dim, dtype=np.intp)  # of each state
+        block[states] = np.repeat(position, np.diff(starts, append=self.dim))
+        representative = np.minimum(position, block[state[states[starts]]])
+        return Swap(state, partner, representative, self.chosen(np.flatnonzero(representative == position)))
 
 
 class OperatorMatrix:
@@ -284,27 +315,44 @@ class OperatorMatrix:
 
     @cached_property
     def _plan(self) -> _Plan:
-        return _Plan(*self.triplets[:2], self.dimension)
+        return _Plan(*self.triplets[:2], self.basis)
 
-    def blocks(self, chosen: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def twins(self) -> Swap | None:
+        """Theta (the spin flip with the mode swap) where this operator commutes with it, else None: its pattern maps
+        onto itself (_Plan.swap, found once) and every value equals its Theta-partner's exactly, in every column of a
+        grid (checked per call, O(nnz)).  Then a block and its twin (J and -J of the full model at omega0 = 0) are
+        equal entry for entry under the state map, so they have the same eigenvalues."""
+        swap, values = self._plan.swap, self.triplets[2]
+        return swap if swap is not None and np.array_equal(values, values[swap.partner]) else None
+
+    def blocks(self, chosen: np.ndarray | None = None, paired: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
         Values of shape (nnz, G), a grid of operators on one pattern, give stacks of shape (count, size, size, G).
         The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
         a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.  `chosen`
         (positions among all blocks) keeps only those blocks, still one stack per size; a size with none is skipped.
+        `paired`, on an operator that twins() pairs, keeps of those blocks the representatives of their twin pairs.
         """
         values, plan = self.triplets[2], self._plan
-        for members, k, slots in plan.sizes if chosen is None else plan.chosen(chosen):
+        if paired:
+            layout = plan.swap.layout if chosen is None else plan.chosen(plan.swap.representative[chosen])
+        else:
+            layout = plan.sizes if chosen is None else plan.chosen(chosen)
+        for members, k, slots in layout:
             stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=np.complex128)
             stack[slots] = values[k]
             yield members, stack
 
     def block_minima(self, per_state: np.ndarray) -> np.ndarray:
         """The least of `per_state` (dim, ...) over the states of each block, (blocks, ...) in the order blocks() gives
-        them; nan reads as -inf.  The one reduction of a per-state bound to the blocks."""
-        states, starts = self._plan.states
-        return np.minimum.reduceat(np.where(np.isnan(per_state), -np.inf, per_state)[states], starts)
+        them; nan reads as -inf.  The one reduction of a per-state bound to the blocks: one reduceat for one operator,
+        and for a grid (dim, G) one min per block size, which skips reduceat's cost per segment and column."""
+        per_state, plan = np.where(np.isnan(per_state), -np.inf, per_state), self._plan
+        if per_state.ndim == 1:
+            states, starts = plan.states
+            return np.minimum.reduceat(per_state[states], starts)
+        return np.concatenate([per_state[members].min(axis=1) for members, _, _ in plan.sizes])
 
     def block_bounds(self) -> np.ndarray:
         """A lower bound on the real parts of the eigenvalues of each block, in the order blocks() gives them.

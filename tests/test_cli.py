@@ -10,6 +10,7 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
     BasisSpec,
@@ -362,6 +363,40 @@ def test_non_finite_input_is_usage_error(args):
     assert result.exit_code == 2
     errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and "finite" in errors[0]
+
+
+def _grid_before_single_points(text):
+    # parse_grid's arange before a one-point grid was special-cased
+    start, stop, step = map(float, text.split(":"))
+    return tuple(float(v) for v in np.arange(start, stop + 0.5 * step, step))
+
+
+def test_a_one_point_grid_with_a_tiny_step_is_its_start():
+    # stop + step / 2 rounds to stop, where arange gave no point and pseudoherm exited 2 on an empty grid
+    assert _grid_before_single_points("0.1:0.1:1e-300") == ()
+    assert parse_grid("0.1:0.1:1e-300") == (0.1,)
+    result = run_cli(["pseudoherm", "--nmax", "2", "--grid", "0.1:0.1:1e-300"])
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout.splitlines()) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(-1e3, 1e3, allow_subnormal=True),
+    span=st.floats(0.0, 1e3),
+    step=st.floats(1e-300, 1e3),
+)
+def test_every_other_finite_grid_is_unchanged(start, span, step):
+    stop = start + span
+    text = f"{start!r}:{stop!r}:{step!r}"
+    try:
+        got = parse_grid(text)
+    except click.UsageError:
+        assert (stop - start) / step + 0.5 > MAX_GRID_POINTS
+        return
+    before = _grid_before_single_points(text)
+    assert before or stop == start  # only a one-point grid came out empty
+    assert got == (before or (start,))
 
 
 def test_grid_length_is_capped():

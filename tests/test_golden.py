@@ -14,7 +14,11 @@ exiting 1 on a row that does not converge, its summary gained one
 `converged` entry, and table1.err, table1-json.out, table1-json.err and
 table1-pretty.out were regenerated for that entry alone.  When the table1
 gate came to cover E0 and E1, help-table1 was regenerated for the two
-reworded strings (the command's description and `--tol`).
+reworded strings (the command's description and `--tol`).  When
+`diagonalize` began solving one block of each J, -J twin pair at
+omega0 = 0, table1-json was regenerated for its two 17-digit cells that
+moved by a few ulps (E0 at kappa^2 = 0.5 and its abs_delta): E0 was the
+smaller of the two J = +-1/2 copies, and now it is one value.
 Outputs listed as BYTES must match byte for byte.  The NUMERIC ones
 carry eigensolver round-off (imaginary parts of real levels, residual
 norms near machine precision) that differs between BLAS builds; their

@@ -668,19 +668,98 @@ def test_levels_take_a_positive_count_and_no_vectors():
             diagonalize(op, **kwargs)
 
 
+def _count_solved(monkeypatch):
+    """The number of states that diagonalize hands to the stacked LAPACK solvers from here on, as a list to sum."""
+    solved = []
+
+    def counting(solve):
+        def counted(stack):
+            solved.append(stack.shape[0] * stack.shape[1])
+            return solve(stack)
+        return counted
+
+    for name in ("eigvalsh", "eigvals"):
+        monkeypatch.setattr(spectra.np.linalg, name, counting(getattr(np.linalg, name)))
+    return solved
+
+
 def test_converge_ground_solves_only_the_blocks_of_the_low_levels(monkeypatch):
-    # the lowest levels sit in the J = +-1/2 and +-3/2 chains: 124 of the 132 + 462 states at N = 10 and 20
-    solved, eigvalsh = [], np.linalg.eigvalsh
-
-    def counting(stack):
-        solved.append(stack.shape[0] * stack.shape[1])
-        return eigvalsh(stack)
-
-    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", counting)
+    # the lowest levels sit in the J = +-1/2 and +-3/2 chains: 124 of the 132 + 462 states at N = 10 and 20, and at
+    # omega0 = 0 one chain of each twin pair is solved for both
+    solved = _count_solved(monkeypatch)
     params = ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(0.9))
     spectrum = converge_ground(build_full_jt, params, total_number_schedule((10, 20, 30, 40)), levels=2)
     assert [c for c, _ in spectrum.cutoff_history] == [10, 20]
     assert 0 < sum(solved) <= 150
+    assert sum(solved) == 62
+
+
+@pytest.mark.parametrize("spec, omega0, solved_states", [
+    (BasisSpec.total_number(40), 0.0, 861),  # J and -J: one block of each twin pair
+    (BasisSpec.total_number(40), 0.2, 1722),  # omega0 sigma0 breaks the mode swap with the spin flip
+    (BasisSpec.per_mode(6, 7), 0.0, 112),  # the swap leaves a basis of unequal cutoffs
+])
+def test_twin_blocks_are_solved_once(monkeypatch, spec, omega0, solved_states):
+    op = build_full_jt(ModelParams(omega=1.0, omega0=omega0, kappa=np.sqrt(0.37)), make_basis(spec))
+    solved = _count_solved(monkeypatch)
+    spectrum = diagonalize(op)
+    assert sum(solved) == solved_states
+    assert spectrum.eigenvalues.size == op.dimension
+    assert (op.twins() is not None) == (solved_states < op.dimension)
+
+
+def _twin_oracle(op):
+    # every block of op.blocks() solved as diagonalize solves a stack, then each twin given its representative's
+    # eigenvalues, as twins() pairs them; with no pairing, every block's own
+    hermitian, per_block = op.hint is Hermiticity.HERMITIAN, []
+    for members, stack in op.blocks():
+        if hermitian:
+            vals = np.linalg.eigvalsh(stack.real if not np.any(stack.imag) else stack)
+        else:
+            vals = np.linalg.eigvals(stack)
+        per_block += list(vals.astype(complex))
+    twins = op.twins()
+    if twins is not None:
+        per_block = [per_block[r] for r in twins.representative]
+    vals = np.concatenate(per_block)
+    return vals[level_order(vals)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.just("full") | st.sampled_from(sorted(MODELS)),  # the one model that pairs, more often
+    total=st.booleans(),
+    cutoff=st.integers(1, 9),
+    second_cutoff=st.none() | st.integers(1, 9),  # None: equal cutoffs
+    omega0=st.sampled_from((0.0, 0.2)),
+    magnitude=st.sampled_from((0.0, 0.37)) | st.floats(0.0, 1.5),
+    phase=st.sampled_from((0.0, 0.7)),
+)
+def test_paired_spectra_match_the_dense_oracle_and_each_twin_is_its_representative(
+    model, total, cutoff, second_cutoff, omega0, magnitude, phase
+):
+    # a complex coupling of a generic phase keeps the complex-symmetric blocks away from their exceptional points
+    kappa = magnitude * np.exp(1j * phase) if phase else magnitude
+    spec = BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff, second_cutoff or cutoff)
+    op = MODELS[model](ModelParams(omega=1.0, omega0=omega0, kappa=kappa, gamma=magnitude), make_basis(spec))
+    twins = op.twins()
+    assert (twins is not None) == (model == "full" and omega0 == 0.0 and spec.n_max_1 == spec.n_max_2)
+    vals = diagonalize(op).eigenvalues
+    dense = _dense_pattern_eigenvalues(op)
+    cost = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12 * max(1.0, np.abs(dense).max())
+    assert np.array_equal(vals, _twin_oracle(op))  # bit for bit: a twin holds its representative's eigenvalues
+    if twins is None:
+        return
+    assert np.array_equal(twins.state[twins.state], np.arange(op.dimension))
+    # the same pattern with one diagonal value one ulp off its Theta-partner's is not paired
+    values = op.triplets[2].copy()
+    k = np.flatnonzero(op.triplets[0] == op.triplets[1])[cutoff % 3]
+    values[k] = np.nextafter(values[k].real, np.inf) + 1j * values[k].imag
+    broken = op.with_values(values, op.hint)
+    assert broken.twins() is None
+    assert np.array_equal(diagonalize(broken).eigenvalues, _twin_oracle(broken))
 
 
 def test_converge_ground_gates_every_level():

@@ -1,6 +1,7 @@
 """Source-level rules that keep one owner per helper, the runtime on numpy and click, and no dense view in src."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -255,3 +256,43 @@ def test_the_term_product_rule_flags_a_second_site(tmp_path):
     assert _term_products(source) == ([5, 8], [8])
     source.write_text("def _term_sum(a, b, c):\n    return np.multiply.outer(a, c) + np.multiply.outer(b, c)\n")
     assert _term_products(source) == ([2, 2], [])
+
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _span_targets(path):
+    """(module, attribute) of every entry of `TARGETS` in `path`, evaluated from its assignment and the module-level
+    names it reads, without importing the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assignments = [node for node in tree.body if isinstance(node, ast.Assign)
+                   and all(isinstance(target, ast.Name) for target in node.targets)]
+    namespace = {}
+    exec(compile(ast.Module(body=assignments, type_ignores=[]), str(path), "exec"), namespace)
+    return [(module, attribute) for module, attribute, _ in namespace["TARGETS"]]
+
+
+def _unresolved(targets):
+    """The targets `module.attribute` that `jtrwa` does not hold."""
+    return [f"{module}.{attribute}" for module, attribute in targets
+            if not hasattr(importlib.import_module(f"jtrwa.{module}"), attribute)]
+
+
+def test_every_name_the_bench_tracer_patches_resolves():
+    # bench/spans.py rebinds these names, and the three bindings it patches explicitly; a rename would crash a
+    # traced benchmark run
+    targets = _span_targets(SPANS)
+    assert ("spectra", "diagonalize") in targets and ("models", "build_full_jt") in targets
+    assert _unresolved([*targets, ("cli", "MODELS"), ("transforms", "expm"), ("fockspace", "OperatorMatrix")]) == []
+    assert callable(importlib.import_module("jtrwa.fockspace").OperatorMatrix.validate)
+
+
+def test_the_tracer_rule_flags_a_missing_name(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "NAMES = ('diagonalize', 'diagonalise')\n"
+        "TARGETS = [*(('spectra', name, 'spectra.solve') for name in NAMES), ('models', 'assemble', 'build')]\n"
+    )
+    targets = _span_targets(source)
+    assert targets == [("spectra", "diagonalize"), ("spectra", "diagonalise"), ("models", "assemble")]
+    assert _unresolved(targets) == ["spectra.diagonalise"]
