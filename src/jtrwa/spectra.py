@@ -157,10 +157,13 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     the k lowest distinct levels (lowest_levels), in rounds of at most k
     blocks, lowest Gershgorin bound (op.block_bounds()) first: the k lowest,
     then those whose bound is at most L, the k-th lowest level found so far
-    (+inf while fewer are found).  L only falls, so every block left
-    unsolved lies above it: the spectrum holds whole blocks, among them
-    every eigenvalue whose real part is at most L.  A chosen twin is solved
-    through its representative, and a solved pair leaves the rounds whole.
+    (+inf while fewer are found), plus LEVEL_GAP relative to a Gershgorin
+    bound on the spectral radius, since round-off may set a computed
+    eigenvalue that far below its block's bound.  L only falls, so every
+    block left unsolved lies above it: the spectrum holds whole blocks,
+    among them every eigenvalue whose real part is at most L.  A chosen
+    twin is solved through its representative, and a solved pair leaves
+    the rounds whole.
     """
     if levels is not None and (want_vectors or levels < 1):
         raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")
@@ -175,6 +178,9 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     chosen = None  # every block, in one round
     if levels is not None:
         bounds = op.block_bounds()
+        rows, _, values = op.triplets
+        with np.errstate(over="ignore"):  # an overflowing radius widens the reach to every block
+            reach = LEVEL_GAP * max(1.0, np.bincount(rows, np.abs(values), minlength=dim).max(initial=0.0))
         left = np.argsort(bounds, kind="stable")  # the unsolved blocks, lowest bound first
         chosen, left = left[:levels], left[levels:]
         paired_done = np.zeros(bounds.size, dtype=bool)  # per representative, whether its pair is solved
@@ -200,7 +206,8 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
             paired_done[twins.representative[chosen]] = True
             left = left[~paired_done[twins.representative[left]]]
         found = lowest_levels(vals[solved].real, levels)
-        take = min(levels, np.searchsorted(bounds[left], found[-1] if len(found) == levels else np.inf, "right"))
+        top = (found[-1] if len(found) == levels else np.inf) + reach
+        take = min(levels, np.searchsorted(bounds[left], top, "right"))
         if not take:
             break
         chosen, left = left[:take], left[take:]

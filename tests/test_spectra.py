@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dense import dense_op
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from jtrwa import (
@@ -639,6 +639,8 @@ def test_blockwise_residuals_match_the_dense_formula(model):
     omega0=st.sampled_from((-0.3, 0.0, 0.2)),
     k=st.integers(1, 3),
 )
+# a block bounded at 3.0000000000000004 whose eigvalsh gives 2.9999999999999996, below the third level 3.0 found
+@example(model="full", total=False, cutoff=3, coupling=8.512565837716455e-184, omega0=0.0, k=3)
 def test_levels_spectrum_holds_the_lowest_levels_of_the_full_one(model, total, cutoff, coupling, omega0, k):
     # the full spectrum is the oracle: its k lowest distinct levels come out exactly, and with them every
     # eigenvalue whose real part lies at or below the k-th
