@@ -11,22 +11,23 @@ Two truncation schemes are supported:
 * total-number: a shared bound n1 + n2 <= N, which closes exactly under
   any operation that conserves the total boson number.
 
-A Basis holds the quantum numbers of its states as three read-only
-integer arrays, spin, n1 and n2, in that order, and inverts them by offset
-arithmetic.  Operators are assembled sparse, as Terms: sums of products of
-ladder, Pauli and identity column maps (models caches a model's terms per
-basis as one operator, a column of values per term), and held in an
-OperatorMatrix as (rows, cols, values) triplets.  Its blocks() are the
-blocks of their pattern (the conserved-quantity sectors), all or a chosen
-few, read by the eigensolver, the transforms and the checks; block_bounds()
-bounds each block's spectrum from below (Gershgorin, through block_minima),
-and validation reads each entry's transposed partner.  twins() pairs the
-blocks that the spin flip with the mode swap, (s, n1, n2) -> (-s, n2, n1),
-maps onto each other, where the operator commutes with it exactly.  A model
-operator holds its model's positions, zeros included, and their layout
-(blocks, transpose map and swap map), found once (with_values).  Triplets
-are the only way to build an operator (from_triplets); no module reads the
-dense view `entries`, the tests' oracle.
+A Basis holds the quantum numbers of its states as three read-only integer
+arrays, spin, n1 and n2, in that order, and inverts them by offset
+arithmetic; make_basis builds one per spec and shares it.  Operators are
+assembled sparse, as Terms: sums of products of ladder, Pauli and identity
+column maps (models caches a model's terms per basis as one operator, a
+column of values per term), and held in an OperatorMatrix as (rows, cols,
+values) triplets.  Its blocks() are the blocks of their pattern (the
+conserved-quantity sectors), all or a chosen few, read by the eigensolver,
+the transforms and the checks; block_bounds() bounds each block's spectrum
+from below (Gershgorin, through block_minima), and validation reads each
+entry's transposed partner.  twins() pairs the blocks that the spin flip
+with the mode swap, (s, n1, n2) -> (-s, n2, n1), maps onto each other, where
+the operator commutes with it exactly.  A model operator holds its model's
+positions, zeros included, and their layout (blocks, transpose map and swap
+map), found once (with_values).  Triplets are the only way to build an
+operator (from_triplets); no module reads the dense view `entries`, the
+tests' oracle.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -38,7 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -141,8 +142,10 @@ class Basis:
         return hash(self.spec)
 
 
+@lru_cache(maxsize=16)
 def make_basis(spec: BasisSpec) -> Basis:
-    """The quantum numbers of the basis states of `spec` in the fixed canonical order."""
+    """The quantum numbers of the basis states of `spec` in the fixed canonical order, built once per spec and shared
+    (a Basis is frozen and its arrays are read-only)."""
     n1, n2 = (axis.ravel() for axis in np.indices((spec.n_max_1 + 1, spec.n_max_2 + 1)))
     if spec.truncation is Truncation.TOTAL_NUMBER:
         inside = n1 + n2 <= spec.n_max_1

@@ -168,7 +168,7 @@ def _term_sum(model: str, params: ModelParams | None, coupling, terms: np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = MODELS[model].coefficients(params, coupling)
         for t, coefficient in zip(range(terms.shape[-1]), coefficients, strict=True):
-            summed += np.multiply.outer(terms[..., t], np.broadcast_to(coefficient, grid))
+            summed += np.multiply(terms[(..., t, *(None,) * len(grid))], coefficient)  # a grid axis trails
     if not np.isfinite(summed).all():
         raise ValueError(f"the {model} operator has an entry that is not finite: a parameter is too large")
     return summed, any(np.iscomplex(coefficient).any() for coefficient in coefficients)

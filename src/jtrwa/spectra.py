@@ -15,13 +15,16 @@ operator that commutes with the spin flip with the mode swap,
 (s, n1, n2) -> (-s, n2, n1) (OperatorMatrix.twins(): the full model at
 omega0 = 0 on a mode-symmetric basis, which maps J onto -J), has its blocks
 in twin pairs: on both paths diagonalize solves one block of each pair and
-gives the twin the same eigenvalues, bit for bit.
+gives the twin the same eigenvalues, bit for bit, and the levels path
+chooses whole pairs (at each cutoff of the benchmark table, J = +-1/2 and
++-3/2 in one round).
 block_eigenvalues solves blocks (members, stack) unsorted, for one operator
 or a grid of them (a pass of pseudoherm.gamma_grids), 2x2 blocks in closed
 form; diagonalize is its oracle.  Eigenvalues are sorted by real part,
 then imaginary part, where real parts within LEVEL_GAP of each other (relative
 to the spectral radius, or a bound on it) are one level: exactly degenerate
-levels are ordered by imaginary part, not by round-off.
+levels are ordered by imaginary part, not by round-off.  A spectrum with no
+imaginary part is in that order once sorted by real part.
 """
 
 from __future__ import annotations
@@ -106,6 +109,8 @@ def level_order(vals: np.ndarray, scale=None) -> np.ndarray:
     row, else its largest |value|; a bound on the spectral radius gives a part of a spectrum the levels of the whole.
     """
     by_real = np.argsort(vals.real, axis=-1, kind="stable")
+    if not np.any(vals.imag):  # a stable lexsort on a constant key over non-decreasing levels is the identity
+        return by_real
     ordered = np.take_along_axis(vals, by_real, axis=-1)
     gap = LEVEL_GAP * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
     level = np.cumsum(np.diff(ordered.real, axis=-1, prepend=ordered.real[..., :1]) > gap, axis=-1)
@@ -155,15 +160,15 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
 
     With `levels` = k (no vectors) it solves only the blocks that can hold
     the k lowest distinct levels (lowest_levels), in rounds of at most k
-    blocks, lowest Gershgorin bound (op.block_bounds()) first: the k lowest,
-    then those whose bound is at most L, the k-th lowest level found so far
+    blocks, or of k twin pairs where op.twins() pairs them (a pair is keyed
+    by the lower of its two blocks' bounds, which may differ by an ulp),
+    lowest Gershgorin bound (op.block_bounds()) first: the k lowest, then
+    those whose bound is at most L, the k-th lowest level found so far
     (+inf while fewer are found), plus LEVEL_GAP relative to a Gershgorin
     bound on the spectral radius, since round-off may set a computed
     eigenvalue that far below its block's bound.  L only falls, so every
     block left unsolved lies above it: the spectrum holds whole blocks,
-    among them every eigenvalue whose real part is at most L.  A chosen
-    twin is solved through its representative, and a solved pair leaves
-    the rounds whole.
+    among them every eigenvalue whose real part is at most L.
     """
     if levels is not None and (want_vectors or levels < 1):
         raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")
@@ -174,6 +179,7 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     residuals = np.empty(dim) if want_vectors else None
     if hermitian:
         op.validate()
+    imaginary = np.any(op.triplets[2].imag)  # else every block is real
     twins = None if want_vectors else op.twins()
     chosen = None  # every block, in one round
     if levels is not None:
@@ -181,13 +187,16 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
         rows, _, values = op.triplets
         with np.errstate(over="ignore"):  # an overflowing radius widens the reach to every block
             reach = LEVEL_GAP * max(1.0, np.bincount(rows, np.abs(values), minlength=dim).max(initial=0.0))
-        left = np.argsort(bounds, kind="stable")  # the unsolved blocks, lowest bound first
+        left = np.arange(bounds.size)
+        if twins is not None:  # a pair is keyed by the lower bound of its blocks (their row sums may differ by an ulp)
+            left = np.flatnonzero(twins.representative == left)
+            np.minimum.at(bounds, twins.representative, bounds.copy())
+        left = left[np.argsort(bounds[left], kind="stable")]  # the unsolved blocks or pairs, lowest bound first
         chosen, left = left[:levels], left[levels:]
-        paired_done = np.zeros(bounds.size, dtype=bool)  # per representative, whether its pair is solved
     while True:
         for members, stack in op.blocks(chosen, paired=twins is not None):
             if hermitian:
-                stack = stack.real if not np.any(stack.imag) else stack
+                stack = stack if imaginary and np.any(stack.imag) else stack.real
                 solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
             else:
                 solve = np.linalg.eig if want_vectors else np.linalg.eigvals
@@ -202,9 +211,6 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
                 vals[twins.state[members]], solved[twins.state[members]] = vals[members], True
         if levels is None:
             break
-        if twins is not None:  # the twins of the blocks solved are solved
-            paired_done[twins.representative[chosen]] = True
-            left = left[~paired_done[twins.representative[left]]]
         found = lowest_levels(vals[solved].real, levels)
         top = (found[-1] if len(found) == levels else np.inf) + reach
         take = min(levels, np.searchsorted(bounds[left], top, "right"))

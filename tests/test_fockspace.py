@@ -31,6 +31,17 @@ def test_total_number_dimension():
     assert make_basis(BasisSpec.total_number(2)).dimension == 12
 
 
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(3, 2), BasisSpec.total_number(4)])
+def test_one_basis_per_spec_is_built_and_shared_read_only(spec):
+    basis = make_basis(spec)
+    assert make_basis(spec) is basis
+    assert make_basis(BasisSpec(spec.truncation, spec.n_max_1, spec.n_max_2)) is basis  # an equal spec, not the same
+    for array in (basis.spin, basis.n1, basis.n2):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 @pytest.mark.parametrize(
     "spec", [BasisSpec.per_mode(3, 2), BasisSpec.total_number(4)]
 )

@@ -389,6 +389,31 @@ def test_grid_columns_equal_the_scalar_operators(spec, model):
         assert grid.hint is (Hermiticity.GENERAL if Hermiticity.GENERAL in hints else hints.pop())
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=st.sampled_from([BasisSpec.per_mode(3, 2), BasisSpec.total_number(4)]),
+    model=st.sampled_from(sorted(models.MODELS)),
+    omega=st.floats(0.5, 2.0),
+    omega0=st.sampled_from((0.0, 0.2)) | st.floats(-0.2, 0.2),
+    coupling=st.sampled_from((0.0, -0.0, 1e-300)) | st.floats(-3.0, 3.0),
+)
+def test_a_scalar_coupling_sums_the_terms_as_a_grid_of_one(spec, model, omega, omega0, coupling):
+    # the scalar path of _term_sum multiplies each coefficient into its term directly: bit for bit column 0 of the grid
+    basis, params = make_basis(spec), ModelParams(omega=omega, omega0=omega0)
+    grid = np.array([coupling])
+    one, column = models.assemble(basis, model, params, grid[0]), models.assemble(basis, model, params, grid)
+    def bits(values):  # -0.0 is not 0.0
+        return np.ascontiguousarray(values).tobytes()
+
+    assert bits(one.triplets[2]) == bits(column.triplets[2][:, 0]) and one.hint is column.hint
+    blocks = np.arange(0, one.block_bounds().size, 2)
+    for (members, stack), (grid_members, grid_stack) in zip(
+        models.assemble_blocks(basis, model, params, grid[0], blocks),
+        models.assemble_blocks(basis, model, params, grid, blocks), strict=True
+    ):
+        assert np.array_equal(members, grid_members) and bits(stack) == bits(grid_stack[..., 0])
+
+
 def test_every_cli_model_is_a_table_entry_and_its_builder():
     for name, builder in cli.MODELS.items():
         assert name in models.MODELS and builder is SPARSE_ASSEMBLED[name]

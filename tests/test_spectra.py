@@ -33,7 +33,8 @@ from jtrwa import (
 )
 from jtrwa import spectra
 from jtrwa.cli import MODELS
-from jtrwa.fockspace import _sectors, diagonal_op
+from jtrwa.fockspace import OperatorMatrix, _sectors, diagonal_op
+from jtrwa.reference import TABLE1_KAPPA2
 from jtrwa.spectra import LEVEL_GAP, block_eigenvalues, level_order
 
 BUILDERS = {
@@ -175,6 +176,45 @@ def test_level_order_orders_each_row_as_the_one_dimensional_call(rows):
     for row, order in zip(rows, level_order(rows), strict=True):
         assert np.array_equal(order, level_order(row))
         assert np.array_equal(level_order(row), _level_order_1d(row))
+
+
+def _chained_lexsort(vals, scale=None):
+    # reference: level_order's formula on any input, the lexsort on (imaginary part, level) included
+    by_real = np.argsort(vals.real, axis=-1, kind="stable")
+    ordered = np.take_along_axis(vals, by_real, axis=-1)
+    gap = LEVEL_GAP * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
+    level = np.cumsum(np.diff(ordered.real, axis=-1, prepend=ordered.real[..., :1]) > gap, axis=-1)
+    return np.take_along_axis(by_real, np.lexsort((ordered.imag, level), axis=-1), axis=-1)
+
+
+@st.composite
+def _real_level_rows(draw):
+    """(G, n) complex rows whose imaginary parts are all +0.0 or -0.0, with exact ties and real parts 0.6 LEVEL_GAP
+    apart that chain into one level, and a scale per row or None."""
+    g, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rows = np.empty((g, n), dtype=complex)
+    for row in rows:
+        scale = draw(st.sampled_from((0.5, 1.0, 30.0)))
+        for j in range(n):
+            if j and draw(st.booleans()):
+                row[j] = row[draw(st.integers(0, j - 1))].real
+            else:
+                row[j] = scale * (draw(st.sampled_from((-1.0, 0.0, 0.5))) + draw(st.integers(0, 3)) * 0.6 * LEVEL_GAP)
+    rows.imag = np.reshape(draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=g * n, max_size=g * n)), (g, n))
+    scale = draw(st.none() | st.lists(st.sampled_from((0.5, 1.0, 30.0)), min_size=g, max_size=g).map(np.array))
+    return rows, scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_real_level_rows())
+def test_level_order_of_a_real_spectrum_is_the_chained_lexsort(case):
+    # with no imaginary part nonzero the order is the stable sort by real part: the lexsort's is the same, bit for bit
+    rows, scale = case
+    assert np.array_equal(level_order(rows, scale), _chained_lexsort(rows, scale))
+    assert np.array_equal(level_order(rows.real, scale), _chained_lexsort(rows, scale))
+    for g, row in enumerate(rows):
+        one = None if scale is None else scale[g]
+        assert np.array_equal(level_order(row, one), _chained_lexsort(row, one))
 
 
 @pytest.mark.parametrize("diagonal, ground, excited", [
@@ -708,6 +748,61 @@ def test_twin_blocks_are_solved_once(monkeypatch, spec, omega0, solved_states):
     assert sum(solved) == solved_states
     assert spectrum.eigenvalues.size == op.dimension
     assert (op.twins() is not None) == (solved_states < op.dimension)
+
+
+def _blocks_calls(monkeypatch):
+    """The (chosen, paired) arguments of every OperatorMatrix.blocks call from here on."""
+    calls, blocks = [], OperatorMatrix.blocks
+
+    def recorded(self, chosen=None, paired=False):
+        calls.append((chosen, paired))
+        return blocks(self, chosen, paired)
+
+    monkeypatch.setattr(OperatorMatrix, "blocks", recorded)
+    return calls
+
+
+def _block_j(op):
+    """J = n1 - n2 + sigma0/2 of every block, in the order blocks() gives them, and the block sizes."""
+    basis, first = op.basis, [m for members, _ in op.blocks() for m in members]
+    return [basis.n1[m[0]] - basis.n2[m[0]] + basis.spin[m[0]] / 2 for m in first], [len(m) for m in first]
+
+
+@pytest.mark.parametrize("cutoff", [10, 20])
+@pytest.mark.parametrize("kappa2", TABLE1_KAPPA2)
+def test_each_table_cutoff_is_one_round_of_the_two_lowest_twin_pairs(monkeypatch, cutoff, kappa2):
+    # a round takes k twin pairs, each keyed by the lower of its two blocks' bounds: J = +-1/2 and +-3/2 at once
+    op = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=float(np.sqrt(kappa2))),
+                       make_basis(BasisSpec.total_number(cutoff)))
+    (j, sizes), twins, bounds = _block_j(op), op.twins(), op.block_bounds()
+    key = {}
+    for block, representative in enumerate(twins.representative):
+        key[representative] = min(key.get(representative, np.inf), bounds[block])
+    calls = _blocks_calls(monkeypatch)
+    spectrum = diagonalize(op, levels=2)
+    assert len(calls) == 1
+    (chosen, paired), = calls
+    assert paired and list(chosen) == sorted(key, key=key.get)[:2]
+    held = np.flatnonzero(np.isin(twins.representative, chosen))
+    assert sorted(j[b] for b in held) == [-1.5, -0.5, 0.5, 1.5]
+    assert spectrum.eigenvalues.size == sum(sizes[b] for b in held)
+
+
+@pytest.mark.parametrize("representative", [True, False])
+def test_a_twin_pair_is_keyed_by_the_lower_of_its_blocks_bounds(monkeypatch, representative):
+    # either block of the J = +-9/2 pair bounded far below the rest puts the pair in the first round, solved whole
+    op = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(0.9)), make_basis(BasisSpec.total_number(10)))
+    (j, sizes), twins, bounds = _block_j(op), op.twins(), op.block_bounds()
+    pair = [j.index(4.5), j.index(-4.5)]
+    lowered = next(b for b in pair if (twins.representative[b] == b) == representative)
+    bounds[lowered] = -1e3  # still a lower bound
+    monkeypatch.setattr(OperatorMatrix, "block_bounds", lambda self: bounds.copy())
+    calls = _blocks_calls(monkeypatch)
+    spectrum = diagonalize(op, levels=2)
+    assert twins.representative[lowered] in calls[0][0]
+    held = np.flatnonzero(np.isin(twins.representative, np.concatenate([chosen for chosen, _ in calls])))
+    assert spectrum.eigenvalues.size == sum(sizes[b] for b in held)
+    assert spectrum.lowest_levels(2) == diagonalize(op).lowest_levels(2)
 
 
 def _twin_oracle(op):

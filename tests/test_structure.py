@@ -234,8 +234,14 @@ def test_the_reduction_rule_flags_a_second_caller(tmp_path):
 
 
 def _term_products(path):
-    """Line of every call of `multiply.outer` in `path`, and of those outside a function named `_term_sum`."""
-    calls = _calls("multiply", "outer")
+    """Line of every call of `multiply` or `multiply.outer` in `path`, and of those outside a function named
+    `_term_sum`."""
+    outer = _calls("multiply", "outer")
+
+    def calls(node):
+        return outer(node) or (isinstance(node, ast.Call) and "multiply" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
     return list(_lines_outside(path, None, calls)), list(_lines_outside(path, "_term_sum", calls))
 
 
@@ -256,6 +262,8 @@ def test_the_term_product_rule_flags_a_second_site(tmp_path):
     assert _term_products(source) == ([5, 8], [8])
     source.write_text("def _term_sum(a, b, c):\n    return np.multiply.outer(a, c) + np.multiply.outer(b, c)\n")
     assert _term_products(source) == ([2, 2], [])
+    source.write_text("from numpy import multiply\n\ndef assemble(a, c):\n    return np.multiply(a, c), multiply(a, c)\n")
+    assert _term_products(source) == ([4, 4], [4, 4])
 
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
