@@ -346,7 +346,7 @@ def pseudoherm_command(omega, omega0, nmax, total_nmax, grid):
     columns, failed = {name: [] for name in names}, False
     for gammas in gamma_grids(basis, grid):
         h = assemble(basis, "nonhermitian", ModelParams(omega=omega, omega0=omega0), gammas)
-        closure = [conjugation_closure(vals) for vals in block_eigenvalues(h.blocks())]
+        closure = conjugation_closure(block_eigenvalues(h.blocks()))
         checks = (check_pseudo_hermitian(h, sigma0), check_pseudo_hermitian(h, parity), check_combined_symmetry(h))
         failed |= any(v > IDENTITY_TOL for column in checks for v in column) or any(v > CLOSURE_TOL for v in closure)
         for column, values in zip(columns.values(), (gammas.tolist(), *checks, closure, check_pt(h))):

@@ -12,22 +12,23 @@ Two truncation schemes are supported:
   any operation that conserves the total boson number.
 
 A Basis holds the quantum numbers of its states as three read-only integer
-arrays, spin, n1 and n2, in that order, and inverts them by offset
-arithmetic; make_basis builds one per spec and shares it.  Operators are
-assembled sparse, as Terms: sums of products of ladder, Pauli and identity
-column maps (models caches a model's terms per basis as one operator, a
-column of values per term), and held in an OperatorMatrix as (rows, cols,
-values) triplets.  Its blocks() are the blocks of their pattern (the
-conserved-quantity sectors), all or a chosen few, read by the eigensolver,
-the transforms and the checks; block_bounds() bounds each block's spectrum
-from below (Gershgorin, through block_minima), and validation reads each
-entry's transposed partner.  twins() pairs the blocks that the spin flip
-with the mode swap, (s, n1, n2) -> (-s, n2, n1), maps onto each other, where
-the operator commutes with it exactly.  A model operator holds its model's
-positions, zeros included, and their layout (blocks, transpose map and swap
-map), found once (with_values).  Triplets are the only way to build an
-operator (from_triplets); no module reads the dense view `entries`, the
-tests' oracle.
+arrays, spin, n1 and n2, in that order, and inverts them by offset arithmetic;
+make_basis builds one per spec and shares it.  Operators are assembled sparse,
+as Terms: sums of products of ladder, Pauli and identity column maps (models
+caches a model's terms per basis as one operator, a column of values per term),
+and held in an OperatorMatrix as (rows, cols, values) triplets.  Its blocks()
+are the blocks of their pattern (the conserved-quantity sectors), all or a
+chosen few, read by the eigensolver, the transforms and the checks;
+block_bounds() bounds each block's spectrum from below (Gershgorin, through
+block_minima), and difference() pairs each entry with its image under the
+transpose (validation) or another involution of positions.  twins() pairs the
+blocks that the spin flip with the mode swap, (s, n1, n2) -> (-s, n2, n1), maps
+onto each other, where the operator commutes with it exactly.  A model operator
+holds its model's positions, zeros included, and their layout (blocks, chosen
+blocks, partner and swap maps, layouts with other patterns: layout()), found
+once (with_values) and kept in a bounded cache.  Triplets are the only way to
+build an operator (from_triplets); no module reads the dense view `entries`,
+the tests' oracle.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -47,6 +48,7 @@ import numpy as np
 SPIN_UP = 1
 SPIN_DOWN = -1
 HINT_TOL = 1e-12  # largest accepted max|m -/+ m^dagger| of an operator hinted (anti-)Hermitian
+LAYOUTS = 16  # layouts kept per pattern (_Plan.once): chosen block sets, partner maps, layouts with other patterns
 
 
 class Truncation(Enum):
@@ -202,7 +204,14 @@ class _Plan:
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, basis: Basis) -> None:
-        self.rows, self.cols, self.basis, self.dim = rows, cols, basis, basis.dimension
+        self.rows, self.cols, self.basis, self.dim, self.found = rows, cols, basis, basis.dimension, {}
+
+    def once(self, key, find):
+        """find(), kept under `key` (hashable, held by the cache) with the last LAYOUTS others found on this pattern."""
+        if key not in self.found:  # find() may keep layouts of its own first
+            self.found[key] = find()
+            self.found = dict(list(self.found.items())[-LAYOUTS:])
+        return self.found[key]
 
     @cached_property
     def sizes(self) -> list[tuple]:
@@ -249,11 +258,6 @@ class _Plan:
         return partner, keys[partner] == wanted
 
     @cached_property
-    def mirror(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per triplet, the index of the triplet at the transposed position and whether it is there."""
-        return self.find(self.cols, self.rows)
-
-    @cached_property
     def swap(self) -> Swap | None:
         """Theta, the spin flip with the mode swap (s, n1, n2) -> (-s, n2, n1), where it maps the pattern onto itself
         (on a mode-symmetric basis, every triplet's Theta-image a triplet; else None), and so each block onto a block,
@@ -290,7 +294,7 @@ class OperatorMatrix:
     def with_values(self, values, hint: Hermiticity) -> "OperatorMatrix":
         """The operator with `values` at this one's positions, in their order, sharing its blocks and transpose map.
 
-        `values` of shape (nnz, G) make a grid of G operators, one per column, which blocks(), validate() and `-` keep.
+        `values` of shape (nnz, G) make a grid of G operators, one per column, which blocks() and validate() keep.
         """
         op = OperatorMatrix.from_triplets(self.basis, *self.triplets[:2], values, hint)
         op._plan = self._plan
@@ -303,15 +307,6 @@ class OperatorMatrix:
         m[rows, cols] = values
         return _read_only(m)[0]
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """self - other on the union of their positions (row-major); a position zero in every column is dropped."""
-        if other.basis != self.basis:
-            raise ValueError("operators live on different bases")
-        (r1, c1, v1), (r2, c2, v2) = self.triplets, other.triplets
-        rows, cols, values = _summed(np.r_[r1, r2], np.r_[c1, c2], np.r_[v1, -v2], self.dimension)
-        keep = np.any(values != 0, axis=tuple(range(1, values.ndim)))
-        return OperatorMatrix.from_triplets(self.basis, rows[keep], cols[keep], values[keep])
-
     @property
     def dimension(self) -> int:
         return self.basis.dimension
@@ -319,6 +314,21 @@ class OperatorMatrix:
     @cached_property
     def _plan(self) -> _Plan:
         return _Plan(*self.triplets[:2], self.basis)
+
+    def layout(self, find, *others: "OperatorMatrix"):
+        """find(self, *others), a layout that the positions of this operator and of `others` decide and their values do
+        not, found once per pattern of each and kept with this one's (_Plan.once); shared: do not modify."""
+        return self._plan.once((find, *(other._plan for other in others)), lambda: find(self, *others))
+
+    def difference(self, values: np.ndarray, image: np.ndarray, move=None) -> np.ndarray:
+        """A - B, A with values[k] at this operator's k-th position and B with image[k] where `move` (an involution of
+        positions, as a map of operators; the transpose if None) moves it: on A's positions, then B's, but no zeros."""
+        plan = self._plan
+        moved = (lambda: (plan.cols, plan.rows)) if move is None else lambda: move(self).triplets[:2]
+        partner, found = plan.once(move, lambda: plan.find(*moved()))
+        on = found.reshape(-1, *(1,) * (values.ndim - 1))
+        difference = np.concatenate((values - np.where(on, image[partner], 0.0), -image[~found]))
+        return difference[np.any(difference != 0, axis=tuple(range(1, values.ndim)))]
 
     def twins(self) -> Swap | None:
         """Theta (the spin flip with the mode swap) where this operator commutes with it, else None: its pattern maps
@@ -338,10 +348,11 @@ class OperatorMatrix:
         `paired`, on an operator that twins() pairs, keeps of those blocks the representatives of their twin pairs.
         """
         values, plan = self.triplets[2], self._plan
-        if paired:
-            layout = plan.swap.layout if chosen is None else plan.chosen(plan.swap.representative[chosen])
-        else:
-            layout = plan.sizes if chosen is None else plan.chosen(chosen)
+        if chosen is None:
+            layout = plan.swap.layout if paired else plan.sizes
+        else:  # found once per chosen set
+            chosen = plan.swap.representative[chosen] if paired else np.asarray(chosen, dtype=np.intp)
+            layout = plan.once(chosen.tobytes(), lambda: plan.chosen(chosen))
         for members, k, slots in layout:
             stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=np.complex128)
             stack[slots] = values[k]
@@ -376,12 +387,8 @@ class OperatorMatrix:
         """
         if self.hint is Hermiticity.GENERAL:
             return 0.0
-        sign = -1.0 if self.hint is Hermiticity.HERMITIAN else 1.0
-        values = self.triplets[2]
-        partner, found = self._plan.mirror
-        mirror = values[partner]
-        mirror[~found] = 0.0
-        dev = np.abs(values + sign * mirror.conj()).max(initial=0.0)
+        sign, values = (1.0 if self.hint is Hermiticity.HERMITIAN else -1.0), self.triplets[2]  # m = sign m^dagger
+        dev = np.abs(self.difference(values, sign * values.conj())).max(initial=0.0)
         if not dev <= HINT_TOL:
             raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {HINT_TOL:.1e}")
         return float(dev)

@@ -11,9 +11,11 @@ single matrix; the plain -i sigma_y K time reversal exchanges raising and
 lowering operators instead and does NOT leave the number-conserving
 coupling invariant.
 
-No check reads a dense matrix: each residual is the difference of two triplet
-operators, and the conjugation closure pairs a spectrum with its conjugate in
-level order.  Each check takes one operator (a float) or a grid (G floats).
+No check reads a dense matrix or forms the union of two patterns: a residual
+pairs each entry of h with its image (transposed, or moved by PT) through
+partners found once per pattern (OperatorMatrix.difference), and the
+conjugation closure pairs each spectrum of a pass with its conjugate in level
+order.  Each check takes one operator (a float) or a grid (G floats).
 
 Both gamma commands take passes from gamma_grids, building no operator and
 calling no LAPACK per gamma: pseudoherm assembles a pass whole (models.assemble
@@ -58,26 +60,23 @@ def _norms(values: np.ndarray) -> float | list[float]:
 
 
 def check_pt(h: OperatorMatrix) -> float | list[float]:
-    """Frobenius norm of (PT) h (PT)^-1 - h under the combined map, taken on the triplets of the difference.
+    """Frobenius norm of (PT) h (PT)^-1 - h under the combined map, on h's positions and the images it lacks.
 
     For the imaginary-coupling Hamiltonian the image differs from h only in
     the sign of the omega0 sigma0 term, so the residual equals
     2|omega0| sqrt(dim) and vanishes at omega0 = 0.
     """
-    return _norms((pt_transform(h) - h).triplets[2])
+    return _norms(h.difference(h.triplets[2], pt_transform(h).triplets[2], pt_transform))
 
 
 def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float | list[float]:
-    """Frobenius norm of eta h eta^-1 - h^dagger, elementwise d_i h_ij / d_j for a diagonal metric eta = diag(d)."""
-    def adjoint(op: OperatorMatrix) -> OperatorMatrix:  # on the transposed positions, so no block is scattered
-        return OperatorMatrix.from_triplets(op.basis, op.triplets[1], op.triplets[0], op.triplets[2].conj())
-
+    """Frobenius norm of eta h eta^-1 - h^dagger, d_i h_ij / d_j - conj(h_ji) for a diagonal metric eta = diag(d)."""
     if h.basis != eta.basis:
         raise ValueError("Hamiltonian and metric live on different bases")
-    dev = np.abs((eta - adjoint(eta)).triplets[2]).max(initial=0.0)
+    rows, cols, values = eta.triplets
+    dev = np.abs(eta.difference(values, values.conj())).max(initial=0.0)
     if not dev <= HINT_TOL:
         raise ValueError(f"metric is not Hermitian (deviation {dev:.3e})")
-    rows, cols, values = eta.triplets
     if np.any(rows != cols):
         raise ValueError("metric is not diagonal; only diagonal metrics are supported")
     d = np.zeros(eta.dimension, dtype=np.complex128)
@@ -85,8 +84,7 @@ def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float | li
     if not 0 < np.abs(d).max() <= 1e12 * np.abs(d).min():  # condition number max|d| / min|d|
         raise ValueError("metric is singular or numerically non-invertible")
     rows, cols, values = h.triplets
-    scaled = OperatorMatrix.from_triplets(h.basis, rows, cols, (d[rows] * values.T / d[cols]).T)
-    return _norms((scaled - adjoint(h)).triplets[2])
+    return _norms(h.difference((d[rows] * values.T / d[cols]).T, values.conj()))
 
 
 def check_combined_symmetry(h: OperatorMatrix) -> float | list[float]:
@@ -101,16 +99,16 @@ def check_combined_symmetry(h: OperatorMatrix) -> float | list[float]:
     return _norms((values.T * (g[cols] - g[rows])).T)
 
 
-def conjugation_closure(eigenvalues: np.ndarray) -> float:
-    """Largest distance between the imaginary parts of a spectrum and its conjugate, both in level order.
+def conjugation_closure(eigenvalues: np.ndarray) -> float | list[float]:
+    """Largest distance between the imaginary parts of a spectrum and its conjugate, in level order; per row of (G, n).
 
     Conjugate partners share a level, so a closed spectrum lists the same imaginary parts as its conjugate
     level by level.  Real parts agree within a level by construction; pairing whole values would mismatch
     wherever two distinct real levels fall into one LEVEL_GAP chain.
     """
     vals = np.asarray(eigenvalues, dtype=np.complex128)
-    mirror = vals.conj()
-    return float(np.abs(vals.imag[level_order(vals)] - mirror.imag[level_order(mirror)]).max(initial=0.0))
+    imag = [np.take_along_axis(v.imag, level_order(v), axis=-1) for v in (vals, vals.conj())]
+    return np.abs(imag[0] - imag[1]).max(axis=-1, initial=0.0).tolist()
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def lowest_levels(real: np.ndarray, count: int) -> list[float]:
     The first is the smallest real part, and each next one the smallest that lies above the last by more than
     DEGENERACY_GAP: a degenerate multiplet is one level.
     """
-    real, found, at = np.sort(real), [], 0
+    real, found, at = real if np.all(real[:-1] <= real[1:]) else np.sort(real), [], 0  # Hermitian spectra come sorted
     while len(found) < count and at < real.size:
         found.append(float(real[at]))
         at = np.searchsorted(real, real[at] + DEGENERACY_GAP, side="right")

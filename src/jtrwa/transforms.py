@@ -1,18 +1,21 @@
 """Numerical realization of the decoupling similarity transform and mode rotation.
 
-The generator T removes the counter-rotating mode-2 coupling to first order
-and replaces it with the co-rotating one; conjugating the full Hamiltonian H
-with exp(T) reproduces the explicit second-order form H2 up to a remainder
-that is third order in the coupling.  residual_study measures that remainder
-over its whole coupling grid in one pass: T, H and H2 are assembled once each
-as grid operators (models.assemble), the blocks of T are exponentiated
-at every coupling by one stacked expm (unitary eigendecomposition of an
-anti-Hermitian matrix; Moler & Van Loan, SIAM Rev. 45, 3 (2003)), and
-exp(T) H exp(-T) is formed on triplets, one pair of T blocks at a time.  T
-conserves n1 and H couples n1 only to n1 and n1 +/- 1, so the pairs are few
-and small.  No step forms a dim x dim matrix: the largest arrays are the
-remainder's parity blocks, solved by eigvalsh one coupling at a time for the
-spectral norm.  The mode rotation is built the same way, per block.
+The generator T removes the counter-rotating mode-2 coupling to first order and
+replaces it with the co-rotating one; conjugating the full Hamiltonian H with
+exp(T) reproduces the explicit second-order form H2 up to a remainder that is
+third order in the coupling.  residual_study measures that remainder over its
+whole coupling grid in one pass: T, H and H2 are assembled once each as grid
+operators (models.assemble), one stacked expm exponentiates each distinct block
+of T once (unitary eigendecomposition of an anti-Hermitian matrix; Moler & Van
+Loan, SIAM Rev. 45, 3 (2003)), and exp(T) H exp(-T) is formed on triplets, one
+pair of T blocks at a time.  T conserves n1 and acts alike on every n1, and H
+couples n1 only to n1 and n1 +/- 1, so the pairs are few and small (at per-mode
+cutoff 8 the 72 blocks of four couplings are 8 distinct matrices); which
+entries fall in which pair, and the blocks of the kept remainder, are found
+once per pattern (OperatorMatrix.layout).  No step forms a dim x dim matrix:
+the largest arrays are the remainder's parity blocks, solved by eigvalsh one
+coupling at a time for the spectral norm.  The mode rotation is built the same
+way, per block.
 """
 
 from __future__ import annotations
@@ -57,19 +60,17 @@ def decoupling_generator(params: ModelParams, basis: Basis) -> OperatorMatrix:
     return assemble(basis, "generator", params, params.kappa)
 
 
-def _from_blocks(basis: Basis, parts, keep: np.ndarray | None = None) -> OperatorMatrix:
+def _from_blocks(basis: Basis, parts) -> OperatorMatrix:
     """The operator with the block values[p] on the rows row_members[p] and columns col_members[p] of each part.
 
-    A part is (row_members (P, a), col_members (P, b), values (P, a, b, ...)).  Every entry is kept, zeros included,
-    except those outside the states of the mask `keep`.
+    A part is (row_members (P, a), col_members (P, b), values (P, a, b, ...)).  Every entry is kept, zeros included.
     """
     rows, cols, values = [], [], []
     for row_members, col_members, block in parts:
         r, c = np.broadcast_arrays(row_members[:, :, None], col_members[:, None, :])
-        kept = np.ones(r.shape, dtype=bool) if keep is None else keep[r] & keep[c]
-        rows.append(r[kept])
-        cols.append(c[kept])
-        values.append(block[kept])
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        values.append(block.reshape(-1, *block.shape[3:]))
     if not rows:
         return OperatorMatrix.from_triplets(basis, np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, complex))
     return OperatorMatrix.from_triplets(basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
@@ -95,11 +96,36 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) = V exp(-i w) V^dagger of an anti-Hermitian m (or stack) with i m = V w V^dagger; any other m raises."""
+    """exp(m) = V exp(-i w) V^dagger of an anti-Hermitian m (or stack) with i m = V w V^dagger; any other m raises.
+    Each distinct matrix of a stack (by its bytes: +0.0 and -0.0 differ) is solved once, bit for bit as if alone."""
     if not (dev := np.abs(m + np.swapaxes(m, -1, -2).conj()).max(initial=0.0)) <= HINT_TOL:
         raise ValueError(f"expm takes anti-hermitian matrices only: max|m + m^dagger| = {dev:.3e} > {HINT_TOL:g}")
-    w, v = np.linalg.eigh(1j * m)
-    return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    flat = np.ascontiguousarray(m).reshape(-1, m.shape[-1] ** 2)
+    items = flat.view((np.void, flat.itemsize * flat.shape[1])).ravel()  # each matrix as one item of its bytes
+    _, first, copies = np.unique(items, return_index=True, return_inverse=True)
+    w, v = np.linalg.eigh(1j * flat[first].reshape(-1, *m.shape[-2:]))
+    return ((v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj())[copies].reshape(m.shape)
+
+
+def _pair_layout(generator: OperatorMatrix, *terms: OperatorMatrix) -> list[tuple]:
+    """Per pair of G's block sizes (a, b) that the terms (h, or h and minus) couple, from positions alone: the states
+    of the pairs of blocks (first, second) coupled, and each term's entries k there and stack slots (pair, i, j)."""
+    members = [m for m, _ in generator.blocks()]
+    group, block, slot = (np.empty(generator.dimension, dtype=np.intp) for _ in range(3))  # of each state
+    for g, m in enumerate(members):
+        group[m], block[m], slot[m] = g, np.arange(len(m))[:, None], range(m.shape[1])
+    rows, cols = (np.concatenate([op.triplets[i] for op in terms]) for i in (0, 1))
+    starts = np.cumsum([0] + [op.triplets[0].size for op in terms])  # the entries of each term, one after another
+    pair_group = group[rows] * len(members) + group[cols]
+    order, layout = np.argsort(pair_group, kind="stable"), []
+    for k in np.split(order, np.flatnonzero(np.diff(pair_group[order])) + 1) if rows.size else ():
+        a, b = group[rows[k[0]]], group[cols[k[0]]]
+        pairs, pair = np.unique(block[rows[k]] * len(members[b]) + block[cols[k]], return_inverse=True)
+        first, second = np.divmod(pairs, len(members[b]))
+        on = [(start <= k) & (k < end) for start, end in zip(starts, starts[1:])]
+        at = [(k[t] - start, (pair[t], slot[rows[k[t]]], slot[cols[k[t]]])) for t, start in zip(on, starts)]
+        layout.append((members[a][first], members[b][second], a, b, first, second, at))
+    return layout
 
 
 def _transformed_pairs(generator: OperatorMatrix, h: OperatorMatrix, minus: OperatorMatrix | None = None):
@@ -108,41 +134,24 @@ def _transformed_pairs(generator: OperatorMatrix, h: OperatorMatrix, minus: Oper
     Yields, per pair of block sizes, (row_members (P, a), col_members (P, b), values (P, a, b, G)); a grid operator
     (values (nnz, G)) carries its G columns through, one operator is a grid of one.  Every block of G is
     exponentiated at every grid point by one stacked expm per block size; real operators are transformed in real
-    arithmetic, where exp(G) is real.
+    arithmetic, where exp(G) is real.  Which entries go where is found once per pattern (_pair_layout).
     """
     ops = [op for op in (generator, h, minus) if op is not None]
     if any(op.basis != h.basis for op in ops):
         raise ValueError("generator and Hamiltonian live on different bases")
     real = not any(np.iscomplex(op.triplets[2]).any() for op in ops)
-    members, exps = [], []
-    group, block, slot = (np.empty(h.dimension, dtype=np.intp) for _ in range(3))  # of each state, among G's blocks
-    for g, (m, stack) in enumerate(generator.blocks()):
-        e = expm(np.moveaxis(stack.reshape(*stack.shape[:3], -1), 3, 1))  # (count, G, size, size)
-        members.append(m)
-        exps.append(e.real if real else e)
-        group[m], block[m], slot[m] = g, np.arange(len(m))[:, None], range(m.shape[1])
-
-    terms = [op for op in (h, minus) if op is not None]
-    rows, cols = (np.concatenate([op.triplets[i] for op in terms]) for i in (0, 1))
-    values = [op.triplets[2].reshape(op.triplets[2].shape[0], -1) for op in terms]  # (nnz, G)
-    values = [v.real if real else v for v in values]
-    if not rows.size:
-        return
-    added = len(values[0])  # the entries of h come first, then those of minus
-    pair_group = group[rows] * len(members) + group[cols]
-    order = np.argsort(pair_group, kind="stable")
-    for k in np.split(order, np.flatnonzero(np.diff(pair_group[order])) + 1):
-        a, b = group[rows[k[0]]], group[cols[k[0]]]
-        pairs, pair = np.unique(block[rows[k]] * len(members[b]) + block[cols[k]], return_inverse=True)
-        first, second = np.divmod(pairs, len(members[b]))
+    exps = [expm(np.moveaxis(stack.reshape(*stack.shape[:3], -1), 3, 1)) for _, stack in generator.blocks()]
+    exps = [e.real if real else e for e in exps]  # (count, G, size, size) per block size
+    values = [(v.real if real else v).reshape(len(v), -1) for v in (op.triplets[2] for op in ops[1:])]  # (nnz, G)
+    for row_members, col_members, a, b, first, second, at in generator.layout(_pair_layout, *ops[1:]):
         ea, eb = exps[a][first], exps[b][second]
-        i, j, of_h = slot[rows[k]], slot[cols[k]], k < added
-        x = np.zeros((len(pairs), values[0].shape[1], ea.shape[2], eb.shape[2]), dtype=ea.dtype)
-        x[pair[of_h], :, i[of_h], j[of_h]] = values[0][k[of_h]]
+        x = np.zeros((len(first), values[0].shape[1], ea.shape[2], eb.shape[2]), dtype=ea.dtype)
+        (k, (pair, i, j)), *rest = at
+        x[pair, :, i, j] = values[0][k]
         product = ea @ x @ np.swapaxes(eb, -1, -2).conj()
-        if minus is not None:
-            product[pair[~of_h], :, i[~of_h], j[~of_h]] -= values[1][k[~of_h] - added]
-        yield members[a][first], members[b][second], np.moveaxis(product, 1, -1)
+        for k, (pair, i, j) in rest:
+            product[pair, :, i, j] -= values[1][k]
+        yield row_members, col_members, np.moveaxis(product, 1, -1)
 
 
 def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:
@@ -158,11 +167,7 @@ def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:
     return _from_blocks(h.basis, ((r, c, (v[..., 0] if one else v).astype(np.complex128)) for r, c, v in parts))
 
 
-def residual_study(
-    params_template: ModelParams,
-    basis: Basis,
-    kappa_grid,
-) -> TransformReport:
+def residual_study(params_template: ModelParams, basis: Basis, kappa_grid) -> TransformReport:
     """Measure the transform remainder over a coupling grid and fit its order.
 
     residual(kappa) = || P [exp(T) H exp(-T) - H_second_order] P ||
@@ -191,13 +196,14 @@ def residual_study(
             "the remainder fit is only meaningful well below resonance"
         )
 
-    keep = interior(basis, margin=2)
-    if not keep.any():
+    if not interior(basis, margin=2).any():
         raise ValueError("the remainder is measured 2 layers inside the cutoff, where this basis has no state")
     generator, h, second = (assemble(basis, model, params_template, np.array(kappas))
                             for model in ("generator", "full", "second-order"))
+    kept, inside = generator.layout(_remainder_layout, h, second)
     with np.errstate(over="ignore", invalid="ignore"):  # a remainder that overflows is rejected below
-        core = _from_blocks(basis, _transformed_pairs(generator, h, second), keep)
+        parts = _transformed_pairs(generator, h, second)
+        core = kept.with_values(np.concatenate([v.reshape(-1, v.shape[3]) for _, _, v in parts])[inside], kept.hint)
         scale = np.abs(core.triplets[2]).max(axis=0, initial=0.0)  # per coupling, so no square overflows
         fro = scale * np.linalg.norm(core.triplets[2] / np.where(scale > 0, scale, 1.0), axis=0)
     if not (finite := np.isfinite(fro)).all():  # a finite Frobenius norm bounds every entry and the spectral norm
@@ -207,6 +213,15 @@ def residual_study(
 
     slope = float(np.polyfit(np.log(kappas), np.log(fro), 1)[0])
     return TransformReport(tuple(kappas), tuple(fro.tolist()), tuple(spectral), slope)
+
+
+def _remainder_layout(generator: OperatorMatrix, h: OperatorMatrix, second: OperatorMatrix):
+    """The remainder 2 layers inside the cutoff: an operator on its positions, and which pair entries those are."""
+    rows, cols = (np.concatenate([np.broadcast_arrays(r[:, :, None], c[:, None, :])[axis].ravel()
+                                  for r, c, *_ in generator.layout(_pair_layout, h, second)]) for axis in (0, 1))
+    keep = interior(generator.basis, margin=2)
+    inside = np.flatnonzero(keep[rows] & keep[cols])
+    return OperatorMatrix.from_triplets(generator.basis, rows[inside], cols[inside], np.empty((inside.size, 0))), inside
 
 
 def _spectral_norm(op: OperatorMatrix) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense import dense_op
+from dense import dense_op, subtract
 from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
@@ -305,7 +305,7 @@ def test_difference_equals_the_dense_difference(case):
         b = _random_sparse(basis, rng, 1.0) * (a == 0)
     else:
         b = a * (rng.random(a.shape) < 0.5)  # a - b keeps half of a's entries, the others cancel exactly
-    diff = dense_op(basis, a) - dense_op(basis, b)
+    diff = subtract(dense_op(basis, a), dense_op(basis, b))
     rows, cols = np.nonzero(a - b)
     assert [t.tolist() for t in diff.triplets] == [rows.tolist(), cols.tolist(), (a - b)[rows, cols].tolist()]
     assert np.array_equal(diff.entries, a - b)
@@ -319,7 +319,7 @@ def test_grid_difference_is_the_difference_per_column():
     b[..., 1] = a[..., 1]  # column 1 cancels everywhere
     a[0, 0, :] = b[0, 0, :] = 1.0 + 2.0j  # position (0, 0) is held by both and cancels in every column
     grid_a, grid_b = (_grid_op(basis, m) for m in (a, b))
-    diff = grid_a - grid_b
+    diff = subtract(grid_a, grid_b)
     rows, cols = np.nonzero(np.any(a != b, axis=-1))
     assert [t.tolist() for t in diff.triplets[:2]] == [rows.tolist(), cols.tolist()]
     assert np.array_equal(diff.triplets[2], (a - b)[rows, cols])
@@ -335,7 +335,7 @@ def _grid_op(basis, stack):
 def test_difference_of_operators_on_different_bases_is_rejected():
     small, large = make_basis(BasisSpec.per_mode(1, 1)), make_basis(BasisSpec.per_mode(1, 2))
     with pytest.raises(ValueError, match="different bases"):
-        diagonal_op(small, np.ones(small.dimension)) - diagonal_op(large, np.ones(large.dimension))
+        subtract(diagonal_op(small, np.ones(small.dimension)), diagonal_op(large, np.ones(large.dimension)))
 
 
 def _states(basis):

@@ -1,9 +1,11 @@
+import contextlib
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from dense import dense_op
+from dense import adjoint, dense_op, subtract
 from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
@@ -25,7 +27,7 @@ from jtrwa import (
     reality_scan,
 )
 from jtrwa import pseudoherm
-from jtrwa.fockspace import diagonal_op
+from jtrwa.fockspace import HINT_TOL, diagonal_op
 from jtrwa.cli import parse_grid
 from jtrwa.models import assemble, gershgorin, model_terms
 from jtrwa.pseudoherm import REALITY_TOL
@@ -418,3 +420,103 @@ def test_reality_scan_solves_the_k_lowest_of_the_whole_spectrum_in_its_order(mon
     every = block_eigenvalues(assemble(basis, "nonhermitian", params, gammas).blocks())
     order = level_order(every, gershgorin(basis, "nonhermitian", params, gammas)[1])
     assert np.array_equal(lowest[0], np.take_along_axis(every, order[:, :k], axis=-1))
+
+
+def _norms_of(op):
+    return np.linalg.norm(np.ascontiguousarray(op.triplets[2].T), axis=-1).tolist()
+
+
+def _union_checks(h, eta):
+    """The residuals by subtraction on the union of two patterns (tests/dense.py), the checks' oracle."""
+    rows, cols, values = h.triplets
+    d = np.zeros(h.dimension, dtype=complex)
+    d[eta.triplets[0]] = eta.triplets[2]
+    scaled = OperatorMatrix.from_triplets(h.basis, rows, cols, (d[rows] * values.T / d[cols]).T)
+    return _norms_of(subtract(pt_transform(h), h)), _norms_of(subtract(scaled, adjoint(h)))
+
+
+def _closed(h, image):
+    """Whether the pattern of h holds the image of each of its positions."""
+    keys = set(zip(*(k.tolist() for k in h.triplets[:2])))
+    return set(zip(*(k.tolist() for k in image.triplets[:2]))) <= keys
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from([BasisSpec.per_mode(1, 1), BasisSpec.per_mode(2, 1), BasisSpec.total_number(2)]),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.05, 0.6),
+    grid=st.sampled_from([None, 1, 3]),
+    symmetric=st.booleans(),
+    cancel=st.booleans(),
+)
+def test_checks_equal_the_union_subtraction_oracle(spec, seed, density, grid, symmetric, cancel):
+    # asymmetric patterns hold entries whose transpose or PT partner is absent; a symmetric one with exact cancellations
+    # (an entry equal to its partner's image) drops zeros as the union does, and then the residuals agree bit for bit
+    basis, rng = make_basis(spec), np.random.default_rng(seed)
+    n = basis.dimension
+    shape = (n, n) if grid is None else (n, n, grid)
+
+    def mask(p):  # a random pattern, the same in every column of a grid
+        return (rng.random((n, n)) < p).reshape(n, n, *shape[2:] and (1,))
+
+    m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * mask(density)
+    if symmetric:
+        m = m + np.swapaxes(m, 0, 1).conj() * mask(0.5)
+    if cancel:
+        m = 0.5 * (m + np.swapaxes(m, 0, 1).conj())  # h^dagger = h: every transpose residual cancels exactly
+    rows, cols = np.nonzero(np.any(m != 0, axis=tuple(range(2, m.ndim))) | np.eye(n, dtype=bool))
+    h = OperatorMatrix.from_triplets(basis, rows, cols, m[rows, cols])
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    eta = diagonal_op(basis, d)
+    pt, metric = _union_checks(h, eta)
+    for got, want, closed in ((check_pt(h), pt, _closed(h, pt_transform(h))),
+                              (check_pseudo_hermitian(h, eta), metric, symmetric and cancel)):
+        assert isinstance(got, float if grid is None else list)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        if closed:
+            assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.02, 0.3), scale=st.sampled_from([1e-13, 1e-9, 1.0]))
+def test_metric_hermiticity_check_equals_the_union_oracle(seed, density, scale):
+    # a diagonal metric plus entries whose transposed partner may be absent: it is rejected with the deviation that
+    # the union difference eta - eta^dagger gives, or passed where that deviation is within HINT_TOL
+    rng, n = np.random.default_rng(seed), BASIS.dimension
+    m = np.diag(rng.uniform(0.5, 2.0, n)) + scale * rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+    eta = dense_op(BASIS, m)
+    dev = np.abs(subtract(eta, adjoint(eta)).triplets[2]).max(initial=0.0)
+    if dev > HINT_TOL:
+        message = re.escape(f"metric is not Hermitian (deviation {dev:.3e})")
+    else:
+        message = "metric is not diagonal" if np.any(m != np.diag(np.diag(m))) else None
+    with pytest.raises(ValueError, match=f"^{message}") if message else contextlib.nullcontext():
+        check_pseudo_hermitian(_h(0.2), eta)
+
+
+def test_pseudoherm_command_forms_no_union_of_patterns(monkeypatch):
+    # once the model's terms are cached, no check sums triplets on the union of two patterns
+    from click.testing import CliRunner
+    from jtrwa import fockspace
+    from jtrwa.cli import cli
+
+    first = CliRunner().invoke(cli, ["pseudoherm", "--omega0", "0.3"])
+    monkeypatch.setattr(fockspace, "_summed", _raise_on_call)
+    again = CliRunner().invoke(cli, ["pseudoherm", "--omega0", "0.3"])
+    assert again.exit_code == first.exit_code == 0 and again.exception is None
+    assert (again.stdout, again.stderr) == (first.stdout, first.stderr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), n=st.integers(0, 8), real_rows=st.lists(st.booleans()))
+def test_closure_of_a_pass_equals_the_closure_of_each_row(seed, rows, n, real_rows):
+    # closed rows and open ones, rows with imaginary parts and rows with none (whose level order is the real order)
+    rng, vals = np.random.default_rng(seed), []
+    for r in range(rows):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.integers(0, 2, size=n)
+        z = z.real + 0j if r < len(real_rows) and real_rows[r] else z
+        vals.append(np.r_[z, z.conj()] if r % 2 else np.r_[z, rng.normal(size=n) + 1j * rng.normal(size=n)])
+    closure = conjugation_closure(np.array(vals))
+    assert isinstance(closure, list) and closure == [conjugation_closure(row) for row in vals]
+    assert all(isinstance(conjugation_closure(row), float) for row in vals)

@@ -882,3 +882,40 @@ def test_a_spectrum_of_its_lowest_levels_answers_for_those_only():
     assert every.levels is None and every.eigenvalues.size == 462
     assert converge_ground(build_full_jt, params, schedule, levels=2).first_excited_energy() == (
         every.first_excited_energy())
+
+
+def test_a_chosen_block_layout_is_found_once_per_set_and_the_cache_is_bounded(monkeypatch):
+    # a table1 row asks for the same twin pairs at every call on a basis: the layout of a chosen set is kept with the
+    # pattern, and a pattern keeps at most LAYOUTS of them
+    from jtrwa import fockspace
+
+    found, chosen = [], fockspace._Plan.chosen
+
+    def counting(plan, blocks):
+        found.append(blocks.tolist())
+        return chosen(plan, blocks)
+
+    monkeypatch.setattr(fockspace._Plan, "chosen", counting)
+    basis, params = make_basis(BasisSpec.total_number(12)), ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(0.7))
+    first = diagonalize(build_full_jt(params, basis), levels=2)
+    calls = len(found)
+    again = diagonalize(build_full_jt(params, basis), levels=2)
+    assert calls >= 1 and len(found) == calls
+    assert np.array_equal(first.eigenvalues, again.eigenvalues)
+    op = build_full_jt(params, basis)
+    for b in range(2 * fockspace.LAYOUTS):
+        list(op.blocks(np.array([b % op.block_bounds().size])))
+    assert len(op._plan.found) <= fockspace.LAYOUTS
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.floats(-5, 5), st.sampled_from([0.0, -0.0, 1e-7, 2e-7])), max_size=12),
+       st.booleans(), st.integers(1, 5))
+def test_lowest_levels_of_sorted_real_parts_skip_the_sort_and_agree(real, presorted, count):
+    # real parts already non-decreasing (every Hermitian Spectrum's) are read as they are; any others are sorted
+    real = np.sort(real) if presorted else np.array(real, dtype=float)
+    want = [float(v) for v in spectra.lowest_levels(np.sort(real), count)]
+    with pytest.MonkeyPatch.context() as patch:
+        if np.all(real[:-1] <= real[1:]):
+            patch.setattr(spectra.np, "sort", lambda *_args, **_kwargs: pytest.fail("sorted again"))
+        assert spectra.lowest_levels(real, count) == want

@@ -1,5 +1,8 @@
+import gc
+
 import numpy as np
 import pytest
+from dense import dense_op
 from hypothesis import given, settings, strategies as st
 
 from jtrwa import (
@@ -20,7 +23,7 @@ from jtrwa import (
     mode_rotation,
     residual_study,
 )
-from jtrwa import transforms
+from jtrwa import fockspace, transforms
 from jtrwa.fockspace import _sectors, diagonal_op
 from jtrwa.models import assemble
 
@@ -313,3 +316,97 @@ def test_residual_study_guard_follows_the_spin_flip_detunings():
     assert 2.7 <= report.fitted_slope <= 3.3
     with pytest.raises(ValueError, match="guard 0.15"):
         residual_study(params, make_basis(BasisSpec.per_mode(3, 3)), (0.1, 0.16))
+
+
+def _anti_hermitian(rng, n):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return x - x.conj().T  # real parts of the diagonal are +0.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    distinct=st.integers(1, 4),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    grid=st.integers(1, 3),
+)
+def test_expm_of_a_stack_equals_expm_of_each_block_bit_for_bit(seed, n, distinct, picks, grid):
+    # repeated blocks, a block one ulp off another and one with a -0.0 where its twin holds +0.0: only equal bytes share
+    # a solve, and every exponential equals, bit for bit, that of its block alone
+    rng = np.random.default_rng(seed)
+    blocks = [_anti_hermitian(rng, n) for _ in range(distinct)]
+    nudged = blocks[0].copy()
+    nudged[0, -1] = np.nextafter(nudged[0, -1].real, np.inf) + 1j * nudged[0, -1].imag  # one ulp, inside HINT_TOL
+    signed = blocks[0].copy()
+    signed[0, 0] = complex(-0.0, signed[0, 0].imag)
+    blocks += [nudged, signed]
+    stack = np.stack([blocks[p % len(blocks)] for p in picks + [0, len(blocks) - 2, len(blocks) - 1]])
+    stack = np.stack([stack] * grid, axis=1)  # (count, G, n, n), as _transformed_pairs stacks a grid
+    whole = transforms.expm(stack)
+    alone = np.stack([[transforms.expm(block) for block in row] for row in stack])
+    assert whole.shape == stack.shape
+    assert np.array_equal(_bits(whole), _bits(alone))
+
+
+def test_residual_study_solves_8_distinct_generator_blocks_at_per_mode_8(monkeypatch):
+    # at per-mode cutoff 8, T is the identity on mode 1: its 18 blocks at each of 4 couplings are 2 chains per coupling
+    solved, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(int(np.prod(a.shape[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    basis = make_basis(BasisSpec.per_mode(8))
+    report = residual_study(STUDY_PARAMS, basis, STUDY_GRID)
+    assert sum(solved) == 8
+    assert [members.shape for members, _ in decoupling_generator(STUDY_PARAMS, basis).blocks()] == [(18, 9)]
+    assert 2.7 <= report.fitted_slope <= 3.3
+
+
+def test_residual_study_finds_each_layout_once_per_basis(monkeypatch):
+    # the pair and remainder layouts are kept with the generator's pattern: a second study on the basis finds neither
+    # again, nor the remainder's blocks, and another basis finds its own
+    found = {"pairs": 0, "remainder": 0}
+
+    def counted(name, find):
+        def counting(*args):
+            found[name] += 1
+            return find(*args)
+        return counting
+
+    monkeypatch.setattr(transforms, "_pair_layout", counted("pairs", transforms._pair_layout))
+    monkeypatch.setattr(transforms, "_remainder_layout", counted("remainder", transforms._remainder_layout))
+    basis, other = make_basis(BasisSpec.per_mode(5, 4)), make_basis(BasisSpec.per_mode(4, 5))
+    first = residual_study(STUDY_PARAMS, basis, STUDY_GRID)
+    assert found == {"pairs": 1, "remainder": 1}
+    with monkeypatch.context() as patch:
+        patch.setattr(fockspace, "_sectors", _raise_on_call)
+        assert residual_study(STUDY_PARAMS, basis, STUDY_GRID[1:]).residual_norms == first.residual_norms[1:]
+    assert found == {"pairs": 1, "remainder": 1}
+    residual_study(STUDY_PARAMS, other, STUDY_GRID)
+    assert found == {"pairs": 2, "remainder": 2}
+
+
+def _raise_on_call(*_args, **_kwargs):
+    raise AssertionError("a layout was found again")
+
+
+def test_conjugate_keeps_a_bounded_layout_per_generator_pattern_and_never_a_stale_one():
+    from scipy.linalg import expm as scipy_expm
+
+    # fresh Hamiltonian patterns, each collected after use: the generator's pattern keeps at most LAYOUTS layouts, keyed
+    # on patterns it holds, so a new pattern never meets the layout of a collected one
+    basis, rng = make_basis(BasisSpec.per_mode(2, 3)), np.random.default_rng(9)
+    t = assemble(basis, "generator", STUDY_PARAMS, 0.3)
+    e = scipy_expm(t.entries)
+    for _ in range(2 * fockspace.LAYOUTS):
+        m = (rng.normal(size=(basis.dimension,) * 2) + 1j) * (rng.random((basis.dimension,) * 2) < 0.3)
+        assert np.abs(conjugate(t, dense_op(basis, m)).entries - e @ m @ e.conj().T).max() <= 1e-13
+        gc.collect()
+    assert len(t._plan.found) <= fockspace.LAYOUTS

@@ -16,9 +16,12 @@ operation's exit code, stdout and stderr must be identical between the two
 trees, else the script stops with exit 1.
 
 It prints, per round, the median pass of each tree, their ratio and the
-share of passes the working tree won, and writes a JSON file (`--out`)
-with those numbers, both revisions, the host, the BLAS threads and the
-library versions.  BLAS keeps its default thread count, as in the benchmark.
+share of passes the working tree won, then the same per command: the median
+of each command's wall time within a pass (its operations summed), so that
+a change to one command shows apart from the others.  It writes a JSON file
+(`--out`) with those numbers, both revisions, the host, the BLAS threads
+and the library versions.  BLAS keeps its default thread count, as in the
+benchmark.
 """
 
 from __future__ import annotations
@@ -74,17 +77,26 @@ class Tree:
 
         self.name, self.cli, self.runner = name, load_cli(name, package), CliRunner()
 
-    def run_pass(self, ops) -> tuple[float, list[tuple]]:
-        """Wall time of the pass (the sum over its operations) and each operation's (exit code, stdout, stderr,
-        exception raised)."""
-        wall, outputs = 0.0, []
+    def run_pass(self, ops) -> tuple[dict[str, float], list[tuple]]:
+        """Wall time of the pass per command (the sum over its operations of that command) and each operation's
+        (exit code, stdout, stderr, exception raised)."""
+        walls, outputs = {}, []
         for op in ops:
             start = time.perf_counter()
             result = self.runner.invoke(self.cli, list(op.args), prog_name="jtrwa")
-            wall += time.perf_counter() - start
+            walls[op.command] = walls.get(op.command, 0.0) + time.perf_counter() - start
             raised = None if isinstance(result.exception, (SystemExit, type(None))) else repr(result.exception)
             outputs.append((result.exit_code, result.stdout, result.stderr, raised))
-        return wall, outputs
+        return walls, outputs
+
+
+def medians(walls: dict[str, list[dict[str, float]]], trees: tuple[str, str]) -> dict:
+    """The median pass (ms) of the trees (base, head), each pass given as its wall time per command, and the passes
+    the head won."""
+    base, head = ([sum(p.values()) for p in walls[t]] for t in trees)
+    base_ms, head_ms = (1e3 * statistics.median(w) for w in (base, head))
+    return {"base_ms": base_ms, "head_ms": head_ms, "change": head_ms / base_ms - 1.0,
+            "won": sum(h < b for b, h in zip(base, head)), "passes": len(base)}
 
 
 def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head: Tree) -> dict:
@@ -105,12 +117,15 @@ def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head
                     raise SystemExit(f"ab: outputs differ on `jtrwa {' '.join(op.args)}`:\n  base {one!r}\n"
                                      f"  head {other!r}")
             index += 1
-        won = sum(h < b for b, h in zip(walls[base.name], walls[head.name]))
-        base_ms, head_ms = (1e3 * statistics.median(walls[t.name]) for t in (base, head))
-        results.append({"base_ms": base_ms, "head_ms": head_ms, "change": head_ms / base_ms - 1.0,
-                        "won": won, "passes": passes})
-        print(f"{workload:<16} round {r + 1}: base {base_ms:8.3f} ms  head {head_ms:8.3f} ms  "
-              f"{100 * (head_ms / base_ms - 1):+6.1f} %  head won {won}/{passes}", flush=True)
+        trees = (base.name, head.name)
+        result = medians(walls, trees)
+        result["commands"] = {command: medians({t: [{command: p[command]} for p in walls[t]] for t in trees}, trees)
+                              for command in walls[base.name][0]}
+        results.append(result)
+        for name, row in (("pass", result), *result["commands"].items()):
+            print(f"{workload:<16} round {r + 1} {name:<20} base {row['base_ms']:8.3f} ms  "
+                  f"head {row['head_ms']:8.3f} ms  {100 * row['change']:+6.1f} %  head won {row['won']}/{row['passes']}",
+                  flush=True)
     won, total = sum(r["won"] for r in results), sum(r["passes"] for r in results)
     print(f"{workload:<16} head won {won}/{total} passes ({100 * won / total:.0f} %)", flush=True)
     return {"workload": workload, "seed": seed, "rounds": results, "won": won, "passes": total}
