@@ -16,11 +16,12 @@ operation's exit code, stdout and stderr must be identical between the two
 trees, else the script stops with exit 1.
 
 It prints, per round, the median pass of each tree, their ratio and the
-share of passes the working tree won, then the same per command: the median
-of each command's wall time within a pass (its operations summed), so that
-a change to one command shows apart from the others.  It writes a JSON file
-(`--out`) with those numbers, both revisions, the host, the BLAS threads
-and the library versions.  BLAS keeps its default thread count, as in the
+share of passes the working tree won, then the same per command: the
+median of each command's wall time within a pass (its operations summed;
+the two `spectrum` models of `large-cutoff` apart), so that a change to
+one command shows apart from the others.  It writes a JSON file (`--out`)
+with those numbers, both revisions, the host, the BLAS threads and the
+library versions.  BLAS keeps its default thread count, as in the
 benchmark.
 """
 
@@ -78,13 +79,14 @@ class Tree:
         self.name, self.cli, self.runner = name, load_cli(name, package), CliRunner()
 
     def run_pass(self, ops) -> tuple[dict[str, float], list[tuple]]:
-        """Wall time of the pass per command (the sum over its operations of that command) and each operation's
-        (exit code, stdout, stderr, exception raised)."""
+        """Wall time of the pass per command (the sum over its operations of that command, told apart by model where
+        the workload gives one) and each operation's (exit code, stdout, stderr, exception raised)."""
         walls, outputs = {}, []
         for op in ops:
             start = time.perf_counter()
             result = self.runner.invoke(self.cli, list(op.args), prog_name="jtrwa")
-            walls[op.command] = walls.get(op.command, 0.0) + time.perf_counter() - start
+            name = f"{op.command} {op.params.get('model', '')}".strip()
+            walls[name] = walls.get(name, 0.0) + time.perf_counter() - start
             raised = None if isinstance(result.exception, (SystemExit, type(None))) else repr(result.exception)
             outputs.append((result.exit_code, result.stdout, result.stderr, raised))
         return walls, outputs
@@ -123,7 +125,7 @@ def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head
                               for command in walls[base.name][0]}
         results.append(result)
         for name, row in (("pass", result), *result["commands"].items()):
-            print(f"{workload:<16} round {r + 1} {name:<20} base {row['base_ms']:8.3f} ms  "
+            print(f"{workload:<16} round {r + 1} {name:<22} base {row['base_ms']:8.3f} ms  "
                   f"head {row['head_ms']:8.3f} ms  {100 * row['change']:+6.1f} %  head won {row['won']}/{row['passes']}",
                   flush=True)
     won, total = sum(r["won"] for r in results), sum(r["passes"] for r in results)
