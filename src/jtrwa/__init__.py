@@ -64,51 +64,3 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Basis",
-    "BasisSpec",
-    "BlockSolution",
-    "Branch",
-    "Hermiticity",
-    "ModelParams",
-    "OperatorMatrix",
-    "RealityReport",
-    "ResonanceError",
-    "RwaLevel",
-    "SPIN_DOWN",
-    "SPIN_UP",
-    "Spectrum",
-    "TransformReport",
-    "Truncation",
-    "assemble_eigenstate",
-    "benchmark_rwa_energy",
-    "block_solve",
-    "boson_ops",
-    "build_full_jt",
-    "build_nonhermitian",
-    "build_rotated",
-    "build_rwa",
-    "build_second_order",
-    "check_combined_symmetry",
-    "check_pseudo_hermitian",
-    "check_pt",
-    "conjugate",
-    "conjugation_closure",
-    "conserved_excitation_op",
-    "converge_ground",
-    "decoupling_generator",
-    "diagonalize",
-    "interior_projector",
-    "make_basis",
-    "mode_rotation",
-    "parity_op",
-    "pauli_ops",
-    "pt_transform",
-    "reality_scan",
-    "residual_study",
-    "rwa_energy",
-    "rwa_level_ladder",
-    "spin_ladder_detunings",
-    "total_number_schedule",
-]

@@ -5,26 +5,26 @@ blocks of the operator's pattern; a model operator's are its model's
 conserved-quantity sectors at every coupling (J = n1 - n2 + sigma0/2 for the
 full model, 2x2 Jaynes-Cummings blocks for the rotated and imaginary-coupling
 forms), found once per (basis, model), and scattered straight from the
-triplets: no dim x dim array is formed.  Hermitian-hinted operators go
-through eigh (after the hint is validated), everything else through the
-general complex solver; the dense solve of the whole matrix is the test
-oracle.  Asked for its k lowest levels only (levels=k, as converge_ground
-asks), it solves only the blocks whose Gershgorin lower bound can reach
-them, lowest bound first, and the full solve is that path's oracle.  An
-operator that commutes with the spin flip with the mode swap,
-(s, n1, n2) -> (-s, n2, n1) (OperatorMatrix.twins(): the full model at
-omega0 = 0 on a mode-symmetric basis, which maps J onto -J), has its blocks
-in twin pairs: on both paths diagonalize solves one block of each pair and
-gives the twin the same eigenvalues, bit for bit, and the levels path
-chooses whole pairs (at each cutoff of the benchmark table, J = +-1/2 and
-+-3/2 in one round).
-block_eigenvalues solves blocks (members, stack) unsorted, for one operator
-or a grid of them (a pass of pseudoherm.gamma_grids), 2x2 blocks in closed
-form; diagonalize is its oracle.  Eigenvalues are sorted by real part,
-then imaginary part, where real parts within LEVEL_GAP of each other (relative
-to the spectral radius, or a bound on it) are one level: exactly degenerate
-levels are ordered by imaginary part, not by round-off.  A spectrum with no
-imaginary part is in that order once sorted by real part.
+triplets: no dim x dim array is formed.  Its eigenvalues come from
+block_eigenvalues (eigvalsh under a validated Hermitian hint, else a closed
+form up to 2x2 and the general complex solver), its eigenvectors from eigh or
+eig; the dense solve of the whole matrix is the test oracle.  Asked for its k
+lowest levels only (levels=k, as converge_ground asks), it solves only the
+blocks whose Gershgorin lower bound can reach them, lowest bound first, and the
+full solve is that path's oracle.  An operator that commutes with the spin flip
+with the mode swap, (s, n1, n2) -> (-s, n2, n1) (OperatorMatrix.twins(): the
+full model at omega0 = 0 on a mode-symmetric basis, which maps J onto -J), has
+its blocks in twin pairs: on both paths diagonalize solves one block of each
+pair and gives the twin the same eigenvalues, bit for bit, and the levels path
+chooses whole pairs (at each cutoff of the benchmark table, J = +-1/2 and +-3/2
+in one round).
+block_eigenvalues solves blocks (members, stack) unsorted, for one operator or
+a grid of them (a pass of pseudoherm.gamma_grids); the dense solve of the whole
+matrix is its oracle.  Eigenvalues are sorted by real part, then imaginary
+part, where real parts within LEVEL_GAP of each other (relative to the spectral
+radius, or a bound on it) are one level: exactly degenerate levels are ordered
+by imaginary part, not by round-off.  A spectrum with no imaginary part is in
+that order once sorted by real part.
 """
 
 from __future__ import annotations
@@ -117,39 +117,42 @@ def level_order(vals: np.ndarray, scale=None) -> np.ndarray:
     return np.take_along_axis(by_real, np.lexsort((ordered.imag, level), axis=-1), axis=-1)
 
 
-def block_eigenvalues(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def block_eigenvalues(blocks: Iterable[tuple[np.ndarray, np.ndarray]], hermitian: bool = False) -> np.ndarray:
     """Unsorted eigenvalues of blocks (members, stack), from blocks() or assemble_blocks: (n,), or (G, n) for a grid.
 
-    A 1x1 block is its entry.  A 2x2 block [[a, b], [c, d]] is solved in closed form, m +/- sqrt(((a - d)/2)^2 + bc)
-    with m = (a + d)/2, on the block divided by its largest |entry|, so that at any magnitude no square overflows and
-    none that matters underflows.  Blocks of any other size go to one stacked eigvals per size.  diagonalize, through
-    LAPACK alone, is its oracle.
+    The one solver of eigenvalues alone.  Hermitian stacks (`hermitian`, the hint validated by the caller) go to one
+    stacked eigvalsh per size, as given.  Of a general stack, a 1x1 block is its entry, a 2x2 block [[a, b], [c, d]]
+    is m +/- sqrt(((a - d)/2)^2 + bc) with m = (a + d)/2, on the block divided by its largest |entry| (so that no
+    square overflows and none that matters underflows), and any other size goes to one stacked eigvals per size.
+    The dense solve of the whole matrix is its oracle.
     """
-    found = []  # a grid axis trails until the end
-    for members, stack in blocks:
-        if members.shape[1] == 1:
-            vals = stack[:, 0, 0]
-        elif members.shape[1] == 2:
-            scale = np.abs(stack).max(axis=(1, 2))
-            (a, b), (c, d) = np.moveaxis(stack / np.where(scale > 0, scale, 1.0)[:, None, None], (1, 2), (0, 1))
-            mean, root = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b * c)
-            vals = scale[:, None] * np.stack((mean - root, mean + root), axis=1)
-        else:  # LAPACK wants the matrix axes last
-            vals = np.moveaxis(np.linalg.eigvals(np.moveaxis(stack, (1, 2), (-2, -1))), -1, 1)
-        found.append(vals.reshape(-1, *stack.shape[3:]))
-    return np.concatenate(found).T
+    found = [_stack_eigenvalues(stack, hermitian).reshape(-1, *stack.shape[3:]) for _, stack in blocks]
+    return np.concatenate(found).T  # a grid axis trails until the end
+
+
+def _stack_eigenvalues(stack: np.ndarray, hermitian: bool) -> np.ndarray:
+    """The eigenvalues (count, n, ...) of a stack of blocks (count, n, n, ...), as block_eigenvalues solves them."""
+    if hermitian or stack.shape[1] > 2:  # LAPACK wants the matrix axes last
+        solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
+        return solve(stack) if stack.ndim == 3 else np.moveaxis(solve(np.moveaxis(stack, (1, 2), (-2, -1))), -1, 1)
+    if stack.shape[1] == 1:
+        return stack[:, 0]
+    scale = np.abs(stack).max(axis=(1, 2))
+    (a, b), (c, d) = np.moveaxis(stack / np.where(scale > 0, scale, 1.0)[:, None, None], (1, 2), (0, 1))
+    mean, root = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b * c)
+    return scale[:, None] * np.stack((mean - root, mean + root), axis=1)
 
 
 def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | None = None) -> Spectrum:
     """Spectrum of an operator, solved block by block: the full spectrum, or the blocks that hold its lowest levels.
 
-    The blocks of the pattern (the conserved-quantity sectors) of one size
-    come as one stack from op.blocks(), solved by one stacked LAPACK call;
-    a matrix with one block is the dense solve.  A Hermitian hint is
-    validated before eigh is trusted with the matrix.  Solver
-    non-convergence propagates as numpy.linalg.LinAlgError rather than
-    being silently truncated.  Eigenpair residuals ||Hv - lambda v|| are
-    computed block by block when vectors are requested.
+    The blocks of the pattern (the conserved-quantity sectors) of one size come
+    as one stack from op.blocks(), solved as block_eigenvalues solves them, or
+    by one stacked eigh or eig for vectors; one block is the dense solve.  A
+    Hermitian hint is validated before eigvalsh or eigh is trusted with the
+    matrix.  Solver non-convergence propagates as numpy.linalg.LinAlgError
+    rather than being silently truncated.  Eigenpair residuals ||Hv - lambda v||
+    are computed block by block when vectors are requested.
 
     Without vectors, an operator that op.twins() pairs (every value equal,
     exactly, to its partner's under the spin flip with the mode swap) has
@@ -195,17 +198,14 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
         chosen, left = left[:levels], left[levels:]
     while True:
         for members, stack in op.blocks(chosen, paired=twins is not None):
-            if hermitian:
-                stack = stack if imaginary and np.any(stack.imag) else stack.real
-                solve = np.linalg.eigh if want_vectors else np.linalg.eigvalsh
-            else:
-                solve = np.linalg.eig if want_vectors else np.linalg.eigvals
+            if hermitian and not (imaginary and np.any(stack.imag)):
+                stack = stack.real
             if want_vectors:
-                w, v = solve(stack)
+                w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(stack)
                 vals[members], vecs[members[:, :, None], members[:, None, :]] = w, v
                 residuals[members] = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
             else:
-                vals[members] = solve(stack)
+                vals[members] = _stack_eigenvalues(stack, hermitian)
             solved[members] = True
             if twins is not None:  # the twin block, on the states the state map gives, has the same eigenvalues
                 vals[twins.state[members]], solved[twins.state[members]] = vals[members], True

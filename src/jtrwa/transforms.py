@@ -13,9 +13,9 @@ couples n1 only to n1 and n1 +/- 1, so the pairs are few and small (at per-mode
 cutoff 8 the 72 blocks of four couplings are 8 distinct matrices); which
 entries fall in which pair, and the blocks of the kept remainder, are found
 once per pattern (OperatorMatrix.layout).  No step forms a dim x dim matrix:
-the largest arrays are the remainder's parity blocks, solved by eigvalsh one
-coupling at a time for the spectral norm.  The mode rotation is built the same
-way, per block.
+the largest arrays are the remainder's parity blocks, whose Hermitian parts
+spectra.block_eigenvalues solves one coupling at a time for the spectral norm.
+The mode rotation is built the same way, per block.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .fockspace import HINT_TOL, Basis, OperatorMatrix, Truncation, interior
 from .models import ModelParams, assemble, spin_ladder_detunings
+from .spectra import block_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -225,10 +226,9 @@ def _remainder_layout(generator: OperatorMatrix, h: OperatorMatrix, second: Oper
 
 
 def _spectral_norm(op: OperatorMatrix) -> float:
-    """Largest |eigenvalue| of the Hermitian part of op, one stacked eigvalsh per block size, real where op is real."""
-    norm = 0.0
-    for _, stack in op.blocks():
+    """Largest |eigenvalue| of op's Hermitian part (real where op is real), its blocks solved by block_eigenvalues."""
+    def hermitian_part(stack):
         half = 0.5 * (stack if stack.imag.any() else stack.real)
-        half += half.conj().swapaxes(1, 2)
-        norm = max(norm, float(np.abs(np.linalg.eigvalsh(half)).max()))
-    return norm
+        return half + half.conj().swapaxes(1, 2)
+
+    return float(np.abs(block_eigenvalues(((m, hermitian_part(s)) for m, s in op.blocks()), hermitian=True)).max())

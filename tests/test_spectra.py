@@ -100,15 +100,17 @@ def test_full_model_splits_into_one_block_per_angular_momentum():
     assert sorted(k for members in blocks for k in members) == list(range(basis.dimension))
 
 
+def _solved(members, stack, hermitian):
+    """The eigenvalues (count, n) of a stack as diagonalize solves it: by block_eigenvalues, real where it can be."""
+    stack = stack.real if hermitian and not np.any(stack.imag) else stack
+    return block_eigenvalues([(members, stack)], hermitian).reshape(members.shape).astype(complex)
+
+
 def _dense_pattern_eigenvalues(op):
     # oracle: sectors from a scan of the dense matrix, blocks cut out of it
     m, vals = op.entries, np.empty(op.dimension, dtype=complex)
     for members in _sectors(*np.nonzero(m), op.dimension):
-        stack = m[members[:, :, None], members[:, None, :]]
-        if op.hint is Hermiticity.HERMITIAN:
-            vals[members] = np.linalg.eigvalsh(stack.real if not np.any(stack.imag) else stack)
-        else:
-            vals[members] = np.linalg.eigvals(stack)
+        vals[members] = _solved(members, m[members[:, :, None], members[:, None, :]], op.hint is Hermiticity.HERMITIAN)
     return vals[level_order(vals)]
 
 
@@ -134,10 +136,11 @@ def test_triplet_sectors_equal_the_dense_pattern_sectors(spec, model, coupling):
 @pytest.mark.parametrize("spec", [BasisSpec.total_number(6), BasisSpec.per_mode(3, 2)])
 @pytest.mark.parametrize("model", sorted(BUILDERS))
 def test_block_eigenvalues_equal_diagonalize(spec, model):
-    # 1x1 and 2x2 blocks (rotated, nonhermitian) and larger ones (stacked eigvals); a grid of zero operators is zero
+    # 1x1 and 2x2 blocks (rotated, nonhermitian) and larger ones (stacked eigvals), against the dense solve of the
+    # whole matrix (diagonalize solves its blocks by the same routine); a grid of zero operators is zero
     op = BUILDERS[model](ModelParams(omega=1.1, omega0=0.15, kappa=0.37, gamma=0.37), make_basis(spec))
     vals = block_eigenvalues(op.blocks())
-    cost = np.abs(vals[:, None] - diagonalize(op).eigenvalues[None, :])
+    cost = np.abs(vals[:, None] - np.linalg.eigvals(op.entries)[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-13 * np.abs(op.triplets[2]).max()
     zeros = op.with_values(np.zeros((op.triplets[2].size, 3)), Hermiticity.GENERAL)
@@ -750,6 +753,24 @@ def test_twin_blocks_are_solved_once(monkeypatch, spec, omega0, solved_states):
     assert (op.twins() is not None) == (solved_states < op.dimension)
 
 
+def test_nonhermitian_2x2_blocks_are_solved_in_closed_form(monkeypatch):
+    # at total cutoff 30 the imaginary-coupling model is 465 2x2 blocks and 62 1x1 blocks: none reaches LAPACK
+    op = build_nonhermitian(ModelParams(omega=1.0, omega0=0.1, gamma=0.3), make_basis(BasisSpec.total_number(30)))
+    handed, eigvals = [], np.linalg.eigvals
+
+    def recording(stack):
+        handed.append(stack.shape)
+        return eigvals(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    vals = diagonalize(op).eigenvalues
+    assert not [shape for shape in handed if shape[-1] == 2]
+    dense = eigvals(op.entries)
+    cost = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12 * np.abs(dense).max()
+
+
 def _blocks_calls(monkeypatch):
     """The (chosen, paired) arguments of every OperatorMatrix.blocks call from here on."""
     calls, blocks = [], OperatorMatrix.blocks
@@ -808,13 +829,9 @@ def test_a_twin_pair_is_keyed_by_the_lower_of_its_blocks_bounds(monkeypatch, rep
 def _twin_oracle(op):
     # every block of op.blocks() solved as diagonalize solves a stack, then each twin given its representative's
     # eigenvalues, as twins() pairs them; with no pairing, every block's own
-    hermitian, per_block = op.hint is Hermiticity.HERMITIAN, []
+    per_block = []
     for members, stack in op.blocks():
-        if hermitian:
-            vals = np.linalg.eigvalsh(stack.real if not np.any(stack.imag) else stack)
-        else:
-            vals = np.linalg.eigvals(stack)
-        per_block += list(vals.astype(complex))
+        per_block += list(_solved(members, stack, op.hint is Hermiticity.HERMITIAN))
     twins = op.twins()
     if twins is not None:
         per_block = [per_block[r] for r in twins.representative]

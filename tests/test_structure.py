@@ -266,6 +266,45 @@ def test_the_term_product_rule_flags_a_second_site(tmp_path):
     assert _term_products(source) == ([4, 4], [4, 4])
 
 
+def _eigenvalue_solver_sites(path):
+    """(function, line) of every use of `eigvalsh` or `eigvals` in `path`, called or passed on, by the innermost
+    function that holds it (None: at module level)."""
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if {getattr(node, "id", None), getattr(node, "attr", None)} & {"eigvalsh", "eigvals"}:
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    return list(walk(ast.parse(path.read_text(), filename=str(path)), None))
+
+
+def _eigenvalue_solvers(paths):
+    return {(path.name, function) for path in paths for function, _ in _eigenvalue_solver_sites(path)}
+
+
+def test_one_function_finds_eigenvalues_only():
+    # spectra.block_eigenvalues solves, one stack at a time, every problem that asks for eigenvalues only:
+    # diagonalize's, reality-scan's, the conjugation closure's and the transform's spectral norm; eigh and eig
+    # (expm, eigenvectors) are not ruled
+    assert _eigenvalue_solvers(SOURCES) == {("spectra.py", "_stack_eigenvalues")}
+
+
+def test_the_solver_rule_flags_a_second_site(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\nfrom numpy.linalg import eigvalsh\n\n"
+        "def _stack_eigenvalues(stack, hermitian):\n"
+        "    return (np.linalg.eigvalsh if hermitian else np.linalg.eigvals)(stack)\n\n"
+        "def _spectral_norm(half):\n    return np.abs(eigvalsh(half)).max(), np.linalg.eigh(half)\n"
+    )
+    assert _eigenvalue_solver_sites(source) == [("_stack_eigenvalues", 5), ("_stack_eigenvalues", 5),
+                                                ("_spectral_norm", 8)]
+    assert _eigenvalue_solvers([*SOURCES, source]) == {
+        ("spectra.py", "_stack_eigenvalues"), ("probe.py", "_stack_eigenvalues"), ("probe.py", "_spectral_norm")}
+
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 

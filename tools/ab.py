@@ -15,13 +15,16 @@ to pass, so that drift in the machine's speed falls on both alike.  Every
 operation's exit code, stdout and stderr must be identical between the two
 trees, else the script stops with exit 1.
 
-It prints, per round, the median pass of each tree, their ratio and the
-share of passes the working tree won, then the same per command: the
-median of each command's wall time within a pass (its operations summed;
-the two `spectrum` models of `large-cutoff` apart), so that a change to
-one command shows apart from the others.  It writes a JSON file (`--out`)
-with those numbers, both revisions, the host, the BLAS threads and the
-library versions.  BLAS keeps its default thread count, as in the
+It prints, per round, the median pass of each tree, their ratio, a 95 %
+bootstrap interval of that ratio and the share of passes the working tree
+won, then the same per command: the median of each command's wall time
+within a pass (its operations summed; the two `spectrum` models of
+`large-cutoff` apart), so that a change to one command shows apart from the
+others.  The interval resamples whole passes (each runs the same operations
+on both trees) BOOTSTRAP times, from a generator seeded with `--seed`, so a
+rerun on the same timings gives the same interval.  It writes a JSON file
+(`--out`) with those numbers, both revisions, the host, the BLAS threads and
+the library versions.  BLAS keeps its default thread count, as in the
 benchmark.
 """
 
@@ -32,6 +35,7 @@ import importlib
 import importlib.util
 import json
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -92,18 +96,29 @@ class Tree:
         return walls, outputs
 
 
-def medians(walls: dict[str, list[dict[str, float]]], trees: tuple[str, str]) -> dict:
-    """The median pass (ms) of the trees (base, head), each pass given as its wall time per command, and the passes
-    the head won."""
+BOOTSTRAP = 2000  # resamples per interval
+
+
+def interval(base: list[float], head: list[float], rng: random.Random) -> list[float]:
+    """A 95 % percentile bootstrap interval of median(head) / median(base) - 1, resampling the passes as pairs."""
+    changes = sorted(statistics.median(head[i] for i in picks) / statistics.median(base[i] for i in picks) - 1.0
+                     for picks in (rng.choices(range(len(base)), k=len(base)) for _ in range(BOOTSTRAP)))
+    return [changes[round(0.025 * (BOOTSTRAP - 1))], changes[round(0.975 * (BOOTSTRAP - 1))]]
+
+
+def medians(walls: dict[str, list[dict[str, float]]], trees: tuple[str, str], rng: random.Random) -> dict:
+    """The median pass (ms) of the trees (base, head), each pass given as its wall time per command, the bootstrap
+    interval of their ratio and the passes the head won."""
     base, head = ([sum(p.values()) for p in walls[t]] for t in trees)
     base_ms, head_ms = (1e3 * statistics.median(w) for w in (base, head))
     return {"base_ms": base_ms, "head_ms": head_ms, "change": head_ms / base_ms - 1.0,
-            "won": sum(h < b for b, h in zip(base, head)), "passes": len(base)}
+            "ci95": interval(base, head, rng), "won": sum(h < b for b, h in zip(base, head)), "passes": len(base)}
 
 
 def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head: Tree) -> dict:
-    """`rounds` rounds of `passes` alternating passes; per round the median pass of each tree (ms) and the passes the
-    working tree won."""
+    """`rounds` rounds of `passes` alternating passes; per round the median pass of each tree (ms), the bootstrap
+    interval of their ratio and the passes the working tree won."""
+    rng = random.Random(seed)
     for tree in (base, head):  # warm-up: lazy imports, caches, allocator and BLAS buffers
         tree.run_pass(ops_for_pass(workload, seed, 0))
     results, index = [], 1
@@ -120,14 +135,15 @@ def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head
                                      f"  head {other!r}")
             index += 1
         trees = (base.name, head.name)
-        result = medians(walls, trees)
-        result["commands"] = {command: medians({t: [{command: p[command]} for p in walls[t]] for t in trees}, trees)
-                              for command in walls[base.name][0]}
+        result = medians(walls, trees, rng)
+        result["commands"] = {command: medians({t: [{command: p[command]} for p in walls[t]] for t in trees},
+                                               trees, rng) for command in walls[base.name][0]}
         results.append(result)
         for name, row in (("pass", result), *result["commands"].items()):
+            low, high = (100 * bound for bound in row["ci95"])
             print(f"{workload:<16} round {r + 1} {name:<22} base {row['base_ms']:8.3f} ms  "
-                  f"head {row['head_ms']:8.3f} ms  {100 * row['change']:+6.1f} %  head won {row['won']}/{row['passes']}",
-                  flush=True)
+                  f"head {row['head_ms']:8.3f} ms  {100 * row['change']:+6.1f} % [{low:+6.1f}, {high:+6.1f}]  "
+                  f"head won {row['won']}/{row['passes']}", flush=True)
     won, total = sum(r["won"] for r in results), sum(r["passes"] for r in results)
     print(f"{workload:<16} head won {won}/{total} passes ({100 * won / total:.0f} %)", flush=True)
     return {"workload": workload, "seed": seed, "rounds": results, "won": won, "passes": total}
