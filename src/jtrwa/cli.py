@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import replace
 from itertools import chain
 
 import click
@@ -63,7 +62,7 @@ MODELS = {
 SLOPE_RANGE = (2.7, 3.3)
 IDENTITY_TOL = 1e-12
 CLOSURE_TOL = 1e-10
-TABLE1_SCHEDULE = (10, 20, 30, 40)
+TABLE1_SCHEDULE = total_number_schedule((10, 20, 30, 40))
 NON_NEGATIVE = click.FloatRange(min=0.0)
 POSITIVE = click.FloatRange(min=0.0, min_open=True)
 MAX_GRID_POINTS = 10_000  # longest accepted "start:stop:step" grid, checked before np.arange
@@ -148,12 +147,12 @@ def _emit(command: str, columns: dict, summary: dict, exit_code: int, fmt: str, 
                 handle.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write the table to {out}: {exc.strerror}") from exc
-    else:
-        # explicit streams: click.echo's default-stream cache never drops a stream it wraps,
-        # so it would keep the captured streams of every in-process (CliRunner) invocation
-        click.echo(text, file=click.get_text_stream("stdout"), nl=False)
+    else:  # written and flushed as click.echo does with text that holds no ANSI code, without its stream lookup
+        sys.stdout.write(text)
+        sys.stdout.flush()
     if fmt != "pretty":
-        click.echo("".join(note + "\n" for note in notes), file=click.get_text_stream("stderr"), nl=False)
+        sys.stderr.write("".join(note + "\n" for note in notes))
+        sys.stderr.flush()
     return exit_code
 
 
@@ -249,15 +248,13 @@ def table1_command(omega, omega0, kappa2, tol):
     misses its published value by more than 5e-3, or if a row's ground or
     first excited energy (E0 or E1) did not converge over the cutoff schedule.
     """
-    base = ModelParams(omega=omega, omega0=omega0)
-    schedule = total_number_schedule(TABLE1_SCHEDULE)
     benchmark_regime = omega == 1.0 and omega0 == 0.0
     rows = []
     worst_delta = 0.0
     converged = True
     for k2 in [kappa2] if kappa2 is not None else TABLE1_KAPPA2:
-        params = replace(base, kappa=float(np.sqrt(k2)))
-        spectrum = converge_ground(build_full_jt, params, schedule, tol, levels=2)
+        params = ModelParams(omega=omega, omega0=omega0, kappa=float(np.sqrt(k2)))
+        spectrum = converge_ground(build_full_jt, params, TABLE1_SCHEDULE, tol, levels=2)
         converged &= spectrum.converged
         exact = (spectrum.ground_energy, spectrum.first_excited_energy())
         closed_form = rwa_level_ladder(params, 2)

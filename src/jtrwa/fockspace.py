@@ -20,10 +20,13 @@ and held in an OperatorMatrix as (rows, cols, values) triplets.  Its blocks()
 are the blocks of their pattern (the conserved-quantity sectors), all or a
 chosen few, read by the eigensolver, the transforms and the checks;
 block_bounds() bounds each block's spectrum from below (Gershgorin, through
-block_minima), and difference() pairs each entry with its image under the
-transpose (validation) or another involution of positions.  twins() pairs the
-blocks that the spin flip with the mode swap, (s, n1, n2) -> (-s, n2, n1), maps
-onto each other, where the operator commutes with it exactly.  A model operator
+block_minima), validate() compares each entry with its transposed partner, and
+difference() pairs each entry with its image under the transpose or another
+involution of positions.  twins() pairs the blocks that the spin flip with the
+mode swap, (s, n1, n2) -> (-s, n2, n1), maps onto each other, where the operator
+commutes with it exactly.  Either scan, O(nnz), is skipped where the builder has
+proved its answer (with_values: exact, paired, as models.assemble does from its
+terms' structure, found once per basis and model).  A model operator
 holds its model's positions, zeros included, and their layout (blocks, chosen
 blocks, partner and swap maps, layouts with other patterns: layout()), found
 once (with_values) and kept in a bounded cache.  Triplets are the only way to
@@ -192,9 +195,9 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
 
 
 # Theta on a pattern it maps onto itself: its state map (an involution), per triplet the index of the triplet at its
-# Theta-image, per block (in the order blocks() gives them) its representative, the lower-positioned of it and its
-# twin, and the representatives' `chosen` layout.
-Swap = namedtuple("Swap", "state partner representative layout")
+# Theta-image, per block (in the order blocks() gives them) its twin and its representative, the lower-positioned of it
+# and its twin, and the representatives' `chosen` layout.
+Swap = namedtuple("Swap", "state partner twin representative layout")
 
 
 class _Plan:
@@ -273,8 +276,8 @@ class _Plan:
         position = np.arange(starts.size)
         block = np.empty(self.dim, dtype=np.intp)  # of each state
         block[states] = np.repeat(position, np.diff(starts, append=self.dim))
-        representative = np.minimum(position, block[state[states[starts]]])
-        return Swap(state, partner, representative, self.chosen(np.flatnonzero(representative == position)))
+        representative = np.minimum(position, twin := block[state[states[starts]]])
+        return Swap(state, partner, twin, representative, self.chosen(np.flatnonzero(representative == position)))
 
 
 class OperatorMatrix:
@@ -284,6 +287,8 @@ class OperatorMatrix:
     constructor.  The dense view `entries`, built on first read, serves tests only.
     """
 
+    exact = paired = False  # proved by the builder (with_values); else validate() and twins() scan the values
+
     @classmethod
     def from_triplets(cls, basis: Basis, rows, cols, values, hint=Hermiticity.GENERAL) -> "OperatorMatrix":
         """The operator with the entry values[k] at (rows[k], cols[k]), which it takes ownership of."""
@@ -291,13 +296,15 @@ class OperatorMatrix:
         op.basis, op.hint, op.triplets = basis, hint, _read_only(rows, cols, values)
         return op
 
-    def with_values(self, values, hint: Hermiticity) -> "OperatorMatrix":
+    def with_values(self, values, hint: Hermiticity, exact=False, paired=False) -> "OperatorMatrix":
         """The operator with `values` at this one's positions, in their order, sharing its blocks and transpose map.
 
         `values` of shape (nnz, G) make a grid of G operators, one per column, which blocks() and validate() keep.
+        A builder that has proved it passes `exact` (real values, exactly (anti-)Hermitian as `hint` says: validate() is
+        0.0) and `paired` (each value its Theta-partner's: twins() is the swap), unchecked and not inherited.
         """
         op = OperatorMatrix.from_triplets(self.basis, *self.triplets[:2], values, hint)
-        op._plan = self._plan
+        op._plan, op.exact, op.paired = self._plan, exact, paired
         return op
 
     @cached_property
@@ -333,10 +340,10 @@ class OperatorMatrix:
     def twins(self) -> Swap | None:
         """Theta (the spin flip with the mode swap) where this operator commutes with it, else None: its pattern maps
         onto itself (_Plan.swap, found once) and every value equals its Theta-partner's exactly, in every column of a
-        grid (checked per call, O(nnz)).  Then a block and its twin (J and -J of the full model at omega0 = 0) are
-        equal entry for entry under the state map, so they have the same eigenvalues."""
+        grid (`paired`, or checked per call, O(nnz)).  Then a block and its twin (J and -J of the full model at
+        omega0 = 0) are equal entry for entry under the state map, so they have the same eigenvalues."""
         swap, values = self._plan.swap, self.triplets[2]
-        return swap if swap is not None and np.array_equal(values, values[swap.partner]) else None
+        return swap if swap is not None and (self.paired or np.array_equal(values, values[swap.partner])) else None
 
     def blocks(self, chosen: np.ndarray | None = None, paired: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
@@ -382,13 +389,15 @@ class OperatorMatrix:
     def validate(self) -> float:
         """Check the structure hint; returns the deviation max|m -/+ m^dagger|, raises if violated.
 
-        Every entry is compared with its transposed partner (zero where the pattern has none), which covers the whole
-        operator, one operator or a grid (values (nnz, G)).
+        0.0 unscanned where `exact`; else each entry is compared with its transposed partner (zero where the pattern has
+        none), one operator or a grid (values (nnz, G)): an image entry with no partner is as large as its own entry.
         """
-        if self.hint is Hermiticity.GENERAL:
+        if self.hint is Hermiticity.GENERAL or self.exact:
             return 0.0
-        sign, values = (1.0 if self.hint is Hermiticity.HERMITIAN else -1.0), self.triplets[2]  # m = sign m^dagger
-        dev = np.abs(self.difference(values, sign * values.conj())).max(initial=0.0)
+        plan, values = self._plan, self.triplets[2]
+        partner, found = plan.once(None, lambda: plan.find(plan.cols, plan.rows))  # difference()'s transpose map
+        image = (1.0 if self.hint is Hermiticity.HERMITIAN else -1.0) * values.conj()[partner]  # m = sign m^dagger
+        dev = np.abs(values - np.where(found.reshape(-1, *(1,) * (values.ndim - 1)), image, 0.0)).max(initial=0.0)
         if not dev <= HINT_TOL:
             raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {HINT_TOL:.1e}")
         return float(dev)

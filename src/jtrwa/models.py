@@ -11,9 +11,11 @@ as one operator on the union of their positions, a column of values per term,
 whose blocks (the model's sectors) are found once and bounded at any coupling
 by gershgorin.  So a coupling scan on one basis only scales cached terms:
 assemble sums coefficient * term in table order, with no dim x dim array, and
-decides the Hermiticity hint; assemble_blocks sums the same on chosen blocks,
-bit for bit.  A number as coupling gives one operator, an array of couplings
-a grid (as in transforms.residual_study and the gamma commands).
+decides the Hermiticity hint, which the terms' structure (found with them)
+proves exact at real coefficients, sparing validate() its scan;
+assemble_blocks sums the same on chosen blocks, bit for bit.  A number as
+coupling gives one operator, an array of couplings a grid (as in
+transforms.residual_study and the gamma commands).
 The builders, its one-line forms at params' own coupling, are pure and
 thread-safe functions of (params, basis) returning an immutable OperatorMatrix.
 
@@ -142,9 +144,10 @@ MODELS = {
 
 
 @lru_cache(maxsize=TERM_CACHE_SIZE)
-def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[np.ndarray, np.ndarray]]:
+def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple, tuple[bool, list[bool]]]:
     """The terms of `model` on `basis`: one operator on the union of their positions, values (nnz, terms) a column per
-    term (zeros where it has none); and per row and term its diagonal entry and off-diagonal |entry| sum, (dim, terms).
+    term (zeros where it has none), all real; per row and term its diagonal entry and off-diagonal |entry| sum, (dim,
+    terms); and whether every column is exactly (anti-)Hermitian, as the model is, and which equal their Theta-image.
 
     Built on first use and shared: do not modify.
     """
@@ -157,12 +160,14 @@ def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple[np.ndar
     on, diagonal, radius = rows == cols, np.zeros((dim, len(terms)), dtype=np.complex128), np.zeros((dim, len(terms)))
     diagonal[rows[on]] = values[on]
     np.add.at(radius, rows[~on], np.abs(values[~on]))
-    return OperatorMatrix.from_triplets(basis, rows, cols, values), (diagonal, radius)
+    op, sign = OperatorMatrix.from_triplets(basis, rows, cols, values), -1.0 if MODELS[model].anti_hermitian else 1.0
+    exact = not op.difference(values, sign * values).size  # of real columns the transpose is the adjoint
+    return op, (diagonal, radius), (exact, [op.with_values(column, op.hint).twins() is not None for column in values.T])
 
 
-def _term_sum(model: str, params: ModelParams | None, coupling, terms: np.ndarray) -> tuple[np.ndarray, bool]:
+def _term_sum(model: str, params: ModelParams | None, coupling, terms: np.ndarray) -> tuple[np.ndarray, tuple]:
     """sum_t c_t terms[..., t] at params and `coupling` (a trailing grid axis for an array), from zeros in table order,
-    checked finite; and whether a coefficient is complex.  The coupling reaches the coefficients as given."""
+    checked finite; and the coefficients c_t.  The coupling reaches the coefficients as given."""
     grid = np.shape(coupling)
     summed = np.zeros((*terms.shape[:-1], *grid), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,23 +176,28 @@ def _term_sum(model: str, params: ModelParams | None, coupling, terms: np.ndarra
             summed += np.multiply(terms[(..., t, *(None,) * len(grid))], coefficient)  # a grid axis trails
     if not np.isfinite(summed).all():
         raise ValueError(f"the {model} operator has an entry that is not finite: a parameter is too large")
-    return summed, any(np.iscomplex(coefficient).any() for coefficient in coefficients)
+    return summed, coefficients
 
 
 def assemble(basis: Basis, model: str, params: ModelParams | None, coupling) -> OperatorMatrix:
     """The operator of `model` at params and `coupling`, on its terms' positions, with its hint.  A number gives one
     operator; a 1-D array of G couplings the grid of G operators, values (nnz, G), one column each: the grid axis
-    trails, so that a single operator takes numpy's fast 1-D indexing path unchanged."""
-    terms, _ = model_terms(basis, model)
-    summed, general = _term_sum(model, params, coupling, terms.triplets[2])
-    real = Hermiticity.ANTI_HERMITIAN if MODELS[model].anti_hermitian else Hermiticity.HERMITIAN
-    return terms.with_values(summed, Hermiticity.GENERAL if general else real)
+    trails, so that a single operator takes numpy's fast 1-D indexing path unchanged.  The hint is the model's with real
+    coefficients, else general; real coefficients on exactly (anti-)Hermitian real columns (model_terms) sum to the
+    same floats at a position and its transpose (negated: rounding is symmetric), so the operator is exact, and a
+    coefficient of exactly 0 on every column that Theta does not keep leaves it paired (OperatorMatrix.with_values)."""
+    terms, _, (exact, symmetric) = model_terms(basis, model)
+    summed, coefficients = _term_sum(model, params, coupling, terms.triplets[2])
+    real = not any(np.count_nonzero(np.imag(coefficient)) for coefficient in coefficients)
+    hint = Hermiticity.ANTI_HERMITIAN if MODELS[model].anti_hermitian else Hermiticity.HERMITIAN
+    paired = all(kept or not np.count_nonzero(coefficient) for kept, coefficient in zip(symmetric, coefficients))
+    return terms.with_values(summed, hint if real else Hermiticity.GENERAL, exact and real, paired)
 
 
 def assemble_blocks(basis: Basis, model: str, params: ModelParams | None, coupling, blocks) -> list[tuple]:
     """(members, stack) per block size of the blocks `blocks` of `model`'s operator (their positions, as in
     gershgorin), as OperatorMatrix.blocks(blocks) gives them: each entry summed as in the whole operator (assemble)."""
-    terms, _ = model_terms(basis, model)
+    terms = model_terms(basis, model)[0]
     return [(members, _term_sum(model, params, coupling, stack)[0]) for members, stack in terms.blocks(blocks)]
 
 
@@ -197,7 +207,7 @@ def gershgorin(basis: Basis, model: str, params: ModelParams | None, coupling) -
     c_t with the per-row term data (model_terms): sum_t c_t d_t and sum_t |c_t| r_t.  The latter is the radius, or
     above it where two terms share a position, so the bound is block_bounds()' or below it.  A block with a radius
     that overflows or an entry that is not finite gives -inf."""
-    terms, (diagonal, radius) = model_terms(basis, model)
+    terms, (diagonal, radius), _ = model_terms(basis, model)
     grid = np.shape(coupling)
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = np.stack([np.broadcast_to(c, grid) for c in MODELS[model].coefficients(params, coupling)])

@@ -62,6 +62,7 @@ class Spectrum:
     converged: bool = True
     cutoff_history: tuple[tuple[int, float], ...] = ()
     levels: int | None = None  # None: every eigenvalue
+    lowest: tuple[float, ...] = ()  # its `levels` lowest levels, where diagonalize found them on its way
 
     @property
     def ground_energy(self) -> float:
@@ -75,7 +76,7 @@ class Spectrum:
         """
         if self.levels is not None and count > self.levels:
             raise ValueError(f"the spectrum holds its {self.levels} lowest levels only, not {count}")
-        return lowest_levels(self.eigenvalues.real, count)
+        return list(self.lowest[:count]) if self.lowest else lowest_levels(self.eigenvalues.real, count)
 
     def first_excited_energy(self) -> float:
         """Smallest real part above the ground level by more than DEGENERACY_GAP.
@@ -95,7 +96,7 @@ def lowest_levels(real: np.ndarray, count: int) -> list[float]:
     The first is the smallest real part, and each next one the smallest that lies above the last by more than
     DEGENERACY_GAP: a degenerate multiplet is one level.
     """
-    real, found, at = real if np.all(real[:-1] <= real[1:]) else np.sort(real), [], 0  # Hermitian spectra come sorted
+    real, found, at = real if (real[:-1] <= real[1:]).all() else np.sort(real), [], 0  # Hermitian spectra come sorted
     while len(found) < count and at < real.size:
         found.append(float(real[at]))
         at = np.searchsorted(real, real[at] + DEGENERACY_GAP, side="right")
@@ -109,7 +110,7 @@ def level_order(vals: np.ndarray, scale=None) -> np.ndarray:
     row, else its largest |value|; a bound on the spectral radius gives a part of a spectrum the levels of the whole.
     """
     by_real = np.argsort(vals.real, axis=-1, kind="stable")
-    if not np.any(vals.imag):  # a stable lexsort on a constant key over non-decreasing levels is the identity
+    if not vals.imag.any():  # a stable lexsort on a constant key over non-decreasing levels is the identity
         return by_real
     ordered = np.take_along_axis(vals, by_real, axis=-1)
     gap = LEVEL_GAP * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
@@ -146,43 +147,33 @@ def _stack_eigenvalues(stack: np.ndarray, hermitian: bool) -> np.ndarray:
 def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | None = None) -> Spectrum:
     """Spectrum of an operator, solved block by block: the full spectrum, or the blocks that hold its lowest levels.
 
-    The blocks of the pattern (the conserved-quantity sectors) of one size come
-    as one stack from op.blocks(), solved as block_eigenvalues solves them, or
-    by one stacked eigh or eig for vectors; one block is the dense solve.  A
-    Hermitian hint is validated before eigvalsh or eigh is trusted with the
-    matrix.  Solver non-convergence propagates as numpy.linalg.LinAlgError
-    rather than being silently truncated.  Eigenpair residuals ||Hv - lambda v||
-    are computed block by block when vectors are requested.
+    The blocks of the pattern (the conserved-quantity sectors) of one size come as one stack from op.blocks(), solved
+    as block_eigenvalues solves them, or by one stacked eigh or eig for vectors; one block is the dense solve.  A
+    Hermitian hint is validated before eigvalsh or eigh is trusted with the matrix (op.validate(), unscanned where its
+    builder proved the hint exact).  Solver non-convergence propagates as numpy.linalg.LinAlgError.  Eigenpair
+    residuals ||Hv - lambda v|| are computed block by block when vectors are requested.
 
-    Without vectors, an operator that op.twins() pairs (every value equal,
-    exactly, to its partner's under the spin flip with the mode swap) has
-    only the representative of each twin pair of blocks solved, in every
-    round, and the twin takes its eigenvalues on the states the swap maps
-    them to: at total cutoff 40, 861 of the 1722 states.  Vector solves are
-    not paired: every block is solved with its own eigenvectors.
+    Without vectors, an operator that op.twins() pairs (commuting exactly with the spin flip with the mode swap) has
+    only the representative of each twin pair of blocks solved, in every round, and the twin takes its eigenvalues on
+    the states the swap maps them to: at total cutoff 40, 861 of the 1722 states.
 
-    With `levels` = k (no vectors) it solves only the blocks that can hold
-    the k lowest distinct levels (lowest_levels), in rounds of at most k
-    blocks, or of k twin pairs where op.twins() pairs them (a pair is keyed
-    by the lower of its two blocks' bounds, which may differ by an ulp),
-    lowest Gershgorin bound (op.block_bounds()) first: the k lowest, then
-    those whose bound is at most L, the k-th lowest level found so far
-    (+inf while fewer are found), plus LEVEL_GAP relative to a Gershgorin
-    bound on the spectral radius, since round-off may set a computed
-    eigenvalue that far below its block's bound.  L only falls, so every
-    block left unsolved lies above it: the spectrum holds whole blocks,
-    among them every eigenvalue whose real part is at most L.
+    With `levels` = k (no vectors) it solves only the blocks that can hold the k lowest distinct levels
+    (lowest_levels), in rounds of at most k blocks, or of k twin pairs (keyed by the lower of their blocks' bounds,
+    which may differ by an ulp), lowest Gershgorin bound (op.block_bounds()) first: the k lowest, then those whose
+    bound is at most L, the k-th lowest level found so far (+inf while fewer are found), plus LEVEL_GAP relative to a
+    Gershgorin bound on the spectral radius, since round-off may set a computed eigenvalue that far below its block's
+    bound.  L only falls, so every block left unsolved lies above it: the spectrum holds whole blocks, among them
+    every eigenvalue whose real part is at most L.  A Hermitian one keeps the last round's levels (Spectrum.lowest).
     """
     if levels is not None and (want_vectors or levels < 1):
         raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")
     dim = op.dimension
     hermitian = op.hint is Hermiticity.HERMITIAN
     vals, solved = np.empty(dim, dtype=np.complex128), np.zeros(dim, dtype=bool)
-    vecs = np.zeros((dim, dim), dtype=np.complex128) if want_vectors else None
-    residuals = np.empty(dim) if want_vectors else None
+    vecs, residuals = (np.zeros((dim, dim), dtype=np.complex128), np.empty(dim)) if want_vectors else (None, None)
     if hermitian:
         op.validate()
-    imaginary = np.any(op.triplets[2].imag)  # else every block is real
+    imaginary = not op.exact and op.triplets[2].imag.any()  # else every block is real
     twins = None if want_vectors else op.twins()
     chosen = None  # every block, in one round
     if levels is not None:
@@ -192,8 +183,7 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
             reach = LEVEL_GAP * max(1.0, np.bincount(rows, np.abs(values), minlength=dim).max(initial=0.0))
         left = np.arange(bounds.size)
         if twins is not None:  # a pair is keyed by the lower bound of its blocks (their row sums may differ by an ulp)
-            left = np.flatnonzero(twins.representative == left)
-            np.minimum.at(bounds, twins.representative, bounds.copy())
+            left, bounds = left[twins.representative == left], np.minimum(bounds, bounds[twins.twin])
         left = left[np.argsort(bounds[left], kind="stable")]  # the unsolved blocks or pairs, lowest bound first
         chosen, left = left[:levels], left[levels:]
     while True:
@@ -211,7 +201,7 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
                 vals[twins.state[members]], solved[twins.state[members]] = vals[members], True
         if levels is None:
             break
-        found = lowest_levels(vals[solved].real, levels)
+        found = lowest_levels(np.sort(vals[solved].real, kind="stable"), levels)  # as Spectrum.eigenvalues holds them
         top = (found[-1] if len(found) == levels else np.inf) + reach
         take = min(levels, np.searchsorted(bounds[left], top, "right"))
         if not take:
@@ -221,7 +211,8 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     order = level_order(vals)
     if want_vectors:
         vecs, residuals = vecs[:, order], residuals[order]
-    return Spectrum(vals[order], eigenvectors=vecs, residual_norms=residuals, levels=levels)
+    lowest = tuple(found) if levels is not None and hermitian else ()  # level_order sorts these by real part alone
+    return Spectrum(vals[order], eigenvectors=vecs, residual_norms=residuals, levels=levels, lowest=lowest)
 
 
 def total_number_schedule(cutoffs: Iterable[int]) -> list[BasisSpec]:
@@ -289,10 +280,13 @@ class RwaLevel:
 
 def rwa_energy(level: RwaLevel, params: ModelParams) -> float:
     """Closed-form eigenvalue (j+1) omega +/- (1/2) sqrt(8 kappa^2 (n+1) + (omega - 2 omega0)^2)."""
-    kappa = params.real_kappa()
-    root = np.sqrt(8.0 * kappa**2 * (level.n + 1) + (params.omega - 2.0 * params.omega0) ** 2)
-    sign = 1.0 if level.branch is Branch.PLUS else -1.0
-    return float((level.j + 1) * params.omega + 0.5 * sign * root)
+    return _rwa_energy(level.j, level.n, 1.0 if level.branch is Branch.PLUS else -1.0, params.real_kappa(), params)
+
+
+def _rwa_energy(j: int, n: int, sign: float, kappa: float, params: ModelParams) -> float:
+    """rwa_energy of the level (j, n) on the branch of `sign`, with no RwaLevel to build (the ladder's probes)."""
+    detuning = params.omega - 2.0 * params.omega0
+    return float((j + 1) * params.omega + 0.5 * sign * np.sqrt(8.0 * kappa**2 * (n + 1) + detuning**2))
 
 
 def rwa_level_ladder(params: ModelParams, count: int) -> list[float]:
@@ -311,8 +305,8 @@ def rwa_level_ladder(params: ModelParams, count: int) -> list[float]:
                          f"{kappa2:g}, omega^2 = {omega2:g}, (omega - 2 omega0)^2 = {detuning2:g}")
 
     def level(j: int, i: int) -> float:  # the i-th lowest level of shell j
-        n, branch = (2 * j - i, Branch.MINUS) if i <= 2 * j else (i - 2 * j - 1, Branch.PLUS)
-        energy = rwa_energy(RwaLevel(j, n, branch), params)
+        n, sign = (2 * j - i, -1.0) if i <= 2 * j else (i - 2 * j - 1, 1.0)
+        energy = _rwa_energy(j, n, sign, kappa, params)
         if not np.isfinite(energy):  # the merge below would never pass a level of -inf
             raise ValueError(f"the closed-form level of shell j = {j} overflows at kappa^2 = {kappa2:g}")
         return energy

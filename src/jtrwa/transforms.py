@@ -140,7 +140,7 @@ def _transformed_pairs(generator: OperatorMatrix, h: OperatorMatrix, minus: Oper
     ops = [op for op in (generator, h, minus) if op is not None]
     if any(op.basis != h.basis for op in ops):
         raise ValueError("generator and Hamiltonian live on different bases")
-    real = not any(np.iscomplex(op.triplets[2]).any() for op in ops)
+    real = all(op.exact or not np.iscomplex(op.triplets[2]).any() for op in ops)  # an exact operator is real
     exps = [expm(np.moveaxis(stack.reshape(*stack.shape[:3], -1), 3, 1)) for _, stack in generator.blocks()]
     exps = [e.real if real else e for e in exps]  # (count, G, size, size) per block size
     values = [(v.real if real else v).reshape(len(v), -1) for v in (op.triplets[2] for op in ops[1:])]  # (nnz, G)

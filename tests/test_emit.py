@@ -1,7 +1,11 @@
 """Column-wise table emission: its bytes equal the row-by-row oracle, and every command hands `_emit` equal columns."""
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +18,8 @@ from row_emit import emit_rows
 
 from jtrwa import cli as cli_module
 from jtrwa.cli import FORMATS, cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # signed zeros, non-finite values, the extremes of float64, and pairs that print alike at 9 significant digits
 SPECIAL_FLOATS = (
@@ -121,15 +127,37 @@ def test_spectrum_csv_cells_are_the_json_values_at_nine_digits():
         assert line.split(",") == ["%.9g" % row[name] for name in header]
 
 
+class _RecordingStream(io.StringIO):
+    """A text stream that records each write, with the stream it went to."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        self.writes.append((self, text))
+        return super().write(text)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_the_summary_notes_reach_stderr_in_one_write(monkeypatch, fmt):
-    writes, echo = [], click.echo
+    writes = []
+    stdout, stderr = _RecordingStream(writes), _RecordingStream(writes)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["table1", "--kappa2", "0.5", "--format", fmt], prog_name="jtrwa")
+    assert exit_.value.code == 0
+    # the table, then its three notes at once
+    assert [(stream, text) for stream, text in writes] == [(stdout, stdout.getvalue()), (stderr, stderr.getvalue())]
+    assert stderr.getvalue().count("\n") == 3
 
-    def recording(message=None, file=None, **kwargs):
-        writes.append(message)
-        return echo(message, file=file, **kwargs)
 
-    monkeypatch.setattr(cli_module.click, "echo", recording)
-    result = CliRunner().invoke(cli, ["table1", "--kappa2", "0.5", "--format", fmt], catch_exceptions=False)
-    assert len(writes) == 2 and writes[1] == result.stderr  # the table, then its three notes at once
-    assert result.stderr.count("\n") == 3
+def test_the_module_entry_point_prints_the_table1_golden_output():
+    # a process of its own, as a user runs it: real stdout and stderr, not CliRunner's captured streams
+    golden = Path(__file__).resolve().parent / "golden"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-m", "jtrwa", "table1"], capture_output=True, env=env, timeout=300)
+    assert result.returncode == 1  # the documented kappa^2 = 0.4 misprint
+    assert result.stdout == (golden / "table1.out").read_bytes()
+    assert result.stderr == (golden / "table1.err").read_bytes()

@@ -20,7 +20,7 @@ from jtrwa import (
     parity_op,
     pauli_ops,
 )
-from jtrwa.fockspace import ElementaryOps, diagonal_op, elementary_ops
+from jtrwa.fockspace import HINT_TOL, ElementaryOps, diagonal_op, elementary_ops
 
 
 def test_per_mode_dimension():
@@ -454,3 +454,47 @@ def test_grid_hint_deviation_is_the_largest_of_its_columns(hint):
             op.validate()
         assert str(failure.value) == message
     assert max(columns[g].validate() for g in (0, 1, 3)) <= 1e-12
+
+
+def _difference_deviation(op):
+    """The hint check as validate() made it through difference(): the union difference m -/+ m^dagger, its all-zero
+    positions dropped, then its largest |entry|; kept here as the oracle of the direct maximum."""
+    values = op.triplets[2]
+    sign = 1.0 if op.hint is Hermiticity.HERMITIAN else -1.0
+    dev = np.abs(op.difference(values, sign * values.conj())).max(initial=0.0)
+    if not dev <= HINT_TOL:
+        return "raises", f"matrix violates {op.hint.value} hint: deviation {dev:.3e} > {HINT_TOL:.1e}"
+    return "value", float(dev)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from((0.05, 0.3, 1.0)),
+    noise=st.sampled_from((0.0, 1e-300, 1e-15, 1e-13, 1e-9, 1.0)),
+    special=st.sampled_from((None, 0.0, -0.0, np.nan, np.inf, 1e308)),
+    hint=st.sampled_from((Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN)),
+    columns=st.sampled_from((None, 1, 3)),
+)
+def test_validate_deviation_is_the_difference_formula_bit_for_bit(seed, density, noise, special, hint, columns):
+    # the direct maximum over the paired entries covers the unpaired image entries (each as large as its own entry)
+    # and needs neither the concatenation nor the drop of all-zero positions
+    basis, rng = make_basis(BasisSpec.per_mode(2, 1)), np.random.default_rng(seed)
+    dim, shape = basis.dimension, (basis.dimension,) * 2 + (() if columns is None else (columns,))
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m = 0.5 * (m + (1.0 if hint is Hermiticity.HERMITIAN else -1.0) * np.swapaxes(m, 0, 1).conj())
+    m = np.where(rng.random(shape[:2] + (1,) * (m.ndim - 2)) < density, m, 0.0)  # a pattern that need not be symmetric
+    m = m + noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (m != 0)
+    rows, cols = np.nonzero(np.any(m != 0, axis=tuple(range(2, m.ndim))))
+    values = m[rows, cols]
+    if special is not None and rows.size:
+        values[rng.integers(rows.size)] = special
+    op = OperatorMatrix.from_triplets(basis, rows, cols, values, hint)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and nan entries
+        kind, answer = _difference_deviation(op)
+        try:
+            got = "value", op.validate()
+        except ValueError as failure:
+            got = "raises", str(failure)
+    assert got[0] == kind and (got[1] == answer if kind == "raises" else np.float64(got[1]).tobytes() == np.float64(
+        answer).tobytes())

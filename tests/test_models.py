@@ -496,3 +496,78 @@ def test_assembling_blocks_that_overflow_raises_the_whole_operators_error():
             assert str(raised.value) == message
         below = models.assemble_blocks(basis, "nonhermitian", params, coupling, np.flatnonzero(~high))
         assert all(np.isfinite(stack).all() for _, stack in below)
+
+
+def _outcome(check):
+    """What a check gives: its value, or the message it raises."""
+    try:
+        return "value", check()
+    except ValueError as failure:
+        return "raises", str(failure)
+
+
+def _same_twins(a, b):
+    return (a is None) == (b is None) and (a is None or all(
+        np.array_equal(x, y) for x, y in zip((a.state, a.twin, a.representative), (b.state, b.twin, b.representative))))
+
+
+COUPLINGS = (st.sampled_from((0.0, -0.0, 0.37, -0.7, 0j, 0.37 + 0j, -0.0j, 0.3 + 0.2j, 1e-300j))
+             | st.floats(-2.0, 2.0) | st.complex_numbers(max_magnitude=2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model=st.sampled_from(sorted(models.MODELS)),
+    total=st.booleans(),
+    cutoff=st.integers(1, 5),
+    omega0=st.sampled_from((0.0, -0.0, 0.2, 1e-300)),
+    coupling=COUPLINGS,
+    grid=st.booleans(),
+)
+def test_the_proved_hint_and_pairing_are_the_scans_of_the_same_values(model, total, cutoff, omega0, coupling, grid):
+    # assemble proves from the terms' structure what validate() and twins() would find; an operator holding the same
+    # triplets with no proof scans them, and every answer (a deviation, a raised message, a pairing) is the same
+    basis = make_basis(BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff))
+    couplings = np.array([coupling, 0.5 * coupling, 0.0]) if grid else coupling
+    params = ModelParams(omega=1.0, omega0=omega0)
+    op = models.assemble(basis, model, params, couplings)
+    plain = fockspace.OperatorMatrix.from_triplets(basis, *op.triplets, op.hint)
+    assert not (plain.exact or plain.paired)
+    assert _outcome(op.validate) == _outcome(plain.validate)
+    assert _same_twins(op.twins(), plain.twins())
+    real = not any(np.iscomplex(c).any() for c in models.MODELS[model].coefficients(params, couplings))
+    assert (op.hint is not Hermiticity.GENERAL) == real
+    assert op.exact == real  # every model's terms are exactly (anti-)Hermitian, on both truncations
+    if model == "full":  # omega0 sigma0 is its one term that Theta does not keep
+        assert op.paired == (omega0 == 0.0)
+
+
+def test_a_tiny_omega0_is_paired_by_the_scan_not_by_the_proof():
+    # omega0 sigma0 is the one full-model term that Theta does not keep; at 1e-300 it rounds away in every sum
+    op = build_full_jt(ModelParams(omega=1.0, omega0=1e-300, kappa=0.6), make_basis(BasisSpec.total_number(6)))
+    assert not op.paired and op.twins() is not None
+
+
+@pytest.mark.parametrize("factor", [np.nextafter(1.0, 2.0), 1.0 + 1e-9])
+def test_a_model_whose_term_is_off_hermitian_is_scanned_and_judged_as_today(monkeypatch, factor):
+    # the lowering half of the full model's coupling scaled by one ulp, then by 1e-9: no proof, so validate() scans
+    # and passes the first, and rejects the second with the message of an operator that holds the same triplets
+    off = models.Model(lambda o: (*models._free(o), (o.a1 + o.a2d) @ o.sp + factor * ((o.a1d + o.a2) @ o.sm)),
+                       models.MODELS["full"].coefficients)
+    monkeypatch.setitem(models.MODELS, "full", off)
+    models.model_terms.cache_clear()
+    try:
+        basis = make_basis(BasisSpec.total_number(6))
+        op = build_full_jt(ModelParams(omega=1.0, kappa=0.6), basis)
+        assert op.hint is Hermiticity.HERMITIAN and not op.exact
+        plain = fockspace.OperatorMatrix.from_triplets(basis, *op.triplets, op.hint)
+        kind, answer = _outcome(op.validate)
+        assert (kind, answer) == _outcome(plain.validate)
+        if factor < 1.0 + 1e-12:
+            assert kind == "value" and 0.0 < answer <= fockspace.HINT_TOL
+        else:
+            assert kind == "raises" and "violates hermitian hint" in answer
+            with pytest.raises(ValueError, match="violates hermitian hint"):
+                diagonalize(op, levels=2)
+    finally:
+        models.model_terms.cache_clear()

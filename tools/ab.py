@@ -22,9 +22,12 @@ within a pass (its operations summed; the two `spectrum` models of
 `large-cutoff` apart), so that a change to one command shows apart from the
 others.  The interval resamples whole passes (each runs the same operations
 on both trees) BOOTSTRAP times, from a generator seeded with `--seed`, so a
-rerun on the same timings gives the same interval.  It writes a JSON file
-(`--out`) with those numbers, both revisions, the host, the BLAS threads and
-the library versions.  BLAS keeps its default thread count, as in the
+rerun on the same timings gives the same interval.  It covers the noise
+within one round, not the host's drift between rounds, so the verdict of a
+workload (`verdict`) calls a change faster or slower only when the interval
+of every round lies on that side of 0, and inconsistent otherwise.  It
+writes a JSON file (`--out`) with those numbers, both revisions, the host,
+the BLAS threads and the library versions.  BLAS keeps its default thread count, as in the
 benchmark.
 """
 
@@ -115,6 +118,14 @@ def medians(walls: dict[str, list[dict[str, float]]], trees: tuple[str, str], rn
             "ci95": interval(base, head, rng), "won": sum(h < b for b, h in zip(base, head)), "passes": len(base)}
 
 
+def verdict(rounds: list[dict]) -> str:
+    """"faster" or "slower" when the interval of every round excludes 0 on that side, else "inconsistent"."""
+    for name, side in (("faster", lambda low, high: high < 0.0), ("slower", lambda low, high: low > 0.0)):
+        if all(side(*r["ci95"]) for r in rounds):
+            return name
+    return "inconsistent"
+
+
 def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head: Tree) -> dict:
     """`rounds` rounds of `passes` alternating passes; per round the median pass of each tree (ms), the bootstrap
     interval of their ratio and the passes the working tree won."""
@@ -144,9 +155,9 @@ def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head
             print(f"{workload:<16} round {r + 1} {name:<22} base {row['base_ms']:8.3f} ms  "
                   f"head {row['head_ms']:8.3f} ms  {100 * row['change']:+6.1f} % [{low:+6.1f}, {high:+6.1f}]  "
                   f"head won {row['won']}/{row['passes']}", flush=True)
-    won, total = sum(r["won"] for r in results), sum(r["passes"] for r in results)
-    print(f"{workload:<16} head won {won}/{total} passes ({100 * won / total:.0f} %)", flush=True)
-    return {"workload": workload, "seed": seed, "rounds": results, "won": won, "passes": total}
+    won, total, call = sum(r["won"] for r in results), sum(r["passes"] for r in results), verdict(results)
+    print(f"{workload:<16} head won {won}/{total} passes ({100 * won / total:.0f} %), verdict {call}", flush=True)
+    return {"workload": workload, "seed": seed, "rounds": results, "won": won, "passes": total, "verdict": call}
 
 
 def main(argv=None) -> int:
