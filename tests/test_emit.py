@@ -149,7 +149,7 @@ def test_the_summary_notes_reach_stderr_in_one_write(monkeypatch, fmt):
         cli.main(["table1", "--kappa2", "0.5", "--format", fmt], prog_name="jtrwa")
     assert exit_.value.code == 0
     # the table, then its three notes at once
-    assert [(stream, text) for stream, text in writes] == [(stdout, stdout.getvalue()), (stderr, stderr.getvalue())]
+    assert writes == [(stdout, stdout.getvalue()), (stderr, stderr.getvalue())]
     assert stderr.getvalue().count("\n") == 3
 
 
