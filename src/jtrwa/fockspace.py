@@ -19,19 +19,19 @@ caches a model's terms per basis as one operator, a column of values per term),
 and held in an OperatorMatrix as (rows, cols, values) triplets.  Its blocks()
 are the blocks of their pattern (the conserved-quantity sectors), all or a
 chosen few, read by the eigensolver, the transforms and the checks;
-block_bounds() bounds each block's spectrum from below (Gershgorin, through
-block_minima), validate() compares each entry with its transposed partner, and
-difference() pairs each entry with its image under the transpose or another
-involution of positions.  twins() pairs the blocks that the spin flip with the
-mode swap, (s, n1, n2) -> (-s, n2, n1), maps onto each other, where the operator
-commutes with it exactly.  Either scan, O(nnz), is skipped where the builder has
-proved its answer (with_values: exact, paired, as models.assemble does from its
-terms' structure, found once per basis and model).  A model operator
-holds its model's positions, zeros included, and their layout (blocks, chosen
-blocks, partner and swap maps, layouts with other patterns: layout()), found
-once (with_values) and kept in a bounded cache.  Triplets are the only way to
-build an operator (from_triplets); no module reads the dense view `entries`,
-the tests' oracle.
+block_bounds() bounds each block's spectrum from below and the spectral radius
+from above (Gershgorin, through block_minima), and difference() pairs each entry
+with its image under the transpose or another involution of positions: the one
+formula of validate()'s m -/+ m^dagger and the other checks.  twins() pairs
+the blocks that the spin flip with the mode swap, (s, n1, n2) -> (-s, n2, n1),
+maps onto each other, where the operator commutes with it exactly.  Either
+scan, O(nnz), is skipped where the builder has proved its answer (with_values:
+exact, paired, as models.assemble does from its terms' structure, found once
+per basis and model).  A model operator holds its model's positions, zeros
+included, and their layout (blocks, chosen blocks, partner and swap maps,
+layouts with other patterns: layout()), found once (with_values) and kept in a
+bounded cache.  Triplets are the only way to build an operator (from_triplets);
+no module reads the dense view `entries`, the tests' oracle.
 
 All constructed operators carry a reference to their basis and are
 immutable after construction (their arrays are marked read-only), so
@@ -375,29 +375,27 @@ class OperatorMatrix:
             return np.minimum.reduceat(per_state[states], starts)
         return np.concatenate([per_state[members].min(axis=1) for members, _, _ in plan.sizes])
 
-    def block_bounds(self) -> np.ndarray:
-        """A lower bound on the real parts of the eigenvalues of each block, in the order blocks() gives them.
+    def block_bounds(self) -> tuple[np.ndarray, float]:
+        """A lower bound on the real parts of the eigenvalues of each block, in the order blocks() gives them, and
+        max_i sum_j |m_ij|, a bound on the spectral radius: models.gershgorin's (lower, scale), from one |entry| pass.
 
         Gershgorin: beta_b = min over the rows i of block b of (Re m_ii - sum_{j != i} |m_ij|), which holds for any
-        complex matrix.  A radius that overflows gives -inf.
+        complex matrix.  A row whose radius overflows gives its block -inf, and the spectral radius bound +inf.
         """
         rows, cols, values = self.triplets
         with np.errstate(over="ignore", invalid="ignore"):
-            per_row = np.bincount(rows, np.where(rows == cols, values.real, -np.abs(values)), minlength=self.dimension)
-        return self.block_minima(per_row)
+            magnitude = np.abs(values)
+            per_row = np.bincount(rows, np.where(rows == cols, values.real, -magnitude), minlength=self.dimension)
+            radius = np.bincount(rows, magnitude, minlength=self.dimension).max(initial=0.0)
+        return self.block_minima(per_row), radius
 
     def validate(self) -> float:
-        """Check the structure hint; returns the deviation max|m -/+ m^dagger|, raises if violated.
-
-        0.0 unscanned where `exact`; else each entry is compared with its transposed partner (zero where the pattern has
-        none), one operator or a grid (values (nnz, G)): an image entry with no partner is as large as its own entry.
-        """
+        """Check the structure hint; returns the deviation max|m -/+ m^dagger| (0.0 unscanned where `exact`), raises if
+        violated: of one operator or a grid (values (nnz, G)), by difference(), as the metric check measures it."""
         if self.hint is Hermiticity.GENERAL or self.exact:
             return 0.0
-        plan, values = self._plan, self.triplets[2]
-        partner, found = plan.once(None, lambda: plan.find(plan.cols, plan.rows))  # difference()'s transpose map
-        image = (1.0 if self.hint is Hermiticity.HERMITIAN else -1.0) * values.conj()[partner]  # m = sign m^dagger
-        dev = np.abs(values - np.where(found.reshape(-1, *(1,) * (values.ndim - 1)), image, 0.0)).max(initial=0.0)
+        values, sign = self.triplets[2], 1.0 if self.hint is Hermiticity.HERMITIAN else -1.0  # m = sign m^dagger
+        dev = np.abs(self.difference(values, sign * values.conj())).max(initial=0.0)
         if not dev <= HINT_TOL:
             raise ValueError(f"matrix violates {self.hint.value} hint: deviation {dev:.3e} > {HINT_TOL:.1e}")
         return float(dev)

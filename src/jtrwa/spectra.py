@@ -159,11 +159,12 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
 
     With `levels` = k (no vectors) it solves only the blocks that can hold the k lowest distinct levels
     (lowest_levels), in rounds of at most k blocks, or of k twin pairs (keyed by the lower of their blocks' bounds,
-    which may differ by an ulp), lowest Gershgorin bound (op.block_bounds()) first: the k lowest, then those whose
-    bound is at most L, the k-th lowest level found so far (+inf while fewer are found), plus LEVEL_GAP relative to a
-    Gershgorin bound on the spectral radius, since round-off may set a computed eigenvalue that far below its block's
-    bound.  L only falls, so every block left unsolved lies above it: the spectrum holds whole blocks, among them
-    every eigenvalue whose real part is at most L.  A Hermitian one keeps the last round's levels (Spectrum.lowest).
+    which may differ by an ulp), lowest Gershgorin bound first: the k lowest, then those whose bound is at most L, the
+    k-th lowest level found so far (+inf while fewer are found), plus LEVEL_GAP relative to the Gershgorin bound on the
+    spectral radius, since round-off may set a computed eigenvalue that far below its block's bound.  Both bounds come
+    from op.block_bounds(), one pass over the entries.  L only falls, so every block left unsolved lies above it: the
+    spectrum holds whole blocks, among them every eigenvalue whose real part is at most L.  A Hermitian one keeps the
+    last round's levels (Spectrum.lowest).
     """
     if levels is not None and (want_vectors or levels < 1):
         raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")
@@ -177,10 +178,8 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     twins = None if want_vectors else op.twins()
     chosen = None  # every block, in one round
     if levels is not None:
-        bounds = op.block_bounds()
-        rows, _, values = op.triplets
-        with np.errstate(over="ignore"):  # an overflowing radius widens the reach to every block
-            reach = LEVEL_GAP * max(1.0, np.bincount(rows, np.abs(values), minlength=dim).max(initial=0.0))
+        bounds, radius = op.block_bounds()
+        reach = LEVEL_GAP * max(1.0, radius)  # an overflowing radius widens the reach to every block
         left = np.arange(bounds.size)
         if twins is not None:  # a pair is keyed by the lower bound of its blocks (their row sums may differ by an ulp)
             left, bounds = left[twins.representative == left], np.minimum(bounds, bounds[twins.twin])

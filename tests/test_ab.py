@@ -30,3 +30,13 @@ def test_the_verdict_is_a_change_only_when_every_round_agrees():
     assert ab.verdict(rounds((0.01, 0.05), (0.02, 0.03))) == "slower"
     assert ab.verdict(rounds((0.016, 0.035), (-0.036, -0.019))) == "inconsistent"
     assert ab.verdict(rounds((-0.2, -0.1), (-0.1, 0.0))) == "inconsistent"  # an interval that reaches 0
+
+
+def test_src_lines_is_the_wc_total_of_the_package_modules(tmp_path):
+    # wc -l counts newlines: a last line without one is not counted, and only the package's own *.py files are
+    (tmp_path / "one.py").write_text("import numpy\n\nX = 1\n")
+    (tmp_path / "two.py").write_text("def f():\n    return 2")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "three.py").write_text("Y = 3\n")
+    assert ab.src_lines(tmp_path) == 4

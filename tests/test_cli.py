@@ -365,6 +365,17 @@ def test_non_finite_input_is_usage_error(args):
     assert len(errors) == 1 and "finite" in errors[0]
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:x:0.1", "Error: grid endpoints must be numbers, got '0:x:0.1'"),
+    ("0:0.3:0", "Error: grid step must be positive"),
+    ("0:0.3:-0.1", "Error: grid step must be positive"),
+])
+def test_a_grid_with_a_word_or_a_step_not_above_zero_is_usage_error(grid, message):
+    result = run_cli(["pseudoherm", "--nmax", "2", "--grid", grid])  # a traceback would raise here
+    assert result.exit_code == 2 and result.stdout == ""
+    assert [line for line in result.stderr.splitlines() if line.startswith("Error:")] == [message]
+
+
 def _grid_before_single_points(text):
     # parse_grid's arange before a one-point grid was special-cased
     start, stop, step = map(float, text.split(":"))

@@ -20,7 +20,7 @@ from jtrwa import (
     parity_op,
     pauli_ops,
 )
-from jtrwa.fockspace import HINT_TOL, ElementaryOps, diagonal_op, elementary_ops
+from jtrwa.fockspace import HINT_TOL, ElementaryOps, diagonal_op, elementary_ops, interior
 
 
 def test_per_mode_dimension():
@@ -83,6 +83,21 @@ def test_index_outside_basis_rejected():
         assert not basis.contains(*state)
         with pytest.raises(ValueError):  # one state outside fails an array lookup
             basis.index(np.array([SPIN_UP, state[0]]), np.array([0, state[1]]), np.array([0, state[2]]))
+
+
+def test_a_total_number_spec_takes_one_shared_cutoff():
+    with pytest.raises(ValueError, match="^total-number truncation uses a single shared cutoff$"):
+        BasisSpec(Truncation.TOTAL_NUMBER, 3, 4)
+
+
+def test_boson_ops_take_mode_one_or_two():
+    with pytest.raises(ValueError, match="^mode must be 1 or 2, got 3$"):
+        boson_ops(make_basis(BasisSpec.per_mode(2, 2)), 3)
+
+
+def test_interior_takes_a_non_negative_margin():
+    with pytest.raises(ValueError, match="^margin must be non-negative$"):
+        interior(make_basis(BasisSpec.total_number(3)), -1)
 
 
 def test_annihilation_matrix_element():
@@ -404,18 +419,35 @@ def test_block_bounds_lie_below_every_eigenvalue_of_their_block(seed):
     rng, pattern = _random_pattern(seed, density=0.15)
     rows = pattern.triplets[0]
     op = pattern.with_values(rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size), Hermiticity.GENERAL)
-    lowest = np.concatenate([np.linalg.eigvals(stack).real.min(axis=1) for _, stack in op.blocks()])
-    assert np.all(op.block_bounds() <= lowest + 1e-12)
+    eigenvalues = [np.linalg.eigvals(stack) for _, stack in op.blocks()]
+    bounds, radius = op.block_bounds()
+    assert np.all(bounds <= np.concatenate([vals.real.min(axis=1) for vals in eigenvalues]) + 1e-12)
+    assert max(np.abs(vals).max() for vals in eigenvalues) <= radius + 1e-12
 
 
 def test_block_bounds_of_a_diagonal_operator_are_its_entries_and_an_overflowing_radius_is_minus_infinity():
     basis = make_basis(BasisSpec.per_mode(1, 1))
     diagonal = np.arange(8.0) - 3.0
-    assert np.array_equal(np.sort(dense_op(basis, np.diag(diagonal)).block_bounds()), diagonal)
+    bounds, radius = dense_op(basis, np.diag(diagonal)).block_bounds()
+    assert np.array_equal(np.sort(bounds), diagonal) and radius == 4.0
     m = np.diag(diagonal).astype(complex)
     m[0, 1] = m[0, 2] = 1e308 + 1e308j
-    bounds = dense_op(basis, m).block_bounds()
-    assert np.isneginf(bounds).sum() == 1 and np.isfinite(bounds).sum() == bounds.size - 1
+    bounds, radius = dense_op(basis, m).block_bounds()
+    assert np.isneginf(bounds).sum() == 1 and np.isfinite(bounds).sum() == bounds.size - 1 and radius == np.inf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_bounds_are_the_two_row_formulas_bit_for_bit(seed):
+    # one |entry| pass gives both what the lowest-levels rounds read: the Gershgorin row bounds reduced to the blocks,
+    # and the largest absolute row sum, each as its own weighted bincount over the triplets
+    rng, pattern = _random_pattern(seed, density=0.15)
+    rows, cols = pattern.triplets[:2]
+    op = pattern.with_values(rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size), Hermiticity.GENERAL)
+    values, dim = op.triplets[2], op.dimension
+    per_row = np.bincount(rows, np.where(rows == cols, values.real, -np.abs(values)), minlength=dim)
+    bounds, radius = op.block_bounds()
+    assert bounds.tobytes() == op.block_minima(per_row).tobytes()
+    assert np.float64(radius).tobytes() == np.bincount(rows, np.abs(values), minlength=dim).max().tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -457,8 +489,8 @@ def test_grid_hint_deviation_is_the_largest_of_its_columns(hint):
 
 
 def _difference_deviation(op):
-    """The hint check as validate() made it through difference(): the union difference m -/+ m^dagger, its all-zero
-    positions dropped, then its largest |entry|; kept here as the oracle of the direct maximum."""
+    """The hint check through difference(), written out: the union difference m -/+ m^dagger, its all-zero positions
+    dropped, then its largest |entry|, and the message validate() raises; the formula of the metric check."""
     values = op.triplets[2]
     sign = 1.0 if op.hint is Hermiticity.HERMITIAN else -1.0
     dev = np.abs(op.difference(values, sign * values.conj())).max(initial=0.0)
@@ -477,8 +509,8 @@ def _difference_deviation(op):
     columns=st.sampled_from((None, 1, 3)),
 )
 def test_validate_deviation_is_the_difference_formula_bit_for_bit(seed, density, noise, special, hint, columns):
-    # the direct maximum over the paired entries covers the unpaired image entries (each as large as its own entry)
-    # and needs neither the concatenation nor the drop of all-zero positions
+    # validate() measures through difference(), as the metric check and the model terms' proof do: its deviation and
+    # message are the written-out formula's, bit for bit, with nan, inf and -0.0 entries and on grid columns
     basis, rng = make_basis(BasisSpec.per_mode(2, 1)), np.random.default_rng(seed)
     dim, shape = basis.dimension, (basis.dimension,) * 2 + (() if columns is None else (columns,))
     m = rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -406,7 +406,7 @@ def test_a_scalar_coupling_sums_the_terms_as_a_grid_of_one(spec, model, omega, o
         return np.ascontiguousarray(values).tobytes()
 
     assert bits(one.triplets[2]) == bits(column.triplets[2][:, 0]) and one.hint is column.hint
-    blocks = np.arange(0, one.block_bounds().size, 2)
+    blocks = np.arange(0, one.block_bounds()[0].size, 2)
     for (members, stack), (grid_members, grid_stack) in zip(
         models.assemble_blocks(basis, model, params, grid[0], blocks),
         models.assemble_blocks(basis, model, params, grid, blocks), strict=True
@@ -436,10 +436,10 @@ def test_term_bounds_lie_at_or_below_the_assembled_operators_bounds(spec, model,
     values = whole.triplets[2].reshape(len(whole.triplets[2]), -1)
     for column, term_bound, bound_on_radius in zip(values.T, lower.reshape(len(lower), -1).T, np.reshape(scale, -1)):
         op = whole.with_values(column, Hermiticity.GENERAL)  # one operator of the grid
-        bound, row_sums = op.block_bounds(), np.abs(op.entries).sum(axis=1)
+        (bound, radius), row_sums = op.block_bounds(), np.abs(op.entries).sum(axis=1)
         slack = 1e-14 * row_sums.max()  # the two radii sum the same products in another order
         assert np.all(term_bound <= bound + slack)
-        assert row_sums.max() <= bound_on_radius + slack
+        assert abs(radius - row_sums.max()) <= slack and radius <= bound_on_radius + slack
         if model in DISJOINT:
             assert np.all(np.abs(term_bound - bound) <= slack)
 
@@ -447,9 +447,10 @@ def test_term_bounds_lie_at_or_below_the_assembled_operators_bounds(spec, model,
 def test_a_term_bound_whose_radius_overflows_is_minus_infinity():
     # every entry is finite, but sqrt(2) kappa + kappa overflows in the rows with two couplings
     basis, params, kappa = make_basis(BasisSpec.per_mode(2)), ModelParams(omega=1.0), 8e307
-    lower, _ = models.gershgorin(basis, "full", params, kappa)
-    bounds = models.assemble(basis, "full", params, kappa).block_bounds()
+    lower, scale = models.gershgorin(basis, "full", params, kappa)
+    bounds, radius = models.assemble(basis, "full", params, kappa).block_bounds()
     assert np.array_equal(lower, bounds) and np.isneginf(lower).any() and np.isfinite(lower).any()
+    assert radius == scale == np.inf
 
 
 def test_a_block_with_an_entry_that_is_not_finite_has_the_term_bound_minus_infinity():

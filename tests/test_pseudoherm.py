@@ -148,6 +148,12 @@ def test_non_diagonal_metric_rejected():
         check_pseudo_hermitian(_h(0.2), dense_op(BASIS, m))
 
 
+def test_a_metric_on_another_basis_is_rejected():
+    other = make_basis(BasisSpec.total_number(3))
+    with pytest.raises(ValueError, match="^Hamiltonian and metric live on different bases$"):
+        check_pseudo_hermitian(_h(0.2), diagonal_op(other, np.ones(other.dimension)))
+
+
 def test_elementwise_metric_checks_match_the_dense_formulas():
     h = _h(0.3, omega0=0.25).entries + 0.01 * np.triu(np.ones((BASIS.dimension,) * 2))
     op = dense_op(BASIS, h)
@@ -270,6 +276,11 @@ def test_reality_scan_reports_absent_threshold():
     report = reality_scan(ModelParams(omega=1.0, omega0=0.0), BASIS, [0.0, 0.1, 0.2], k=4)
     assert report.detected_threshold is None
     assert max(report.max_imag_lowk) <= 1e-10
+
+
+def test_a_reality_report_takes_one_imaginary_part_per_gamma():
+    with pytest.raises(ValueError, match="^gamma grid and imaginary-part lists must have equal length$"):
+        pseudoherm.RealityReport(gamma_values=(0.0, 0.1), max_imag_lowk=(0.0,), k=2, detected_threshold=None)
 
 
 def test_reality_scan_validation():

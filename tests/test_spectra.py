@@ -231,6 +231,16 @@ def test_ground_and_first_excited_are_the_smallest_real_parts(diagonal, ground, 
     assert spectrum.first_excited_energy() == excited
 
 
+@pytest.mark.parametrize("levels", [None, 2])
+def test_the_zero_operator_has_no_first_excited_level(levels):
+    # every eigenvalue is 0: the ground multiplet is the whole spectrum
+    basis = make_basis(BasisSpec.per_mode(2, 2))
+    spectrum = diagonalize(diagonal_op(basis, np.zeros(basis.dimension)), levels=levels)
+    assert spectrum.ground_energy == 0.0
+    with pytest.raises(ValueError, match="^no level above the ground multiplet within the spectrum$"):
+        spectrum.first_excited_energy()
+
+
 def test_one_block_is_the_dense_solve():
     basis = make_basis(BasisSpec.per_mode(3, 2))
     rng = np.random.default_rng(7)
@@ -450,6 +460,19 @@ def test_block_solve_zero_coupling_is_trivial():
     assert sol.e_plus == pytest.approx(1.0 * 5 - 0.2)
     assert sol.coeff_minus == (1.0, 0.0)
     assert sol.coeff_plus == (0.0, 1.0)
+
+
+def test_block_solve_takes_non_negative_occupations():
+    with pytest.raises(ValueError, match="^occupation numbers must be non-negative$"):
+        block_solve(-1, 0, ModelParams(omega=1.0, omega0=0.2, kappa=0.3))
+
+
+def test_a_negligible_coupling_leaves_the_level_at_its_diagonal_entry_the_first_basis_state():
+    # at kappa = 1e-20 the minus level is d1 = omega + omega0 to the last bit, and its coefficients (v, E - d1) fall
+    # below 1e-14: the state is the basis state of the nearer diagonal entry, |up, 0, 0>
+    sol = block_solve(0, 0, ModelParams(omega=1.0, omega0=0.3, kappa=1e-20))
+    assert sol.e_minus == 1.3 and sol.coeff_minus == (1.0, 0.0)
+    assert sol.e_plus == 1.7 and sol.coeff_plus[1] == 1.0
 
 
 def test_block_eigenvalues_embed_in_rotated_spectrum():
@@ -795,7 +818,7 @@ def test_each_table_cutoff_is_one_round_of_the_two_lowest_twin_pairs(monkeypatch
     # a round takes k twin pairs, each keyed by the lower of its two blocks' bounds: J = +-1/2 and +-3/2 at once
     op = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=float(np.sqrt(kappa2))),
                        make_basis(BasisSpec.total_number(cutoff)))
-    (j, sizes), twins, bounds = _block_j(op), op.twins(), op.block_bounds()
+    (j, sizes), twins, (bounds, _) = _block_j(op), op.twins(), op.block_bounds()
     key = {}
     for block, representative in enumerate(twins.representative):
         key[representative] = min(key.get(representative, np.inf), bounds[block])
@@ -813,11 +836,11 @@ def test_each_table_cutoff_is_one_round_of_the_two_lowest_twin_pairs(monkeypatch
 def test_a_twin_pair_is_keyed_by_the_lower_of_its_blocks_bounds(monkeypatch, representative):
     # either block of the J = +-9/2 pair bounded far below the rest puts the pair in the first round, solved whole
     op = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(0.9)), make_basis(BasisSpec.total_number(10)))
-    (j, sizes), twins, bounds = _block_j(op), op.twins(), op.block_bounds()
+    (j, sizes), twins, (bounds, radius) = _block_j(op), op.twins(), op.block_bounds()
     pair = [j.index(4.5), j.index(-4.5)]
     lowered = next(b for b in pair if (twins.representative[b] == b) == representative)
     bounds[lowered] = -1e3  # still a lower bound
-    monkeypatch.setattr(OperatorMatrix, "block_bounds", lambda self: bounds.copy())
+    monkeypatch.setattr(OperatorMatrix, "block_bounds", lambda self: (bounds.copy(), radius))
     calls = _blocks_calls(monkeypatch)
     spectrum = diagonalize(op, levels=2)
     assert twins.representative[lowered] in calls[0][0]
@@ -921,7 +944,7 @@ def test_a_chosen_block_layout_is_found_once_per_set_and_the_cache_is_bounded(mo
     assert np.array_equal(first.eigenvalues, again.eigenvalues)
     op = build_full_jt(params, basis)
     for b in range(2 * fockspace.LAYOUTS):
-        list(op.blocks(np.array([b % op.block_bounds().size])))
+        list(op.blocks(np.array([b % op.block_bounds()[0].size])))
     assert len(op._plan.found) <= fockspace.LAYOUTS
 
 

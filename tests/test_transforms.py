@@ -212,6 +212,21 @@ def test_conjugate_with_zero_generator_is_identity():
     assert np.abs(conjugate(zero, h).entries - h.entries).max() <= 1e-13
 
 
+def test_conjugate_of_an_operator_with_no_entries_is_one_with_none():
+    # exp(G) 0 exp(-G) = 0: no pair of blocks of G is coupled, so the result holds no entry, on h's basis
+    basis = make_basis(BasisSpec.per_mode(3, 3))
+    zero = diagonal_op(basis, np.zeros(basis.dimension))
+    transformed = conjugate(decoupling_generator(ModelParams(omega=1.0, omega0=0.2, kappa=0.05), basis), zero)
+    assert transformed.basis == basis and all(part.size == 0 for part in transformed.triplets)
+    assert not transformed.entries.any()
+
+
+def test_a_transform_report_takes_one_norm_of_each_kind_per_coupling():
+    with pytest.raises(ValueError, match="^grid and residual lists must have equal length$"):
+        transforms.TransformReport(kappa_values=(0.01, 0.02), residual_norms=(1e-6, 8e-6),
+                                   residual_norms_spectral=(1e-6,), fitted_slope=3.0)
+
+
 def test_conjugate_preserves_spectrum_for_anti_hermitian_generator():
     basis = make_basis(BasisSpec.per_mode(4, 4))
     params = ModelParams(omega=1.0, omega0=0.2, kappa=0.4)

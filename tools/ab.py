@@ -27,8 +27,9 @@ within one round, not the host's drift between rounds, so the verdict of a
 workload (`verdict`) calls a change faster or slower only when the interval
 of every round lies on that side of 0, and inconsistent otherwise.  It
 writes a JSON file (`--out`) with those numbers, both revisions, the host,
-the BLAS threads and the library versions.  BLAS keeps its default thread count, as in the
-benchmark.
+the BLAS threads, the library versions and each tree's `src_lines` (the total
+of `wc -l src/jtrwa/*.py`), which it also prints.  BLAS keeps its default
+thread count, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ def export_package(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     return into / "src" / "jtrwa"
+
+
+def src_lines(package: Path) -> int:
+    """The line count of the package's modules, as `wc -l <package>/*.py` totals it (newlines)."""
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
 def load_cli(name: str, package: Path):
@@ -173,13 +179,16 @@ def main(argv=None) -> int:
         parser.error("--rounds and --passes take counts >= 1")
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     with tempfile.TemporaryDirectory(prefix="jtrwa-ab-") as scratch:
-        base = Tree("jtrwa_base", export_package(args.base, Path(scratch)))
-        head = Tree("jtrwa_head", ROOT / "src" / "jtrwa")
+        packages = export_package(args.base, Path(scratch)), ROOT / "src" / "jtrwa"
+        lines = [src_lines(package) for package in packages]
+        print(f"src lines: base {lines[0]}  head {lines[1]}  ({lines[1] - lines[0]:+d})", flush=True)
+        base, head = Tree("jtrwa_base", packages[0]), Tree("jtrwa_head", packages[1])
         results = [compare(w, args.seed, args.rounds, args.passes, base, head) for w in workloads]
     report = {
         "tool": "tools/ab.py",
-        "base": {"rev": args.base, "sha": git("rev-parse", "--short", args.base)},
-        "head": {"sha": git("rev-parse", "--short", "HEAD"), "src_dirty": bool(git("status", "--porcelain", "src"))},
+        "base": {"rev": args.base, "sha": git("rev-parse", "--short", args.base), "src_lines": lines[0]},
+        "head": {"sha": git("rev-parse", "--short", "HEAD"), "src_dirty": bool(git("status", "--porcelain", "src")),
+                 "src_lines": lines[1]},
         "host": platform.node(),
         "machine": machine_facts(),
         "results": results,
