@@ -467,7 +467,7 @@ def test_block_solve_takes_non_negative_occupations():
         block_solve(-1, 0, ModelParams(omega=1.0, omega0=0.2, kappa=0.3))
 
 
-def test_a_negligible_coupling_leaves_the_level_at_its_diagonal_entry_the_first_basis_state():
+def test_block_solve_at_a_negligible_coupling_gives_the_nearer_basis_state():
     # at kappa = 1e-20 the minus level is d1 = omega + omega0 to the last bit, and its coefficients (v, E - d1) fall
     # below 1e-14: the state is the basis state of the nearer diagonal entry, |up, 0, 0>
     sol = block_solve(0, 0, ModelParams(omega=1.0, omega0=0.3, kappa=1e-20))
