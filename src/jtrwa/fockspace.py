@@ -252,7 +252,7 @@ class _Plan:
             picked.append((members[pick], k[on], (renumber[block[on]], row[on], col[on])))
         return picked
 
-    def find(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def partners(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per position (rows[k], cols[k]), the index of the triplet there and whether there is one (the positions of
         the triplets are distinct, as in every operator the package builds)."""
         keys, wanted = self.rows * self.dim + self.cols, rows * self.dim + cols
@@ -269,7 +269,7 @@ class _Plan:
         if basis.spec.n_max_1 != basis.spec.n_max_2:
             return None
         state = basis.index(-basis.spin, basis.n2, basis.n1)
-        partner, found = self.find(state[self.rows], state[self.cols])
+        partner, found = self.partners(state[self.rows], state[self.cols])
         if not found.all():
             return None
         states, starts = self.states
@@ -332,7 +332,7 @@ class OperatorMatrix:
         positions, as a map of operators; the transpose if None) moves it: on A's positions, then B's, but no zeros."""
         plan = self._plan
         moved = (lambda: (plan.cols, plan.rows)) if move is None else lambda: move(self).triplets[:2]
-        partner, found = plan.once(move, lambda: plan.find(*moved()))
+        partner, found = plan.once(move, lambda: plan.partners(*moved()))
         on = found.reshape(-1, *(1,) * (values.ndim - 1))
         difference = np.concatenate((values - np.where(on, image[partner], 0.0), -image[~found]))
         return difference[np.any(difference != 0, axis=tuple(range(1, values.ndim)))]
@@ -377,7 +377,7 @@ class OperatorMatrix:
 
     def block_bounds(self) -> tuple[np.ndarray, float]:
         """A lower bound on the real parts of the eigenvalues of each block, in the order blocks() gives them, and
-        max_i sum_j |m_ij|, a bound on the spectral radius: models.gershgorin's (lower, scale), from one |entry| pass.
+        max_i sum_j |m_ij|, bounding the spectral radius: models.gershgorin's (lower, scale), two row sums of |entry|.
 
         Gershgorin: beta_b = min over the rows i of block b of (Re m_ii - sum_{j != i} |m_ij|), which holds for any
         complex matrix.  A row whose radius overflows gives its block -inf, and the spectral radius bound +inf.

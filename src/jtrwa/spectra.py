@@ -162,9 +162,9 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     which may differ by an ulp), lowest Gershgorin bound first: the k lowest, then those whose bound is at most L, the
     k-th lowest level found so far (+inf while fewer are found), plus LEVEL_GAP relative to the Gershgorin bound on the
     spectral radius, since round-off may set a computed eigenvalue that far below its block's bound.  Both bounds come
-    from op.block_bounds(), one pass over the entries.  L only falls, so every block left unsolved lies above it: the
-    spectrum holds whole blocks, among them every eigenvalue whose real part is at most L.  A Hermitian one keeps the
-    last round's levels (Spectrum.lowest).
+    from op.block_bounds(), two row sums of one |entry|.  L only falls, so every block left unsolved lies above it:
+    the spectrum holds whole blocks, among them every eigenvalue whose real part is at most L.  A Hermitian one keeps
+    the last round's levels (Spectrum.lowest).
     """
     if levels is not None and (want_vectors or levels < 1):
         raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")

@@ -143,8 +143,8 @@ def _transformed_pairs(generator: OperatorMatrix, h: OperatorMatrix, minus: Oper
     real = all(op.exact or not np.iscomplex(op.triplets[2]).any() for op in ops)  # an exact operator is real
     exps = [expm(np.moveaxis(stack.reshape(*stack.shape[:3], -1), 3, 1)) for _, stack in generator.blocks()]
     exps = [e.real if real else e for e in exps]  # (count, G, size, size) per block size
-    values = [op.triplets[2].real if real else op.triplets[2] for op in ops[1:]]
-    values = [v if v.ndim > 1 else v[:, None] for v in values]  # (nnz, G), also with no entries
+    values = [v if v.ndim > 1 else v[:, None]  # (nnz, G), also with no entries
+              for v in (op.triplets[2].real if real else op.triplets[2] for op in ops[1:])]
     for row_members, col_members, a, b, first, second, at in generator.layout(_pair_layout, *ops[1:]):
         ea, eb = exps[a][first], exps[b][second]
         x = np.zeros((len(first), values[0].shape[1], ea.shape[2], eb.shape[2]), dtype=ea.dtype)

@@ -488,12 +488,14 @@ def test_grid_hint_deviation_is_the_largest_of_its_columns(hint):
     assert max(columns[g].validate() for g in (0, 1, 3)) <= 1e-12
 
 
-def _difference_deviation(op):
-    """The hint check through difference(), written out: the union difference m -/+ m^dagger, its all-zero positions
-    dropped, then its largest |entry|, and the message validate() raises; the formula of the metric check."""
-    values = op.triplets[2]
+def _dense_deviation(op):
+    """The hint check written out on the dense matrix, not through difference(): max|m -/+ m^dagger| over every entry
+    (per column of a grid), and the message validate() raises."""
+    rows, cols, values = op.triplets
+    m = np.zeros((op.dimension,) * 2 + values.shape[1:], dtype=np.complex128)
+    m[rows, cols] = values
     sign = 1.0 if op.hint is Hermiticity.HERMITIAN else -1.0
-    dev = np.abs(op.difference(values, sign * values.conj())).max(initial=0.0)
+    dev = np.abs(m - sign * m.conj().swapaxes(0, 1)).max(initial=0.0)
     if not dev <= HINT_TOL:
         return "raises", f"matrix violates {op.hint.value} hint: deviation {dev:.3e} > {HINT_TOL:.1e}"
     return "value", float(dev)
@@ -510,7 +512,7 @@ def _difference_deviation(op):
 )
 def test_validate_deviation_is_the_difference_formula_bit_for_bit(seed, density, noise, special, hint, columns):
     # validate() measures through difference(), as the metric check and the model terms' proof do: its deviation and
-    # message are the written-out formula's, bit for bit, with nan, inf and -0.0 entries and on grid columns
+    # message are the dense formula's, bit for bit, with nan, inf and -0.0 entries and on grid columns
     basis, rng = make_basis(BasisSpec.per_mode(2, 1)), np.random.default_rng(seed)
     dim, shape = basis.dimension, (basis.dimension,) * 2 + (() if columns is None else (columns,))
     m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -523,7 +525,7 @@ def test_validate_deviation_is_the_difference_formula_bit_for_bit(seed, density,
         values[rng.integers(rows.size)] = special
     op = OperatorMatrix.from_triplets(basis, rows, cols, values, hint)
     with np.errstate(invalid="ignore", over="ignore"):  # inf and nan entries
-        kind, answer = _difference_deviation(op)
+        kind, answer = _dense_deviation(op)
         try:
             got = "value", op.validate()
         except ValueError as failure:

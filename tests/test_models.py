@@ -439,6 +439,7 @@ def test_term_bounds_lie_at_or_below_the_assembled_operators_bounds(spec, model,
         (bound, radius), row_sums = op.block_bounds(), np.abs(op.entries).sum(axis=1)
         slack = 1e-14 * row_sums.max()  # the two radii sum the same products in another order
         assert np.all(term_bound <= bound + slack)
+        assert row_sums.max() <= bound_on_radius + slack
         assert abs(radius - row_sums.max()) <= slack and radius <= bound_on_radius + slack
         if model in DISJOINT:
             assert np.all(np.abs(term_bound - bound) <= slack)

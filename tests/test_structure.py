@@ -346,12 +346,13 @@ def test_the_tracer_rule_flags_a_missing_name(tmp_path):
 
 
 def _partner_finder_calls(path):
-    """(function, line) of every call of a method `find` in `path`, by the innermost class and function that hold it
-    ("Class.method"; a lambda counts as the function it is written in)."""
+    """(function, line) of every call of a method `partners` (_Plan's partner lookup; no other name in the package)
+    in `path`, by the innermost class and function that hold it ("Class.method"; a lambda counts as the function it
+    is written in)."""
     def walk(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "find":
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "partners":
             yield ".".join(scope[-2:]), node.lineno
         for child in ast.iter_child_nodes(node):
             yield from walk(child, scope)
@@ -364,7 +365,7 @@ def _partner_finders(paths):
 
 
 def test_one_partner_finder_pairs_the_positions():
-    # _Plan.find pairs positions for difference(), the one formula of every m -/+ m^dagger check (validate's, the
+    # _Plan.partners pairs positions for difference(), the one formula of every m -/+ m^dagger check (validate's, the
     # metric check's, the model terms' proof) and of the PT check, and for the swap map of twins(); a check with a
     # lookup of its own would be a second formula
     assert _partner_finders(SOURCES) == {("fockspace.py", "OperatorMatrix.difference"), ("fockspace.py", "_Plan.swap")}
@@ -374,10 +375,10 @@ def test_the_partner_rule_flags_a_second_call_site(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text(
         "class OperatorMatrix:\n    def difference(self, values, image):\n"
-        "        return self._plan.once(None, lambda: self._plan.find(self.cols, self.rows))\n\n"
+        "        return self._plan.once(None, lambda: self._plan.partners(self.cols, self.rows))\n\n"
         "    def validate(self):\n        plan = self._plan\n"
-        "        partner, found = plan.once(None, lambda: plan.find(plan.cols, plan.rows))\n\n"
-        "def check(h):\n    return h._plan.find(h.rows, h.cols), h.difference(h.values, h.values)\n"
+        "        partner, found = plan.once(None, lambda: plan.partners(plan.cols, plan.rows))\n\n"
+        "def check(h):\n    return h._plan.partners(h.rows, h.cols), 'ab'.find('b'), h.difference(h.values, h.values)\n"
     )
     assert _partner_finder_calls(source) == [("OperatorMatrix.difference", 3), ("OperatorMatrix.validate", 7),
                                               ("check", 10)]
