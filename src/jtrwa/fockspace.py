@@ -195,9 +195,8 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
 
 
 # Theta on a pattern it maps onto itself: its state map (an involution), per triplet the index of the triplet at its
-# Theta-image, per block (in the order blocks() gives them) its twin and its representative, the lower-positioned of it
-# and its twin, and the representatives' `chosen` layout.
-Swap = namedtuple("Swap", "state partner twin representative layout")
+# Theta-image, and per block (in the order blocks() gives them) its twin.
+Swap = namedtuple("Swap", "state partner twin")
 
 
 class _Plan:
@@ -273,11 +272,9 @@ class _Plan:
         if not found.all():
             return None
         states, starts = self.states
-        position = np.arange(starts.size)
         block = np.empty(self.dim, dtype=np.intp)  # of each state
-        block[states] = np.repeat(position, np.diff(starts, append=self.dim))
-        representative = np.minimum(position, twin := block[state[states[starts]]])
-        return Swap(state, partner, twin, representative, self.chosen(np.flatnonzero(representative == position)))
+        block[states] = np.repeat(np.arange(starts.size), np.diff(starts, append=self.dim))
+        return Swap(state, partner, block[state[states[starts]]])
 
 
 class OperatorMatrix:
@@ -341,25 +338,22 @@ class OperatorMatrix:
         """Theta (the spin flip with the mode swap) where this operator commutes with it, else None: its pattern maps
         onto itself (_Plan.swap, found once) and every value equals its Theta-partner's exactly, in every column of a
         grid (`paired`, or checked per call, O(nnz)).  Then a block and its twin (J and -J of the full model at
-        omega0 = 0) are equal entry for entry under the state map, so they have the same eigenvalues."""
+        omega0 = 0) are equal entry for entry under the state map, so they have the same eigenpairs."""
         swap, values = self._plan.swap, self.triplets[2]
         return swap if swap is not None and (self.paired or np.array_equal(values, values[swap.partner])) else None
 
-    def blocks(self, chosen: np.ndarray | None = None, paired: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def blocks(self, chosen: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
 
         Values of shape (nnz, G), a grid of operators on one pattern, give stacks of shape (count, size, size, G).
         The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
         a stack is scattered when it is reached, since all at once would take 87 MB at total cutoff 200.  `chosen`
         (positions among all blocks) keeps only those blocks, still one stack per size; a size with none is skipped.
-        `paired`, on an operator that twins() pairs, keeps of those blocks the representatives of their twin pairs.
+        diagonalize chooses one block of each twin pair (twins()) this way.
         """
         values, plan = self.triplets[2], self._plan
-        if chosen is None:
-            layout = plan.swap.layout if paired else plan.sizes
-        else:  # found once per chosen set
-            chosen = plan.swap.representative[chosen] if paired else np.asarray(chosen, dtype=np.intp)
-            layout = plan.once(chosen.tobytes(), lambda: plan.chosen(chosen))
+        chosen = None if chosen is None else np.asarray(chosen, dtype=np.intp)  # its layout found once per set
+        layout = plan.sizes if chosen is None else plan.once(chosen.tobytes(), lambda: plan.chosen(chosen))
         for members, k, slots in layout:
             stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=np.complex128)
             stack[slots] = values[k]

@@ -14,17 +14,17 @@ blocks whose Gershgorin lower bound can reach them, lowest bound first, and the
 full solve is that path's oracle.  An operator that commutes with the spin flip
 with the mode swap, (s, n1, n2) -> (-s, n2, n1) (OperatorMatrix.twins(): the
 full model at omega0 = 0 on a mode-symmetric basis, which maps J onto -J), has
-its blocks in twin pairs: on both paths diagonalize solves one block of each
-pair and gives the twin the same eigenvalues, bit for bit, and the levels path
-chooses whole pairs (at each cutoff of the benchmark table, J = +-1/2 and +-3/2
-in one round).
+its blocks in twin pairs: diagonalize solves one block of each pair, on every
+path and with vectors too, and gives the twin its eigenpairs (the eigenvalues
+bit for bit); a levels round takes whole pairs (at each cutoff of the benchmark
+table, J = +-1/2 and +-3/2 in one round).
 block_eigenvalues solves blocks (members, stack) unsorted, for one operator or
 a grid of them (a pass of pseudoherm.gamma_grids); the dense solve of the whole
 matrix is its oracle.  Eigenvalues are sorted by real part, then imaginary
-part, where real parts within LEVEL_GAP of each other (relative to the spectral
-radius, or a bound on it) are one level: exactly degenerate levels are ordered
-by imaginary part, not by round-off.  A spectrum with no imaginary part is in
-that order once sorted by real part.
+part, where real parts within LEVEL_GAP * max(1, radius) of each other (the
+spectral radius, or a bound on it; ROADMAP.md item 1 moves the floor) are one
+level: exactly degenerate levels are ordered by imaginary part, not round-off.
+A spectrum with no imaginary part is in that order once sorted by real part.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .fockspace import Basis, BasisSpec, Hermiticity, OperatorMatrix, SPIN_DOWN,
 from .models import ModelParams
 
 DEGENERACY_GAP = 1e-6
-LEVEL_GAP = 1e-9  # relative; far above eigensolver round-off, far below level spacings
+LEVEL_GAP = 1e-9  # times max(1, scale) (level_order); far above eigensolver round-off, far below level spacings
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ def lowest_levels(real: np.ndarray, count: int) -> list[float]:
 def level_order(vals: np.ndarray, scale=None) -> np.ndarray:
     """Indices sorting by level (real parts chained within LEVEL_GAP), then imaginary part; conjugates share a level.
 
-    Each row of a (G, n) array is ordered on its own, along the last axis.  LEVEL_GAP is relative to `scale`, one per
-    row, else its largest |value|; a bound on the spectral radius gives a part of a spectrum the levels of the whole.
+    Each row of a (G, n) array is ordered on its own.  The gap is LEVEL_GAP * max(1, `scale`), `scale` one per row,
+    else its largest |value| (ROADMAP.md item 1 moves the floor); a bound on the radius gives a part the whole's levels.
     """
     by_real = np.argsort(vals.real, axis=-1, kind="stable")
     if not vals.imag.any():  # a stable lexsort on a constant key over non-decreasing levels is the identity
@@ -153,9 +153,9 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     builder proved the hint exact).  Solver non-convergence propagates as numpy.linalg.LinAlgError.  Eigenpair
     residuals ||Hv - lambda v|| are computed block by block when vectors are requested.
 
-    Without vectors, an operator that op.twins() pairs (commuting exactly with the spin flip with the mode swap) has
-    only the representative of each twin pair of blocks solved, in every round, and the twin takes its eigenvalues on
-    the states the swap maps them to: at total cutoff 40, 861 of the 1722 states.
+    An operator that op.twins() pairs (commuting exactly with the spin flip with the mode swap) has only one block of
+    each twin pair solved, the lower-positioned, in every round and with vectors too, and the twin takes its eigenpairs
+    on the states the swap maps them to: at total cutoff 40, 861 of the 1722 states.
 
     With `levels` = k (no vectors) it solves only the blocks that can hold the k lowest distinct levels
     (lowest_levels), in rounds of at most k blocks, or of k twin pairs (keyed by the lower of their blocks' bounds,
@@ -175,29 +175,29 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     if hermitian:
         op.validate()
     imaginary = not op.exact and op.triplets[2].imag.any()  # else every block is real
-    twins = None if want_vectors else op.twins()
-    chosen = None  # every block, in one round
+    twins = op.twins()
+    chosen = None if twins is None else np.flatnonzero(twins.twin >= np.arange(twins.twin.size))  # one of each pair
     if levels is not None:
         bounds, radius = op.block_bounds()
         reach = LEVEL_GAP * max(1.0, radius)  # an overflowing radius widens the reach to every block
-        left = np.arange(bounds.size)
         if twins is not None:  # a pair is keyed by the lower bound of its blocks (their row sums may differ by an ulp)
-            left, bounds = left[twins.representative == left], np.minimum(bounds, bounds[twins.twin])
-        left = left[np.argsort(bounds[left], kind="stable")]  # the unsolved blocks or pairs, lowest bound first
-        chosen, left = left[:levels], left[levels:]
+            bounds = np.minimum(bounds, bounds[twins.twin])
+        left = np.arange(bounds.size) if chosen is None else chosen  # the unsolved blocks or pairs, lowest bound first
+        chosen, left = np.split(left[np.argsort(bounds[left], kind="stable")], [levels])
     while True:
-        for members, stack in op.blocks(chosen, paired=twins is not None):
+        for members, stack in op.blocks(chosen):
             if hermitian and not (imaginary and np.any(stack.imag)):
                 stack = stack.real
             if want_vectors:
                 w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(stack)
-                vals[members], vecs[members[:, :, None], members[:, None, :]] = w, v
-                residuals[members] = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
+                residual = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
             else:
-                vals[members] = _stack_eigenvalues(stack, hermitian)
-            solved[members] = True
-            if twins is not None:  # the twin block, on the states the state map gives, has the same eigenvalues
-                vals[twins.state[members]], solved[twins.state[members]] = vals[members], True
+                w = _stack_eigenvalues(stack, hermitian)
+            # the twin block, on the states the state map gives, has the same entries and so the same eigenpairs
+            for at in (members,) if twins is None else (members, twins.state[members]):
+                vals[at], solved[at] = w, True
+                if want_vectors:
+                    vecs[at[:, :, None], at[:, None, :]], residuals[at] = v, residual
         if levels is None:
             break
         found = lowest_levels(np.sort(vals[solved].real, kind="stable"), levels)  # as Spectrum.eigenvalues holds them

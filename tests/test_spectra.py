@@ -688,12 +688,14 @@ def test_blocks_partition_the_basis_and_scatter_back_to_the_entries(model, coupl
 @pytest.mark.parametrize("model", sorted(BUILDERS))
 def test_blockwise_residuals_match_the_dense_formula(model):
     basis = make_basis(BasisSpec.total_number(8))
-    params = ModelParams(omega=1.0, omega0=0.15, kappa=0.45, gamma=0.2)
-    op = BUILDERS[model](params, basis)
-    spectrum = diagonalize(op, want_vectors=True)
-    vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
-    dense = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
-    assert np.abs(spectrum.residual_norms - dense).max() <= 1e-12
+    for omega0 in (0.15, 0.0):  # at 0, full solves one block of each twin pair and places the twin's eigenpairs too
+        op = BUILDERS[model](ModelParams(omega=1.0, omega0=omega0, kappa=0.45, gamma=0.2), basis)
+        spectrum = diagonalize(op, want_vectors=True)
+        vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+        dense = np.linalg.norm(op.entries @ vecs - vecs * vals, axis=0)
+        assert np.abs(spectrum.residual_norms - dense).max() <= 1e-12
+        if op.hint is Hermiticity.HERMITIAN:
+            assert np.abs(vecs.conj().T @ vecs - np.eye(op.dimension)).max() <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)
@@ -737,7 +739,8 @@ def test_levels_take_a_positive_count_and_no_vectors():
 
 
 def _count_solved(monkeypatch):
-    """The number of states that diagonalize hands to the stacked LAPACK solvers from here on, as a list to sum."""
+    """The number of states that diagonalize hands to the stacked LAPACK solvers (with or without vectors) from here
+    on, as a list to sum."""
     solved = []
 
     def counting(solve):
@@ -746,7 +749,7 @@ def _count_solved(monkeypatch):
             return solve(stack)
         return counted
 
-    for name in ("eigvalsh", "eigvals"):
+    for name in ("eigvalsh", "eigvals", "eigh", "eig"):
         monkeypatch.setattr(spectra.np.linalg, name, counting(getattr(np.linalg, name)))
     return solved
 
@@ -776,6 +779,18 @@ def test_twin_blocks_are_solved_once(monkeypatch, spec, omega0, solved_states):
     assert (op.twins() is not None) == (solved_states < op.dimension)
 
 
+@pytest.mark.parametrize("omega0, solved_states", [(0.0, 861), (0.15, 1722)])
+def test_twin_blocks_are_solved_once_with_vectors_too(monkeypatch, omega0, solved_states):
+    # eigh takes one block of each twin pair, as eigvalsh does, and the twin its representative's eigenpairs
+    basis = make_basis(BasisSpec.total_number(40))
+    op = build_full_jt(ModelParams(omega=1.0, omega0=omega0, kappa=np.sqrt(0.37)), basis)
+    solved = _count_solved(monkeypatch)
+    spectrum = diagonalize(op, want_vectors=True)
+    assert sum(solved) == solved_states
+    assert spectrum.eigenvectors.shape == (op.dimension,) * 2 and spectrum.residual_norms.max() <= 1e-12
+    assert (op.twins() is not None) == (solved_states < op.dimension)
+
+
 def test_nonhermitian_2x2_blocks_are_solved_in_closed_form(monkeypatch):
     # at total cutoff 30 the imaginary-coupling model is 465 2x2 blocks and 62 1x1 blocks: none reaches LAPACK
     op = build_nonhermitian(ModelParams(omega=1.0, omega0=0.1, gamma=0.3), make_basis(BasisSpec.total_number(30)))
@@ -795,15 +810,20 @@ def test_nonhermitian_2x2_blocks_are_solved_in_closed_form(monkeypatch):
 
 
 def _blocks_calls(monkeypatch):
-    """The (chosen, paired) arguments of every OperatorMatrix.blocks call from here on."""
+    """The `chosen` argument of every OperatorMatrix.blocks call from here on."""
     calls, blocks = [], OperatorMatrix.blocks
 
-    def recorded(self, chosen=None, paired=False):
-        calls.append((chosen, paired))
-        return blocks(self, chosen, paired)
+    def recorded(self, chosen=None):
+        calls.append(chosen)
+        return blocks(self, chosen)
 
     monkeypatch.setattr(OperatorMatrix, "blocks", recorded)
     return calls
+
+
+def _representatives(twins):
+    """Per block, the lower-positioned of it and its twin: the block of its pair that diagonalize solves."""
+    return np.minimum(np.arange(twins.twin.size), twins.twin)
 
 
 def _block_j(op):
@@ -819,15 +839,15 @@ def test_each_table_cutoff_is_one_round_of_the_two_lowest_twin_pairs(monkeypatch
     op = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=float(np.sqrt(kappa2))),
                        make_basis(BasisSpec.total_number(cutoff)))
     (j, sizes), twins, (bounds, _) = _block_j(op), op.twins(), op.block_bounds()
-    key = {}
-    for block, representative in enumerate(twins.representative):
+    representatives, key = _representatives(twins), {}
+    for block, representative in enumerate(representatives):
         key[representative] = min(key.get(representative, np.inf), bounds[block])
     calls = _blocks_calls(monkeypatch)
     spectrum = diagonalize(op, levels=2)
     assert len(calls) == 1
-    (chosen, paired), = calls
-    assert paired and list(chosen) == sorted(key, key=key.get)[:2]
-    held = np.flatnonzero(np.isin(twins.representative, chosen))
+    chosen, = calls
+    assert list(chosen) == sorted(key, key=key.get)[:2]  # representatives only: each pair is solved once
+    held = np.flatnonzero(np.isin(representatives, chosen))
     assert sorted(j[b] for b in held) == [-1.5, -0.5, 0.5, 1.5]
     assert spectrum.eigenvalues.size == sum(sizes[b] for b in held)
 
@@ -836,15 +856,16 @@ def test_each_table_cutoff_is_one_round_of_the_two_lowest_twin_pairs(monkeypatch
 def test_a_twin_pair_is_keyed_by_the_lower_of_its_blocks_bounds(monkeypatch, representative):
     # either block of the J = +-9/2 pair bounded far below the rest puts the pair in the first round, solved whole
     op = build_full_jt(ModelParams(omega=1.0, omega0=0.0, kappa=np.sqrt(0.9)), make_basis(BasisSpec.total_number(10)))
-    (j, sizes), twins, (bounds, radius) = _block_j(op), op.twins(), op.block_bounds()
+    (j, sizes), representatives, (bounds, radius) = _block_j(op), _representatives(op.twins()), op.block_bounds()
     pair = [j.index(4.5), j.index(-4.5)]
-    lowered = next(b for b in pair if (twins.representative[b] == b) == representative)
+    lowered = next(b for b in pair if (representatives[b] == b) == representative)
     bounds[lowered] = -1e3  # still a lower bound
     monkeypatch.setattr(OperatorMatrix, "block_bounds", lambda self: (bounds.copy(), radius))
     calls = _blocks_calls(monkeypatch)
     spectrum = diagonalize(op, levels=2)
-    assert twins.representative[lowered] in calls[0][0]
-    held = np.flatnonzero(np.isin(twins.representative, np.concatenate([chosen for chosen, _ in calls])))
+    assert representatives[lowered] in calls[0]
+    assert all(np.array_equal(representatives[chosen], chosen) for chosen in calls)
+    held = np.flatnonzero(np.isin(representatives, np.concatenate(calls)))
     assert spectrum.eigenvalues.size == sum(sizes[b] for b in held)
     assert spectrum.lowest_levels(2) == diagonalize(op).lowest_levels(2)
 
@@ -857,7 +878,7 @@ def _twin_oracle(op):
         per_block += list(_solved(members, stack, op.hint is Hermiticity.HERMITIAN))
     twins = op.twins()
     if twins is not None:
-        per_block = [per_block[r] for r in twins.representative]
+        per_block = [per_block[r] for r in _representatives(twins)]
     vals = np.concatenate(per_block)
     return vals[level_order(vals)]
 
