@@ -168,22 +168,22 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     """
     if levels is not None and (want_vectors or levels < 1):
         raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")
-    dim = op.dimension
-    hermitian = op.hint is Hermiticity.HERMITIAN
+    dim, hermitian = op.dimension, op.hint is Hermiticity.HERMITIAN
     vals, solved = np.empty(dim, dtype=np.complex128), np.zeros(dim, dtype=bool)
     vecs, residuals = (np.zeros((dim, dim), dtype=np.complex128), np.empty(dim)) if want_vectors else (None, None)
     if hermitian:
         op.validate()
     imaginary = not op.exact and op.triplets[2].imag.any()  # else every block is real
     twins = op.twins()
-    chosen = None if twins is None else np.flatnonzero(twins.twin >= np.arange(twins.twin.size))  # one of each pair
+    chosen = None if twins is None else (twins.twin >= np.arange(twins.twin.size)).nonzero()[0]  # one of each pair
     if levels is not None:
         bounds, radius = op.block_bounds()
         reach = LEVEL_GAP * max(1.0, radius)  # an overflowing radius widens the reach to every block
         if twins is not None:  # a pair is keyed by the lower bound of its blocks (their row sums may differ by an ulp)
             bounds = np.minimum(bounds, bounds[twins.twin])
-        left = np.arange(bounds.size) if chosen is None else chosen  # the unsolved blocks or pairs, lowest bound first
-        chosen, left = np.split(left[np.argsort(bounds[left], kind="stable")], [levels])
+        left = np.arange(bounds.size) if chosen is None else chosen  # the unsolved blocks or pairs
+        left = left[np.argsort(bounds[left], kind="stable")]  # lowest bound first
+        chosen, left = left[:levels], left[levels:]
     while True:
         for members, stack in op.blocks(chosen):
             if hermitian and not (imaginary and np.any(stack.imag)):
@@ -192,7 +192,7 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
                 w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(stack)
                 residual = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
             else:
-                w = _stack_eigenvalues(stack, hermitian)
+                w = _stack_eigenvalues(stack, hermitian).astype(np.complex128)  # cast once for the twin's placement too
             # the twin block, on the states the state map gives, has the same entries and so the same eigenpairs
             for at in (members,) if twins is None else (members, twins.state[members]):
                 vals[at], solved[at] = w, True
