@@ -773,21 +773,12 @@ def test_converge_ground_solves_only_the_blocks_of_the_low_levels(monkeypatch):
 def test_twin_blocks_are_solved_once(monkeypatch, spec, omega0, solved_states):
     op = build_full_jt(ModelParams(omega=1.0, omega0=omega0, kappa=np.sqrt(0.37)), make_basis(spec))
     solved = _count_solved(monkeypatch)
-    spectrum = diagonalize(op)
-    assert sum(solved) == solved_states
-    assert spectrum.eigenvalues.size == op.dimension
-    assert (op.twins() is not None) == (solved_states < op.dimension)
-
-
-@pytest.mark.parametrize("omega0, solved_states", [(0.0, 861), (0.15, 1722)])
-def test_twin_blocks_are_solved_once_with_vectors_too(monkeypatch, omega0, solved_states):
-    # eigh takes one block of each twin pair, as eigvalsh does, and the twin its representative's eigenpairs
-    basis = make_basis(BasisSpec.total_number(40))
-    op = build_full_jt(ModelParams(omega=1.0, omega0=omega0, kappa=np.sqrt(0.37)), basis)
-    solved = _count_solved(monkeypatch)
-    spectrum = diagonalize(op, want_vectors=True)
-    assert sum(solved) == solved_states
-    assert spectrum.eigenvectors.shape == (op.dimension,) * 2 and spectrum.residual_norms.max() <= 1e-12
+    for want_vectors in (False, True):  # eigh is handed the blocks that eigvalsh is, and a twin takes its eigenpairs
+        solved.clear()
+        spectrum = diagonalize(op, want_vectors=want_vectors)
+        assert sum(solved) == solved_states
+        assert spectrum.eigenvalues.size == op.dimension
+    assert spectrum.residual_norms.max() <= 1e-12
     assert (op.twins() is not None) == (solved_states < op.dimension)
 
 
