@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from itertools import chain
 
 import click
 import numpy as np
@@ -109,8 +108,10 @@ def _format_value(value) -> str:
     return "%.9g" % value if isinstance(value, float) else str(value)
 
 
-def _spec(column: list) -> str:
-    """The `%` spec of a column: "%.9g" for floats alone, "%d" for ints alone, else "%s" of `_format_value`."""
+def _spec(column) -> str:
+    """The `%` spec of a column: "%.9g" for floats alone, "%d" for ints alone (an array's by its dtype), else "%s"."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return "%.9g" if column.dtype.kind == "f" else "%d"
     types = set(map(type, column))
     if all(issubclass(t, float) for t in types):
         return "%.9g"
@@ -132,10 +133,13 @@ def _emit(command: str, columns: dict, summary: dict, exit_code: int, fmt: str, 
         rows = [dict(zip(columns, row)) for row in zip(*values)]
         text = json.dumps({"command": command, "rows": rows, "summary": summary}, indent=2) + "\n"
     elif count:
-        specs = [_spec(column) for column in values]
+        specs = [_spec(column) for column in columns.values()]
         cells = [column if spec != "%s" else [_format_value(v) for v in column] for spec, column in zip(specs, values)]
         if fmt == "csv":
-            text = ",".join(columns) + "\n" + (",".join(specs) + "\n") * count % tuple(chain.from_iterable(zip(*cells)))
+            flat = [None] * (count * len(cells))
+            for at, column in enumerate(cells):
+                flat[at::len(cells)] = column
+            text = ",".join(columns) + "\n" + (",".join(specs) + "\n") * count % tuple(flat)
         else:
             table = [[name] + [spec % v for v in column] for name, spec, column in zip(columns, specs, cells)]
             widths = [max(map(len, column)) for column in table]

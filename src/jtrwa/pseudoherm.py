@@ -45,12 +45,12 @@ def parity_op(basis: Basis) -> OperatorMatrix:
 def pt_transform(h: OperatorMatrix) -> OperatorMatrix:
     """Combined parity/time-reversal image of h (see module docstring), on its triplets.
 
-    Over the spin-major layout an entry between states of one spin moves to the partner states (k + dim/2) % dim,
+    An entry between states of one spin moves to the partner states, the same (n1, n2) with the other spin,
     conjugated; a spin-flip entry stays in place, conjugated and negated.
     """
-    dim, (rows, cols, values) = h.dimension, h.triplets
-    same = (rows < dim // 2) == (cols < dim // 2)
-    rows, cols = (np.where(same, (k + dim // 2) % dim, k) for k in (rows, cols))
+    basis, (rows, cols, values) = h.basis, h.triplets
+    partner, same = basis.index(-basis.spin, basis.n1, basis.n2), basis.spin[rows] == basis.spin[cols]
+    rows, cols = (np.where(same, partner[k], k) for k in (rows, cols))
     return OperatorMatrix.from_triplets(h.basis, rows, cols, np.where(same, values.T, -values.T).conj().T)
 
 
@@ -172,7 +172,7 @@ def reality_scan(
             unsolved[new] = False
             blocks = assemble_blocks(basis, "nonhermitian", params_template, chunk, new)
             vals = np.concatenate((vals, block_eigenvalues(blocks)), axis=1)
-            reach = np.partition(vals.real, k - 1)[:, k - 1] + (vals.shape[1] + 1) * LEVEL_GAP * np.maximum(1.0, scale)
+            reach = np.partition(vals.real, k - 1)[:, k - 1] + (vals.shape[1] + 1) * LEVEL_GAP * scale
         gammas += chunk.tolist()
         max_imag += np.abs(np.take_along_axis(vals, level_order(vals, scale)[:, :k], -1).imag).max(-1).tolist()
     threshold = next((g for g, worst in zip(gammas, max_imag) if worst > REALITY_TOL), None)

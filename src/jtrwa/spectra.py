@@ -21,9 +21,9 @@ table, J = +-1/2 and +-3/2 in one round).
 block_eigenvalues solves blocks (members, stack) unsorted, for one operator or
 a grid of them (a pass of pseudoherm.gamma_grids); the dense solve of the whole
 matrix is its oracle.  Eigenvalues are sorted by real part, then imaginary
-part, where real parts within LEVEL_GAP * max(1, radius) of each other (the
-spectral radius, or a bound on it; ROADMAP.md item 1 moves the floor) are one
-level: exactly degenerate levels are ordered by imaginary part, not round-off.
+part, where real parts within LEVEL_GAP * radius of each other (the spectral
+radius, or a bound on it) are one level: exactly degenerate levels are ordered
+by imaginary part, not round-off, and the order scales with the spectrum.
 A spectrum with no imaginary part is in that order once sorted by real part.
 """
 
@@ -40,7 +40,7 @@ from .fockspace import Basis, BasisSpec, Hermiticity, OperatorMatrix, SPIN_DOWN,
 from .models import ModelParams
 
 DEGENERACY_GAP = 1e-6
-LEVEL_GAP = 1e-9  # times max(1, scale) (level_order); far above eigensolver round-off, far below level spacings
+LEVEL_GAP = 1e-9  # times the scale (level_order); far above eigensolver round-off, far below level spacings
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,14 @@ def lowest_levels(real: np.ndarray, count: int) -> list[float]:
 def level_order(vals: np.ndarray, scale=None) -> np.ndarray:
     """Indices sorting by level (real parts chained within LEVEL_GAP), then imaginary part; conjugates share a level.
 
-    Each row of a (G, n) array is ordered on its own.  The gap is LEVEL_GAP * max(1, `scale`), `scale` one per row,
-    else its largest |value| (ROADMAP.md item 1 moves the floor); a bound on the radius gives a part the whole's levels.
+    Each row of a (G, n) array is ordered on its own.  The gap is LEVEL_GAP * `scale`, `scale` one per row, else its
+    largest |value|, so it scales with the spectrum; a bound on the radius gives a part the whole's levels.
     """
     by_real = np.argsort(vals.real, axis=-1, kind="stable")
     if not vals.imag.any():  # a stable lexsort on a constant key over non-decreasing levels is the identity
         return by_real
     ordered = np.take_along_axis(vals, by_real, axis=-1)
-    gap = LEVEL_GAP * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
+    gap = LEVEL_GAP * np.asarray(np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
     level = np.cumsum(np.diff(ordered.real, axis=-1, prepend=ordered.real[..., :1]) > gap, axis=-1)
     return np.take_along_axis(by_real, np.lexsort((ordered.imag, level), axis=-1), axis=-1)
 
@@ -178,7 +178,7 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     chosen = None if twins is None else (twins.twin >= np.arange(twins.twin.size)).nonzero()[0]  # one of each pair
     if levels is not None:
         bounds, radius = op.block_bounds()
-        reach = LEVEL_GAP * max(1.0, radius)  # an overflowing radius widens the reach to every block
+        reach = LEVEL_GAP * radius  # an overflowing radius widens the reach to every block
         if twins is not None:  # a pair is keyed by the lower bound of its blocks (their row sums may differ by an ulp)
             bounds = np.minimum(bounds, bounds[twins.twin])
         left = np.arange(bounds.size) if chosen is None else chosen  # the unsolved blocks or pairs

@@ -151,7 +151,7 @@ def _level_order_1d(vals):
     # reference: level_order as it was before it took (G, n) arrays
     by_real = np.argsort(vals.real, kind="stable")
     real = vals.real[by_real]
-    gap = LEVEL_GAP * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    gap = LEVEL_GAP * float(np.abs(vals).max(initial=0.0))
     level = np.cumsum(np.diff(real, prepend=real[:1]) > gap)
     return by_real[np.lexsort((vals.imag[by_real], level))]
 
@@ -185,7 +185,7 @@ def _chained_lexsort(vals, scale=None):
     # reference: level_order's formula on any input, the lexsort on (imaginary part, level) included
     by_real = np.argsort(vals.real, axis=-1, kind="stable")
     ordered = np.take_along_axis(vals, by_real, axis=-1)
-    gap = LEVEL_GAP * np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
+    gap = LEVEL_GAP * np.asarray(np.abs(vals).max(axis=-1, initial=0.0) if scale is None else scale)[..., None]
     level = np.cumsum(np.diff(ordered.real, axis=-1, prepend=ordered.real[..., :1]) > gap, axis=-1)
     return np.take_along_axis(by_real, np.lexsort((ordered.imag, level), axis=-1), axis=-1)
 
@@ -218,6 +218,17 @@ def test_level_order_of_a_real_spectrum_is_the_chained_lexsort(case):
     for g, row in enumerate(rows):
         one = None if scale is None else scale[g]
         assert np.array_equal(level_order(row, one), _chained_lexsort(row, one))
+
+
+@pytest.mark.parametrize("k", [-60, -40, -30, -20, -4, 3, 20, 40])
+def test_the_spectrum_scales_exactly_with_the_energy_unit(k):
+    # lambda = 2^k scales every entry exactly, so the level gap must scale with it and the order stay the same
+    basis, unit = make_basis(BasisSpec.total_number(12)), 2.0**k
+    for build, params in ((build_nonhermitian, lambda u: ModelParams(omega=u, omega0=0.3 * u, gamma=0.45 * u)),
+                          (build_full_jt, lambda u: ModelParams(omega=u, kappa=0.7 * u)),
+                          (build_full_jt, lambda u: ModelParams(omega=u, omega0=0.3 * u, kappa=0.7 * u))):
+        expected = diagonalize(build(params(1.0), basis)).eigenvalues
+        assert np.array_equal(diagonalize(build(params(unit), basis)).eigenvalues / unit, expected)
 
 
 @pytest.mark.parametrize("diagonal, ground, excited", [
@@ -310,7 +321,7 @@ def test_sector_spectra_match_the_dense_oracle(
         # ordering rule: a level ends where sorted real parts jump by more than the gap;
         # levels ascend, and inside a level the imaginary parts ascend
         real = np.sort(vals.real)
-        starts = real[1:][np.diff(real) > LEVEL_GAP * max(1.0, np.abs(vals).max())]
+        starts = real[1:][np.diff(real) > LEVEL_GAP * np.abs(vals).max()]
         step = np.diff(np.searchsorted(starts, vals.real, side="right"))
         assert np.all(step >= 0)
         assert np.all(np.diff(vals.imag)[step == 0] >= 0)

@@ -1,35 +1,33 @@
-"""In-process A/B timing of two source trees of jtrwa on the benchmark's own operations.
+"""A/B timing of two source trees of jtrwa on the benchmark's own operations, judged by the benchmark's claim rule.
 
-    python3 tools/ab.py --base HEAD~1 --workload table1 --rounds 3 --passes 60
+    python3 tools/ab.py --base HEAD~1 --workload table1
     python3 tools/ab.py --base HEAD~1 --workload all --out BENCH_$(git rev-parse --short HEAD).json
 
 The base revision's `src/jtrwa` is exported with `git archive` to a
-temporary directory, and both it and this checkout's `src/jtrwa` are
-loaded into one process under distinct package names (the package imports
-itself by relative imports only).  A pass is the list of operations that
-`bench/workloads.py` draws for (workload, seed, pass index), invoked
-through click's `CliRunner` as `bench/run.py` invokes them, and timed the
-same way: the sum of the operations' wall times.  Each pass runs on both
-trees, one after the other, the tree that goes first alternating from pass
-to pass, so that drift in the machine's speed falls on both alike.  Every
-operation's exit code, stdout and stderr must be identical between the two
-trees, else the script stops with exit 1.
+temporary directory.  Each round runs in a fresh spawned process, which
+loads it and this checkout's `src/jtrwa` under distinct package names (the
+package imports itself by relative imports only), the head first in every
+other round, so that neither tree keeps the same place in a process from
+round to round.  A pass is the list of operations that `bench/workloads.py`
+draws for (workload, seed, pass index), invoked through click's `CliRunner`
+as `bench/run.py` invokes them, and timed the same way: the sum of the
+operations' wall times.  Within a round each pass runs on both trees, one
+after the other, the tree that goes first alternating from pass to pass.
+Every operation's exit code, stdout and stderr must be identical between
+the two trees, else the script stops with exit 1.
 
-It prints, per round, the median pass of each tree, their ratio, a 95 %
-bootstrap interval of that ratio and the share of passes the working tree
-won, then the same per command: the median of each command's wall time
-within a pass (its operations summed; the two `spectrum` models of
-`large-cutoff` apart), so that a change to one command shows apart from the
-others.  The interval resamples whole passes (each runs the same operations
-on both trees) BOOTSTRAP times, from a generator seeded with `--seed`, so a
-rerun on the same timings gives the same interval.  It covers the noise
-within one round, not the host's drift between rounds, so the verdict of a
-workload (`verdict`) calls a change faster or slower only when the interval
-of every round lies on that side of 0, and inconsistent otherwise.  It
-writes a JSON file (`--out`) with those numbers, both revisions, the host,
-the BLAS threads, the library versions and each tree's `src_lines` (the total
-of `wc -l src/jtrwa/*.py`), which it also prints.  BLAS keeps its default
-thread count, as in the benchmark.
+A round's median pass of each tree is one pair of runs, and so is its
+median wall time of each command within a pass (its operations summed; the
+two `spectrum` models of `large-cutoff` apart), so that a change to one
+command shows apart from the others.  Over the rounds, `verdict` applies
+the benchmark's claim rule to the pairs: faster or slower only with at
+least MIN_ROUNDS pairs, nine tenths of them won by one side (ties count for
+neither) and the medians apart by more than the interquartile range of the
+base's round medians, else unresolved.  It prints each round and then the
+verdicts, and writes a JSON file (`--out`) with those numbers, both
+revisions, the host, the BLAS threads, the library versions and each tree's
+`src_lines` (the total of `wc -l src/jtrwa/*.py`), which it also prints.
+BLAS keeps its default thread count, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -39,14 +37,15 @@ import importlib
 import importlib.util
 import json
 import platform
-import random
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from io import BytesIO
+from multiprocessing import get_context
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +53,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from run import machine_facts  # noqa: E402  (bench/ is on the path only from here on)
 from workloads import WORKLOADS, ops_for_pass  # noqa: E402
+
+MIN_ROUNDS = 10  # pairs of runs the claim rule needs
 
 
 def git(*args: str) -> str:
@@ -84,12 +85,12 @@ def load_cli(name: str, package: Path):
 
 
 class Tree:
-    """One loaded copy of the package and the outputs of its last pass."""
+    """One loaded copy of the package."""
 
     def __init__(self, name: str, package: Path) -> None:
         from click.testing import CliRunner
 
-        self.name, self.cli, self.runner = name, load_cli(name, package), CliRunner()
+        self.cli, self.runner = load_cli(name, package), CliRunner()
 
     def run_pass(self, ops) -> tuple[dict[str, float], list[tuple]]:
         """Wall time of the pass per command (the sum over its operations of that command, told apart by model where
@@ -105,65 +106,60 @@ class Tree:
         return walls, outputs
 
 
-BOOTSTRAP = 2000  # resamples per interval
+def run_round(packages: tuple[Path, Path], head_first: bool, workload: str, seed: int, first: int, passes: int):
+    """One round in this process: the trees (base, head) loaded, the head first if `head_first`, and after a warm-up
+    pass each, passes `first`, `first` + 1, ... run on both; per tree the median pass and each command's median (ms)."""
+    trees = {at: Tree(("jtrwa_base", "jtrwa_head")[at], packages[at]) for at in ((1, 0) if head_first else (0, 1))}
+    for at in trees:  # warm-up: lazy imports, caches, allocator and BLAS buffers
+        trees[at].run_pass(ops_for_pass(workload, seed, 0))
+    walls = ([], [])
+    for index in range(first, first + passes):
+        ops, outputs = ops_for_pass(workload, seed, index), [None, None]
+        for at in (0, 1) if index % 2 == 0 else (1, 0):
+            wall, outputs[at] = trees[at].run_pass(ops)
+            walls[at].append({"pass": sum(wall.values()), **wall})
+        for op, one, other in zip(ops, *outputs, strict=True):
+            if one != other:
+                raise SystemExit(f"ab: outputs differ on `jtrwa {' '.join(op.args)}`:\n  base {one!r}\n"
+                                 f"  head {other!r}")
+    return {name: [1e3 * statistics.median(p[name] for p in tree) for tree in walls] for name in walls[0][0]}
 
 
-def interval(base: list[float], head: list[float], rng: random.Random) -> list[float]:
-    """A 95 % percentile bootstrap interval of median(head) / median(base) - 1, resampling the passes as pairs."""
-    changes = sorted(statistics.median(head[i] for i in picks) / statistics.median(base[i] for i in picks) - 1.0
-                     for picks in (rng.choices(range(len(base)), k=len(base)) for _ in range(BOOTSTRAP)))
-    return [changes[round(0.025 * (BOOTSTRAP - 1))], changes[round(0.975 * (BOOTSTRAP - 1))]]
-
-
-def medians(walls: dict[str, list[dict[str, float]]], trees: tuple[str, str], rng: random.Random) -> dict:
-    """The median pass (ms) of the trees (base, head), each pass given as its wall time per command, the bootstrap
-    interval of their ratio and the passes the head won."""
-    base, head = ([sum(p.values()) for p in walls[t]] for t in trees)
-    base_ms, head_ms = (1e3 * statistics.median(w) for w in (base, head))
-    return {"base_ms": base_ms, "head_ms": head_ms, "change": head_ms / base_ms - 1.0,
-            "ci95": interval(base, head, rng), "won": sum(h < b for b, h in zip(base, head)), "passes": len(base)}
-
-
-def verdict(rounds: list[dict]) -> str:
-    """"faster" or "slower" when the interval of every round excludes 0 on that side, else "inconsistent"."""
-    for name, side in (("faster", lambda low, high: high < 0.0), ("slower", lambda low, high: low > 0.0)):
-        if all(side(*r["ci95"]) for r in rounds):
+def verdict(base: list[float], head: list[float]) -> str:
+    """The benchmark's claim rule on paired runs: "faster" when there are MIN_ROUNDS pairs or more, the head wins nine
+    tenths of them or more (a tie counts for neither side) and its median lies below the base's by more than the
+    interquartile range of the base's runs; "slower" in the mirror case; else "unresolved"."""
+    if len(base) < MIN_ROUNDS:
+        return "unresolved"
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    gap = statistics.median(base) - statistics.median(head)
+    for name, sign in (("faster", 1.0), ("slower", -1.0)):
+        if 10 * sum(sign * (b - h) > 0 for b, h in zip(base, head)) >= 9 * len(base) and sign * gap > q3 - q1:
             return name
-    return "inconsistent"
+    return "unresolved"
 
 
-def compare(workload: str, seed: int, rounds: int, passes: int, base: Tree, head: Tree) -> dict:
-    """`rounds` rounds of `passes` alternating passes; per round the median pass of each tree (ms), the bootstrap
-    interval of their ratio and the passes the working tree won."""
-    rng = random.Random(seed)
-    for tree in (base, head):  # warm-up: lazy imports, caches, allocator and BLAS buffers
-        tree.run_pass(ops_for_pass(workload, seed, 0))
-    results, index = [], 1
+def compare(workload: str, seed: int, rounds: int, passes: int, packages: tuple[Path, Path]) -> dict:
+    """`rounds` rounds of `passes` alternating passes, each round in a fresh spawned process; per name (the pass, each
+    command) the round medians of each tree (ms), the rounds won and lost by the head, and the verdict."""
+    medians = []
     for r in range(rounds):
-        walls = {base.name: [], head.name: []}
-        for p in range(passes):
-            ops, outputs = ops_for_pass(workload, seed, index), {}
-            for tree in (base, head) if p % 2 == 0 else (head, base):
-                wall, outputs[tree.name] = tree.run_pass(ops)
-                walls[tree.name].append(wall)
-            for op, one, other in zip(ops, outputs[base.name], outputs[head.name], strict=True):
-                if one != other:
-                    raise SystemExit(f"ab: outputs differ on `jtrwa {' '.join(op.args)}`:\n  base {one!r}\n"
-                                     f"  head {other!r}")
-            index += 1
-        trees = (base.name, head.name)
-        result = medians(walls, trees, rng)
-        result["commands"] = {command: medians({t: [{command: p[command]} for p in walls[t]] for t in trees},
-                                               trees, rng) for command in walls[base.name][0]}
-        results.append(result)
-        for name, row in (("pass", result), *result["commands"].items()):
-            low, high = (100 * bound for bound in row["ci95"])
-            print(f"{workload:<16} round {r + 1} {name:<22} base {row['base_ms']:8.3f} ms  "
-                  f"head {row['head_ms']:8.3f} ms  {100 * row['change']:+6.1f} % [{low:+6.1f}, {high:+6.1f}]  "
-                  f"head won {row['won']}/{row['passes']}", flush=True)
-    won, total, call = sum(r["won"] for r in results), sum(r["passes"] for r in results), verdict(results)
-    print(f"{workload:<16} head won {won}/{total} passes ({100 * won / total:.0f} %), verdict {call}", flush=True)
-    return {"workload": workload, "seed": seed, "rounds": results, "won": won, "passes": total, "verdict": call}
+        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+            medians.append(pool.submit(run_round, packages, r % 2 == 1, workload, seed, 1 + r * passes,
+                                       passes).result())
+        for name, (base, head) in medians[-1].items():
+            print(f"{workload:<16} round {r + 1:<2} {name:<22} base {base:8.3f} ms  head {head:8.3f} ms  "
+                  f"{100 * (head / base - 1.0):+6.1f} %", flush=True)
+    results = {}
+    for name in medians[0]:
+        base, head = ([m[name][at] for m in medians] for at in (0, 1))
+        won, lost = sum(h < b for b, h in zip(base, head)), sum(h > b for b, h in zip(base, head))
+        change = statistics.median(head) / statistics.median(base) - 1.0
+        results[name] = {"base_ms": base, "head_ms": head, "change": change, "won": won, "lost": lost,
+                         "verdict": verdict(base, head)}
+        print(f"{workload:<16} {name:<22} medians {100 * change:+6.1f} %, head won {won}/{rounds} rounds, lost "
+              f"{lost}: {results[name]['verdict']}", flush=True)
+    return {"workload": workload, "seed": seed, "passes": passes, "results": results}
 
 
 def main(argv=None) -> int:
@@ -171,8 +167,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision to compare the working tree against")
     parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="table1")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--passes", type=int, default=60, help="alternating passes per round")
+    parser.add_argument("--rounds", type=int, default=MIN_ROUNDS, help="rounds, each in a fresh process")
+    parser.add_argument("--passes", type=int, default=20, help="alternating passes per round")
     parser.add_argument("--out", type=Path, default=None, help="JSON file to write (default: none)")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.passes < 1:
@@ -182,8 +178,7 @@ def main(argv=None) -> int:
         packages = export_package(args.base, Path(scratch)), ROOT / "src" / "jtrwa"
         lines = [src_lines(package) for package in packages]
         print(f"src lines: base {lines[0]}  head {lines[1]}  ({lines[1] - lines[0]:+d})", flush=True)
-        base, head = Tree("jtrwa_base", packages[0]), Tree("jtrwa_head", packages[1])
-        results = [compare(w, args.seed, args.rounds, args.passes, base, head) for w in workloads]
+        results = [compare(w, args.seed, args.rounds, args.passes, packages) for w in workloads]
     report = {
         "tool": "tools/ab.py",
         "base": {"rev": args.base, "sha": git("rev-parse", "--short", args.base), "src_lines": lines[0]},
