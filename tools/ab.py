@@ -12,9 +12,10 @@ round to round.  A pass is the list of operations that `bench/workloads.py`
 draws for (workload, seed, pass index), invoked through click's `CliRunner`
 as `bench/run.py` invokes them, and timed the same way: the sum of the
 operations' wall times.  Within a round each pass runs on both trees, one
-after the other, the tree that goes first alternating from pass to pass.
-Every operation's exit code, stdout and stderr must be identical between
-the two trees, else the script stops with exit 1.
+after the other, the tree that goes first alternating from pass to pass,
+each after an untimed full garbage collection.  Every operation's exit
+code, stdout and stderr must be identical between the two trees, else the
+script stops with exit 1.
 
 A round's median pass of each tree is one pair of runs, and so is its
 median wall time of each command within a pass (its operations summed; the
@@ -33,6 +34,7 @@ BLAS keeps its default thread count, as in the benchmark.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import json
@@ -116,6 +118,7 @@ def run_round(packages: tuple[Path, Path], head_first: bool, workload: str, seed
     for index in range(first, first + passes):
         ops, outputs = ops_for_pass(workload, seed, index), [None, None]
         for at in (0, 1) if index % 2 == 0 else (1, 0):
+            gc.collect()  # else the collector, counting allocations, runs in one tree's passes more than the other's
             wall, outputs[at] = trees[at].run_pass(ops)
             walls[at].append({"pass": sum(wall.values()), **wall})
         for op, one, other in zip(ops, *outputs, strict=True):
