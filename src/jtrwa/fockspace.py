@@ -16,9 +16,10 @@ arrays, spin, n1 and n2, in that order, and inverts them by offset arithmetic;
 make_basis builds one per spec and shares it.  Operators are assembled sparse,
 as Terms: sums of products of ladder, Pauli and identity column maps (models
 caches a model's terms per basis as one operator, a column of values per term),
-and held in an OperatorMatrix as (rows, cols, values) triplets.  Its blocks()
-are the blocks of their pattern (the conserved-quantity sectors), all or a
-chosen few, read by the eigensolver, the transforms and the checks;
+and held in an OperatorMatrix as (rows, cols, values) triplets, real or complex:
+the values' dtype, which blocks() keep, picks real arithmetic.  Its blocks() are
+the blocks of their pattern (the conserved-quantity sectors), all or a chosen
+few, read by the eigensolver, the transforms and the checks;
 block_bounds() bounds each block's spectrum from below and the spectral radius
 from above (Gershgorin, through block_minima), and difference() pairs each entry
 with its image under the transpose or another involution of positions: the one
@@ -278,7 +279,7 @@ class _Plan:
 
 
 class OperatorMatrix:
-    """Complex matrix tagged with its basis and a structure hint, held as (rows, cols, values) triplets.
+    """Real or complex matrix tagged with its basis and a structure hint, held as (rows, cols, values) triplets.
 
     Builders hand over those triplets, exact zeros included (`from_triplets`, `with_values`): there is no other
     constructor.  The dense view `entries`, built on first read, serves tests only.
@@ -297,8 +298,8 @@ class OperatorMatrix:
         """The operator with `values` at this one's positions, in their order, sharing its blocks and transpose map.
 
         `values` of shape (nnz, G) make a grid of G operators, one per column, which blocks() and validate() keep.
-        A builder that has proved it passes `exact` (real values, exactly (anti-)Hermitian as `hint` says: validate() is
-        0.0) and `paired` (each value its Theta-partner's: twins() is the swap), unchecked and not inherited.
+        A builder that has proved it passes `exact` (exactly (anti-)Hermitian as `hint` says: validate(), its one
+        reader, is 0.0) and `paired` (each value its Theta-partner's: twins() is the swap), unchecked and not inherited.
         """
         op = OperatorMatrix.from_triplets(self.basis, *self.triplets[:2], values, hint)
         op._plan, op.exact, op.paired = self._plan, exact, paired
@@ -343,7 +344,7 @@ class OperatorMatrix:
         return swap if swap is not None and (self.paired or np.array_equal(values, values[swap.partner])) else None
 
     def blocks(self, chosen: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(members, stack) per block size, ascending: stack[b] is the block on the states members[b].
+        """(members, stack) per block size, ascending: stack[b], of the values' dtype, is the block on members[b].
 
         Values of shape (nnz, G), a grid of operators on one pattern, give stacks of shape (count, size, size, G).
         The blocks (found once) are the connected components of the pattern of the triplets, so they hold every entry;
@@ -355,7 +356,7 @@ class OperatorMatrix:
         chosen = None if chosen is None else np.asarray(chosen, dtype=np.intp)  # its layout found once per set
         layout = plan.sizes if chosen is None else plan.once(chosen.tobytes(), lambda: plan.chosen(chosen))
         for members, k, slots in layout:
-            stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=np.complex128)
+            stack = np.zeros((*members.shape, members.shape[1], *values.shape[1:]), dtype=values.dtype)
             stack[slots] = values[k]
             yield members, stack
 
@@ -396,9 +397,9 @@ class OperatorMatrix:
 
 
 def diagonal_op(basis: Basis, d) -> OperatorMatrix:
-    """The Hermitian diagonal operator diag(d), held as the triplets of its nonzero entries."""
-    k = np.flatnonzero(d)
-    return OperatorMatrix.from_triplets(basis, k, k, np.asarray(d, dtype=np.complex128)[k], Hermiticity.HERMITIAN)
+    """The Hermitian diagonal operator diag(d), held as the triplets of its nonzero entries, real where d is."""
+    k, d = np.flatnonzero(d), np.asarray(d, dtype=np.result_type(d, 0.0))
+    return OperatorMatrix.from_triplets(basis, k, k, d[k], Hermiticity.HERMITIAN)
 
 
 class Term:

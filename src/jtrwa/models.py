@@ -11,8 +11,8 @@ as one operator on the union of their positions, a column of values per term,
 whose blocks (the model's sectors) are found once and bounded at any coupling
 by gershgorin.  So a coupling scan on one basis only scales cached terms:
 assemble sums coefficient * term in table order, with no dim x dim array, and
-decides the Hermiticity hint, which the terms' structure (found with them)
-proves exact at real coefficients, sparing validate() its scan;
+decides the dtype, real at real coefficients, and the Hermiticity hint, which
+the terms' structure (found with them) then proves exact, sparing validate();
 assemble_blocks sums the same on chosen blocks, bit for bit.  A number as
 coupling gives one operator, an array of couplings a grid (as in
 transforms.residual_study and the gamma commands).
@@ -157,7 +157,7 @@ def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple, tuple[
     rows, cols, values = union // dim, union % dim, np.zeros((union.size, len(terms)), order="F")
     for t, (term_rows, term_cols, term_values) in enumerate(terms):
         values[np.searchsorted(union, term_rows * dim + term_cols), t] = term_values
-    on, diagonal, radius = rows == cols, np.zeros((dim, len(terms)), dtype=np.complex128), np.zeros((dim, len(terms)))
+    on, diagonal, radius = rows == cols, np.zeros((dim, len(terms))), np.zeros((dim, len(terms)))
     diagonal[rows[on]] = values[on]
     np.add.at(radius, rows[~on], np.abs(values[~on]))
     op, sign = OperatorMatrix.from_triplets(basis, rows, cols, values), -1.0 if MODELS[model].anti_hermitian else 1.0
@@ -169,9 +169,9 @@ def _term_sum(model: str, params: ModelParams | None, coupling, terms: np.ndarra
     """sum_t c_t terms[..., t] at params and `coupling` (a trailing grid axis for an array), from zeros in table order,
     checked finite; and the coefficients c_t.  The coupling reaches the coefficients as given."""
     grid = np.shape(coupling)
-    summed = np.zeros((*terms.shape[:-1], *grid), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = MODELS[model].coefficients(params, coupling)
+        summed = np.zeros((*terms.shape[:-1], *grid), dtype=np.result_type(terms, *coefficients))
         for t, coefficient in zip(range(terms.shape[-1]), coefficients, strict=True):
             summed += np.multiply(terms[(..., t, *(None,) * len(grid))], coefficient)  # a grid axis trails
     if not np.isfinite(summed).all():
@@ -182,13 +182,14 @@ def _term_sum(model: str, params: ModelParams | None, coupling, terms: np.ndarra
 def assemble(basis: Basis, model: str, params: ModelParams | None, coupling) -> OperatorMatrix:
     """The operator of `model` at params and `coupling`, on its terms' positions, with its hint.  A number gives one
     operator; a 1-D array of G couplings the grid of G operators, values (nnz, G), one column each: the grid axis
-    trails, so that a single operator takes numpy's fast 1-D indexing path unchanged.  The hint is the model's with real
-    coefficients, else general; real coefficients on exactly (anti-)Hermitian real columns (model_terms) sum to the
-    same floats at a position and its transpose (negated: rounding is symmetric), so the operator is exact, and a
-    coefficient of exactly 0 on every column that Theta does not keep leaves it paired (OperatorMatrix.with_values)."""
+    trails, so that a single operator takes numpy's fast 1-D indexing path unchanged.  Real coefficients give real
+    values (the sum's real parts) and the model's hint, else general; on exactly (anti-)Hermitian real columns
+    (model_terms) they sum to the same floats at a position and its transpose (negated: rounding is symmetric), so the
+    operator is exact, and a coefficient of exactly 0 on every column that Theta does not keep leaves it paired."""
     terms, _, (exact, symmetric) = model_terms(basis, model)
     summed, coefficients = _term_sum(model, params, coupling, terms.triplets[2])
     real = not any(np.count_nonzero(np.imag(coefficient)) for coefficient in coefficients)
+    summed = np.ascontiguousarray(summed.real) if real else summed
     hint = Hermiticity.ANTI_HERMITIAN if MODELS[model].anti_hermitian else Hermiticity.HERMITIAN
     paired = all(kept or not np.count_nonzero(coefficient) for kept, coefficient in zip(symmetric, coefficients))
     return terms.with_values(summed, hint if real else Hermiticity.GENERAL, exact and real, paired)

@@ -79,7 +79,7 @@ def check_pseudo_hermitian(h: OperatorMatrix, eta: OperatorMatrix) -> float | li
         raise ValueError(f"metric is not Hermitian (deviation {dev:.3e})")
     if np.any(rows != cols):
         raise ValueError("metric is not diagonal; only diagonal metrics are supported")
-    d = np.zeros(eta.dimension, dtype=np.complex128)
+    d = np.zeros(eta.dimension, dtype=values.dtype)
     d[rows] = values
     if not 0 < np.abs(d).max() <= 1e12 * np.abs(d).min():  # condition number max|d| / min|d|
         raise ValueError("metric is singular or numerically non-invertible")

@@ -5,10 +5,11 @@ blocks of the operator's pattern; a model operator's are its model's
 conserved-quantity sectors at every coupling (J = n1 - n2 + sigma0/2 for the
 full model, 2x2 Jaynes-Cummings blocks for the rotated and imaginary-coupling
 forms), found once per (basis, model), and scattered straight from the
-triplets: no dim x dim array is formed.  Its eigenvalues come from
-block_eigenvalues (eigvalsh under a validated Hermitian hint, else a closed
-form up to 2x2 and the general complex solver), its eigenvectors from eigh or
-eig; the dense solve of the whole matrix is the test oracle.  Asked for its k
+triplets, real where the operator's values are: no dim x dim array is formed.
+Its eigenvalues come from block_eigenvalues (eigvalsh under a validated
+Hermitian hint, else a closed form up to 2x2, in complex arithmetic, and
+eigvals), its eigenvectors from eigh or eig; the dense solve of the whole
+matrix is the test oracle.  Asked for its k
 lowest levels only (levels=k, as converge_ground asks), it solves only the
 blocks whose Gershgorin lower bound can reach them, lowest bound first, and the
 full solve is that path's oracle.  An operator that commutes with the spin flip
@@ -122,10 +123,10 @@ def block_eigenvalues(blocks: Iterable[tuple[np.ndarray, np.ndarray]], hermitian
     """Unsorted eigenvalues of blocks (members, stack), from blocks() or assemble_blocks: (n,), or (G, n) for a grid.
 
     The one solver of eigenvalues alone.  Hermitian stacks (`hermitian`, the hint validated by the caller) go to one
-    stacked eigvalsh per size, as given.  Of a general stack, a 1x1 block is its entry, a 2x2 block [[a, b], [c, d]]
-    is m +/- sqrt(((a - d)/2)^2 + bc) with m = (a + d)/2, on the block divided by its largest |entry| (so that no
-    square overflows and none that matters underflows), and any other size goes to one stacked eigvals per size.
-    The dense solve of the whole matrix is its oracle.
+    stacked eigvalsh per size, as given, real or complex.  Of a general stack, a 1x1 block is its entry, a 2x2 block
+    [[a, b], [c, d]] is m +/- sqrt(((a - d)/2)^2 + bc) with m = (a + d)/2, in complex arithmetic, on the block divided
+    by its largest |entry| (so that no square overflows and none that matters underflows), and any other size goes to
+    one stacked eigvals per size.  The dense solve of the whole matrix is its oracle.
     """
     found = [_stack_eigenvalues(stack, hermitian).reshape(-1, *stack.shape[3:]) for _, stack in blocks]
     return np.concatenate(found).T  # a grid axis trails until the end
@@ -138,7 +139,7 @@ def _stack_eigenvalues(stack: np.ndarray, hermitian: bool) -> np.ndarray:
         return solve(stack) if stack.ndim == 3 else np.moveaxis(solve(np.moveaxis(stack, (1, 2), (-2, -1))), -1, 1)
     if stack.shape[1] == 1:
         return stack[:, 0]
-    scale = np.abs(stack).max(axis=(1, 2))
+    stack, scale = stack.astype(np.complex128, copy=False), np.abs(stack).max(axis=(1, 2))  # roots may be imaginary
     (a, b), (c, d) = np.moveaxis(stack / np.where(scale > 0, scale, 1.0)[:, None, None], (1, 2), (0, 1))
     mean, root = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b * c)
     return scale[:, None] * np.stack((mean - root, mean + root), axis=1)
@@ -168,12 +169,13 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
     """
     if levels is not None and (want_vectors or levels < 1):
         raise ValueError(f"levels takes a count >= 1 and no eigenvectors, got levels={levels}")
+    if op.triplets[2].ndim > 1:
+        raise ValueError("diagonalize takes one operator, not a grid: block_eigenvalues solves a grid's blocks")
     dim, hermitian = op.dimension, op.hint is Hermiticity.HERMITIAN
     vals, solved = np.empty(dim, dtype=np.complex128), np.zeros(dim, dtype=bool)
     vecs, residuals = (np.zeros((dim, dim), dtype=np.complex128), np.empty(dim)) if want_vectors else (None, None)
     if hermitian:
         op.validate()
-    imaginary = not op.exact and op.triplets[2].imag.any()  # else every block is real
     twins = op.twins()
     chosen = None if twins is None else (twins.twin >= np.arange(twins.twin.size)).nonzero()[0]  # one of each pair
     if levels is not None:
@@ -186,8 +188,6 @@ def diagonalize(op: OperatorMatrix, want_vectors: bool = False, levels: int | No
         chosen, left = left[:levels], left[levels:]
     while True:
         for members, stack in op.blocks(chosen):
-            if hermitian and not (imaginary and np.any(stack.imag)):
-                stack = stack.real
             if want_vectors:
                 w, v = (np.linalg.eigh if hermitian else np.linalg.eig)(stack)
                 residual = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)

@@ -15,6 +15,7 @@ entries fall in which pair, and the blocks of the kept remainder, are found
 once per pattern (OperatorMatrix.layout).  No step forms a dim x dim matrix:
 the largest arrays are the remainder's parity blocks, whose Hermitian parts
 spectra.block_eigenvalues solves one coupling at a time for the spectral norm.
+Real operators are transformed in real arithmetic (expm keeps a real dtype).
 The mode rotation is built the same way, per block.
 """
 
@@ -98,14 +99,16 @@ def mode_rotation(basis: Basis) -> OperatorMatrix:
 
 def expm(m: np.ndarray) -> np.ndarray:
     """exp(m) = V exp(-i w) V^dagger of an anti-Hermitian m (or stack) with i m = V w V^dagger; any other m raises.
-    Each distinct matrix of a stack (by its bytes: +0.0 and -0.0 differ) is solved once, bit for bit as if alone."""
+    Each distinct matrix of a stack (by its bytes: +0.0 and -0.0 differ) is solved once, bit for bit as if alone.  A
+    real m has a real exp(m), so its dtype stays real."""
     if not (dev := np.abs(m + np.swapaxes(m, -1, -2).conj()).max(initial=0.0)) <= HINT_TOL:
         raise ValueError(f"expm takes anti-hermitian matrices only: max|m + m^dagger| = {dev:.3e} > {HINT_TOL:g}")
     flat = np.ascontiguousarray(m).reshape(-1, m.shape[-1] ** 2)
     items = flat.view((np.void, flat.itemsize * flat.shape[1])).ravel()  # each matrix as one item of its bytes
     _, first, copies = np.unique(items, return_index=True, return_inverse=True)
     w, v = np.linalg.eigh(1j * flat[first].reshape(-1, *m.shape[-2:]))
-    return ((v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj())[copies].reshape(m.shape)
+    e = ((v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj())[copies].reshape(m.shape)
+    return e.real if np.isrealobj(m) else e
 
 
 def _pair_layout(generator: OperatorMatrix, *terms: OperatorMatrix) -> list[tuple]:
@@ -140,14 +143,11 @@ def _transformed_pairs(generator: OperatorMatrix, h: OperatorMatrix, minus: Oper
     ops = [op for op in (generator, h, minus) if op is not None]
     if any(op.basis != h.basis for op in ops):
         raise ValueError("generator and Hamiltonian live on different bases")
-    real = all(op.exact or not np.iscomplex(op.triplets[2]).any() for op in ops)  # an exact operator is real
     exps = [expm(np.moveaxis(stack.reshape(*stack.shape[:3], -1), 3, 1)) for _, stack in generator.blocks()]
-    exps = [e.real if real else e for e in exps]  # (count, G, size, size) per block size
-    values = [v if v.ndim > 1 else v[:, None]  # (nnz, G), also with no entries
-              for v in (op.triplets[2].real if real else op.triplets[2] for op in ops[1:])]
+    values = [v if v.ndim > 1 else v[:, None] for v in (op.triplets[2] for op in ops[1:])]  # (nnz, G), also if empty
     for row_members, col_members, a, b, first, second, at in generator.layout(_pair_layout, *ops[1:]):
-        ea, eb = exps[a][first], exps[b][second]
-        x = np.zeros((len(first), values[0].shape[1], ea.shape[2], eb.shape[2]), dtype=ea.dtype)
+        ea, eb = exps[a][first], exps[b][second]  # (P, G, size, size)
+        x = np.zeros((len(first), values[0].shape[1], ea.shape[2], eb.shape[2]), dtype=np.result_type(ea, *values))
         (k, (pair, i, j)), *rest = at
         x[pair, :, i, j] = values[0][k]
         product = ea @ x @ np.swapaxes(eb, -1, -2).conj()
@@ -166,7 +166,7 @@ def conjugate(generator: OperatorMatrix, h: OperatorMatrix) -> OperatorMatrix:
     """
     one = h.triplets[2].ndim == generator.triplets[2].ndim == 1  # one operator, not a grid
     parts = _transformed_pairs(generator, h)
-    return _from_blocks(h.basis, ((r, c, (v[..., 0] if one else v).astype(np.complex128)) for r, c, v in parts))
+    return _from_blocks(h.basis, ((r, c, v[..., 0] if one else v) for r, c, v in parts))
 
 
 def residual_study(params_template: ModelParams, basis: Basis, kappa_grid) -> TransformReport:
@@ -228,8 +228,6 @@ def _remainder_layout(generator: OperatorMatrix, h: OperatorMatrix, second: Oper
 
 def _spectral_norm(op: OperatorMatrix) -> float:
     """Largest |eigenvalue| of op's Hermitian part (real where op is real), its blocks solved by block_eigenvalues."""
-    def hermitian_part(stack):
-        half = 0.5 * (stack if stack.imag.any() else stack.real)
-        return half + half.conj().swapaxes(1, 2)
-
-    return float(np.abs(block_eigenvalues(((m, hermitian_part(s)) for m, s in op.blocks()), hermitian=True)).max())
+    halves = ((members, 0.5 * stack) for members, stack in op.blocks())  # halved first, so that no sum overflows
+    parts = ((members, half + half.conj().swapaxes(1, 2)) for members, half in halves)
+    return float(np.abs(block_eigenvalues(parts, hermitian=True)).max())

@@ -474,9 +474,12 @@ def test_assembling_some_blocks_gives_the_whole_operators_values_there_bit_for_b
     count = len(models.gershgorin(basis, model, params, coupling)[0])
     chosen = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True)))
     part = models.assemble_blocks(basis, model, params, coupling, chosen)
+    # assemble_blocks keeps the coefficients' dtype; assemble makes the values real where every coefficient is real
+    dtype = np.result_type(0.0, *models.MODELS[model].coefficients(params, coupling))
     for (members, stack), (chosen_members, chosen_stack) in zip(part, whole.blocks(chosen), strict=True):
         assert np.array_equal(members, chosen_members) and np.array_equal(stack, chosen_stack)
-        assert stack.dtype == chosen_stack.dtype and stack.shape == chosen_stack.shape
+        assert stack.dtype == dtype and chosen_stack.dtype == whole.triplets[2].dtype
+        assert stack.shape == chosen_stack.shape
     states = np.concatenate([members.ravel() for members, _ in whole.blocks()])
     picked = np.isin(states, np.concatenate([members.ravel() for members, _ in part]))
     assert np.array_equal(spectra.block_eigenvalues(part), spectra.block_eigenvalues(whole.blocks())[..., picked])
@@ -574,3 +577,71 @@ def test_a_model_whose_term_is_off_hermitian_is_scanned_and_judged_as_today(monk
                 diagonalize(op, levels=2)
     finally:
         models.model_terms.cache_clear()
+
+
+# The model's exact maps hold at every cutoff: the spin flip with the mode swap, (s, n1, n2) -> (-s, n2, n1), takes the
+# full model at omega0 onto the one at -omega0, and a_i -> -a_i takes each model at kappa onto the one at -kappa.
+# Measured gaps, relative to the largest |level|: at total cutoff 30 (full spectra) up to 2.6e-15 for omega0 and 8.4e-16
+# for kappa, at total cutoff 200 (four lowest levels) up to 1.3e-15 for omega0 and 0 for kappa
+MAP_GAP = 1e-14
+
+
+def _gap(levels, image):
+    return np.abs(np.asarray(levels) - np.asarray(image)).max() / np.abs(levels).max()
+
+
+@pytest.mark.parametrize("omega0, kappa", [(0.3, 0.6), (-0.2, 0.9), (0.0, 0.6)])
+def test_the_exact_maps_hold_for_the_lowest_levels_where_no_dense_oracle_fits(omega0, kappa):
+    # total cutoff 200: dim 40 602, whose dense matrix would take 26 GB
+    basis = make_basis(BasisSpec.total_number(200))
+
+    def lowest(omega0, kappa):
+        op = build_full_jt(ModelParams(omega=1.0, omega0=omega0, kappa=kappa), basis)
+        return diagonalize(op, levels=4).lowest_levels(4)
+
+    levels = lowest(omega0, kappa)
+    assert len(levels) == 4
+    assert _gap(levels, lowest(-omega0, kappa)) <= MAP_GAP
+    assert _gap(levels, lowest(omega0, -kappa)) <= MAP_GAP
+
+
+@pytest.mark.parametrize("builder", BUILDERS, ids=lambda builder: builder.__name__)
+@pytest.mark.parametrize("omega0, kappa", [(0.3, 0.6), (-0.2, 0.9), (0.0, 0.6)])
+def test_the_exact_maps_hold_for_the_whole_spectrum(builder, omega0, kappa):
+    basis = make_basis(BasisSpec.total_number(30))
+    eigenvalues = diagonalize(builder(ModelParams(omega=1.0, omega0=omega0, kappa=kappa), basis)).eigenvalues
+    negated = diagonalize(builder(ModelParams(omega=1.0, omega0=omega0, kappa=-kappa), basis)).eigenvalues
+    assert _gap(eigenvalues, negated) <= MAP_GAP
+    if builder is build_full_jt:
+        swapped = diagonalize(builder(ModelParams(omega=1.0, omega0=-omega0, kappa=kappa), basis)).eigenvalues
+        assert _gap(eigenvalues, swapped) <= MAP_GAP
+
+
+def _bits(values):  # -0.0 is not 0.0
+    return np.ascontiguousarray(values).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=st.sampled_from(sorted(models.MODELS)),
+    total=st.booleans(),
+    cutoff=st.integers(1, 4),
+    omega0=st.sampled_from((0.0, -0.0, 0.2)) | st.floats(-0.2, 0.2),
+    couplings=st.lists(st.sampled_from((0.0, -0.0, 0.37, 0j, -0.0j, complex(-0.6, -0.0), 0.3 + 0.2j, 1e-300j))
+                       | st.floats(-2.0, 2.0) | st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=3),
+    grid=st.booleans(),
+)
+def test_real_coefficients_give_real_values_the_real_parts_of_the_complex_sum(model, total, cutoff, omega0, couplings,
+                                                                             grid):
+    # the one place that decides real arithmetic: assemble's values are float64 exactly when every coefficient is real
+    basis = make_basis(BasisSpec.total_number(cutoff) if total else BasisSpec.per_mode(cutoff))
+    params, coupling = ModelParams(omega=1.0, omega0=omega0), np.array(couplings) if grid else couplings[0]
+    values = models.assemble(basis, model, params, coupling).triplets[2]
+    coefficients = models.MODELS[model].coefficients(params, coupling)
+    real = not any(np.any(np.imag(coefficient)) for coefficient in coefficients)
+    assert values.dtype == (np.float64 if real else np.complex128)
+    terms = models.model_terms(basis, model)[0].triplets[2]
+    summed = np.zeros(values.shape, dtype=np.complex128)  # in table order, in complex arithmetic
+    for t, coefficient in enumerate(coefficients):
+        summed += terms[(..., t, *(None,) * grid)] * np.asarray(coefficient, dtype=np.complex128)
+    assert _bits(values) == _bits(summed.real if real else summed)

@@ -31,7 +31,7 @@ from jtrwa import (
     rwa_level_ladder,
     total_number_schedule,
 )
-from jtrwa import spectra
+from jtrwa import models, spectra
 from jtrwa.cli import MODELS
 from jtrwa.fockspace import OperatorMatrix, _sectors, diagonal_op
 from jtrwa.reference import TABLE1_KAPPA2
@@ -749,6 +749,19 @@ def test_levels_take_a_positive_count_and_no_vectors():
             diagonalize(op, **kwargs)
 
 
+@pytest.mark.parametrize("model", ["full", "nonhermitian"])
+def test_a_grid_operator_is_rejected_up_front_in_one_line(model):
+    # values (nnz, G), as assemble gives for an array of couplings: no call reaches numpy, whose errors were a shape
+    # mismatch, a broadcast error and a LinAlgError (an "eigensolver failed" exit 1 through the CLI)
+    grid = models.assemble(make_basis(BasisSpec.total_number(4)), model, ModelParams(omega=1.0), np.array([0.1, 0.2]))
+    for kwargs in ({}, {"levels": 2}, {"want_vectors": True}):
+        with pytest.raises(ValueError) as raised:
+            diagonalize(grid, **kwargs)
+        assert str(raised.value) == ("diagonalize takes one operator, not a grid: "
+                                     "block_eigenvalues solves a grid's blocks")
+    assert block_eigenvalues(grid.blocks()).shape == (2, grid.dimension)
+
+
 def _count_solved(monkeypatch):
     """The number of states that diagonalize hands to the stacked LAPACK solvers (with or without vectors) from here
     on, as a list to sum."""
@@ -916,7 +929,7 @@ def test_paired_spectra_match_the_dense_oracle_and_each_twin_is_its_representati
     # the same pattern with one diagonal value one ulp off its Theta-partner's is not paired
     values = op.triplets[2].copy()
     k = np.flatnonzero(op.triplets[0] == op.triplets[1])[cutoff % 3]
-    values[k] = np.nextafter(values[k].real, np.inf) + 1j * values[k].imag
+    values.real[k] = np.nextafter(values.real[k], np.inf)  # real or complex, as the operator's values are
     broken = op.with_values(values, op.hint)
     assert broken.twins() is None
     assert np.array_equal(diagonalize(broken).eigenvalues, _twin_oracle(broken))

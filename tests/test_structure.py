@@ -199,6 +199,28 @@ def test_the_attribute_rule_flags_a_read_of_another_modules_private_attribute(tm
     assert list(_foreign_private_reads(source)) == [(9, "_plan")]
 
 
+def _proof_reads(path):
+    """Line of every read of an `.exact` attribute in `path` (an assignment to one, or a keyword, is not a read)."""
+    return _lines_outside(path, None, lambda node: isinstance(node, ast.Attribute) and node.attr == "exact"
+                          and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_the_proof_flag_is_read_only_in_fockspace(path):
+    # OperatorMatrix.exact means "the hint is proved", and only validate() reads it: real arithmetic follows from the
+    # dtype of the values (models.assemble makes them real), not from the proof
+    assert (path.name == "fockspace.py") == bool(list(_proof_reads(path)))
+
+
+def test_the_proof_flag_rule_flags_a_read_outside_fockspace(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "def assemble(terms, values, exact):\n    op = terms.with_values(values, exact=exact)\n    op.exact = exact\n"
+        "    return op\n\ndef solve(op):\n    return op.triplets[2].real if op.exact else op.triplets[2]\n"
+    )
+    assert list(_proof_reads(source)) == [7]
+
+
 def _calls(ufunc, method):
     """Whether a node calls `<ufunc>.<method>`: on np.<ufunc>, numpy.<ufunc> or a bare imported <ufunc>."""
     def matches(node):
