@@ -11,11 +11,12 @@ Two truncation schemes are supported:
 * total-number: a shared bound n1 + n2 <= N, which closes exactly under
   any operation that conserves the total boson number.
 
-A Basis holds the quantum numbers of its states as three read-only integer
-arrays, spin, n1 and n2, in that order, and inverts them by offset arithmetic;
-make_basis builds one per spec and shares it.  Operators are assembled sparse,
-as Terms: sums of products of ladder, Pauli and identity column maps (models
-caches a model's terms per basis as one operator, a column of values per term),
+A Basis holds its states' spin, n1 and n2 as read-only integer arrays, inverts
+them by offset arithmetic and gives each state's spin partner once; make_basis
+builds one per spec and shares it.  Operators are assembled sparse, as Terms:
+sums of products of ladder, Pauli and identity column maps, whose triplets come
+from one sorted pass over the monomials of every term at once (Term.columns: the
+union of their positions, a column of values per term, as models caches them),
 and held in an OperatorMatrix as (rows, cols, values) triplets, real or complex:
 the values' dtype, which blocks() keep, picks real arithmetic.  Its blocks() are
 the blocks of their pattern (the conserved-quantity sectors), all or a chosen
@@ -34,9 +35,8 @@ layouts with other patterns: layout()), found once (with_values) and kept in a
 bounded cache.  Triplets are the only way to build an operator (from_triplets);
 no module reads the dense view `entries`, the tests' oracle.
 
-All constructed operators carry a reference to their basis and are
-immutable after construction (their arrays are marked read-only), so
-they can be shared freely between concurrent workers.
+Every operator carries its basis and is immutable (its arrays are read-only),
+so it can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ class Basis:
     def dimension(self) -> int:
         return self.spin.size
 
+    @cached_property
+    def spin_partner(self) -> np.ndarray:
+        """Per state, the position of its (n1, n2) with the other spin, half the basis away; found once, read-only."""
+        return _read_only((np.arange(self.dimension) + self.dimension // 2) % self.dimension)[0]
+
     def index(self, spin, n1, n2):
         """Position of |spin, n1, n2> by offset arithmetic, elementwise on arrays; raises ValueError if outside."""
         spec, total = self.spec, self.spec.truncation is Truncation.TOTAL_NUMBER
@@ -165,12 +170,13 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _summed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
-    """(rows, cols, values) of a dim x dim matrix in row-major order, the values at one position summed in order."""
+def _summed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, dim: int, column=0, width=1) -> tuple:
+    """(rows, cols, values) of `width` dim x dim matrices on the union of their positions, row-major, values (nnz,
+    width, ...): values[k] added to column column[k] at (rows[k], cols[k]) in order from +0.0 (one sort, one add.at)."""
     positions, slot = np.unique(rows * dim + cols, return_inverse=True)
-    summed = np.zeros((positions.size, *values.shape[1:]), dtype=values.dtype)
-    np.add.at(summed, slot, values)
-    return positions // dim, positions % dim, summed
+    summed = np.zeros((width, positions.size, *values.shape[1:]), dtype=values.dtype)
+    np.add.at(summed.reshape(-1, *values.shape[1:]), column * positions.size + slot, values)
+    return positions // dim, positions % dim, np.moveaxis(summed, 0, 1)
 
 
 def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
@@ -425,12 +431,18 @@ class Term:
         return Term((t, scalar * v) for t, v in self.monomials)
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) in row-major order; entries at one position are summed in monomial order."""
-        dim = self.monomials[0][0].size - 1
-        rows = np.concatenate([t[:-1] for t, _ in self.monomials])
-        values = np.concatenate([v[:-1] for _, v in self.monomials])
-        keep = rows >= 0
-        return _summed(rows[keep], np.tile(np.arange(dim), len(self.monomials))[keep], values[keep], dim)
+        """(rows, cols, values) in row-major order: the one-term case of Term.columns."""
+        rows, cols, values = Term.columns([self])
+        return rows, cols, values[:, 0]
+
+    @staticmethod
+    def columns(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of `terms` on the union of their positions, row-major, values (nnz, terms): one sorted
+        pass over every term's monomials, each cell its term's monomials there summed in order from +0.0 (_summed)."""
+        monomials = [(t, target[:-1], value[:-1]) for t, term in enumerate(terms) for target, value in term.monomials]
+        dim, rows, values = monomials[0][1].size, *(np.concatenate([m[i] for m in monomials]) for i in (1, 2))
+        column, cols, keep = np.repeat([m[0] for m in monomials], dim), np.arange(rows.size) % dim, rows >= 0
+        return _summed(rows[keep], cols[keep], values[keep], dim, column[keep], len(terms))
 
 
 ElementaryOps = namedtuple("ElementaryOps", "a1 a1d a2 a2d sp sm s0 eye")
@@ -442,7 +454,7 @@ def elementary_ops(basis: Basis) -> ElementaryOps:
     a|n> = sqrt(n)|n-1> per mode, sigma_plus|down> = |up> and sigma_0 =
     diag(spin), each the identity on the other factors; every dagger (a1d,
     a2d, sm) is the conjugate transpose of its partner.  The state that a
-    ladder or spin flip reaches is found by `basis.index`.
+    ladder reaches is found by `basis.index`, a spin flip's by `basis.spin_partner`.
     """
     dim, spin, n1, n2 = basis.dimension, basis.spin, basis.n1, basis.n2
 
@@ -458,7 +470,7 @@ def elementary_ops(basis: Basis) -> ElementaryOps:
     return ElementaryOps(
         *with_adjoint(k1, basis.index(spin[k1], n1[k1] - 1, n2[k1]), np.sqrt(n1[k1])),
         *with_adjoint(k2, basis.index(spin[k2], n1[k2], n2[k2] - 1), np.sqrt(n2[k2])),
-        *with_adjoint(kd, basis.index(SPIN_UP, n1[kd], n2[kd]), 1.0),
+        *with_adjoint(kd, basis.spin_partner[kd], 1.0),
         term(every, every, spin),
         term(every, every, 1.0),
     )

@@ -1,21 +1,21 @@
 """Hamiltonian builders for the two-level, two-mode vibronic model.
 
-Every model is affine in its parameters: a short table of sparse terms
-(products of the elementary operators of fockspace.elementary_ops), each
-scaled by a coefficient such as omega, omega0, kappa or kappa^2/(omega +
-2 omega0).  Each model is declared once, in MODELS: its terms, and one
-function of (params, coupling) that gives its coefficients, the sqrt(2) of
-the rotated form and the i sqrt(2) of the imaginary-coupling form folded in.
-The terms are built once per (basis, model) in a bounded cache (model_terms)
-as one operator on the union of their positions, a column of values per term,
-whose blocks (the model's sectors) are found once and bounded at any coupling
-by gershgorin.  So a coupling scan on one basis only scales cached terms:
-assemble sums coefficient * term in table order, with no dim x dim array, and
-decides the dtype, real at real coefficients, and the Hermiticity hint, which
-the terms' structure (found with them) then proves exact, sparing validate();
-assemble_blocks sums the same on chosen blocks, bit for bit.  A number as
-coupling gives one operator, an array of couplings a grid (as in
-transforms.residual_study and the gamma commands).
+Every model is affine in its parameters: a short table of sparse terms (products
+of the elementary operators of fockspace.elementary_ops), each scaled by a
+coefficient such as omega, omega0, kappa or kappa^2/(omega + 2 omega0).  Each
+model is declared once, in MODELS: its terms, and one function of (params,
+coupling) that gives its coefficients, the sqrt(2) of the rotated form and the
+i sqrt(2) of the imaginary-coupling form folded in.  The terms are built once
+per (basis, model) in a bounded cache (model_terms) in one sorted pass over all
+their monomials (fockspace's Term.columns), as one operator on the union of
+their positions, a column of values per term, whose blocks (the model's sectors)
+are found once and bounded at any coupling by gershgorin.  So a coupling scan on
+one basis only scales cached terms: assemble sums coefficient * term in table
+order, with no dim x dim array, and decides the dtype, real at real
+coefficients, and the Hermiticity hint, which the terms' structure (found with
+them) then proves exact, sparing validate(); assemble_blocks sums the same on
+chosen blocks, bit for bit.  A number as coupling gives one operator, an array
+of couplings a grid (as in transforms.residual_study and the gamma commands).
 The builders, its one-line forms at params' own coupling, are pure and
 thread-safe functions of (params, basis) returning an immutable OperatorMatrix.
 
@@ -151,13 +151,8 @@ def model_terms(basis: Basis, model: str) -> tuple[OperatorMatrix, tuple, tuple[
 
     Built on first use and shared: do not modify.
     """
-    dim = basis.dimension
-    terms = [term.triplets() for term in MODELS[model].terms(elementary_ops(basis))]
-    union = np.unique(np.concatenate([rows * dim + cols for rows, cols, _ in terms]))
-    rows, cols, values = union // dim, union % dim, np.zeros((union.size, len(terms)), order="F")
-    for t, (term_rows, term_cols, term_values) in enumerate(terms):
-        values[np.searchsorted(union, term_rows * dim + term_cols), t] = term_values
-    on, diagonal, radius = rows == cols, np.zeros((dim, len(terms))), np.zeros((dim, len(terms)))
+    rows, cols, values = Term.columns(MODELS[model].terms(elementary_ops(basis)))
+    on, (diagonal, radius) = rows == cols, np.zeros((2, basis.dimension, values.shape[1]))
     diagonal[rows[on]] = values[on]
     np.add.at(radius, rows[~on], np.abs(values[~on]))
     op, sign = OperatorMatrix.from_triplets(basis, rows, cols, values), -1.0 if MODELS[model].anti_hermitian else 1.0

@@ -33,7 +33,7 @@ from .fockspace import HINT_TOL, Basis, OperatorMatrix, diagonal_op
 from .models import ModelParams, assemble_blocks, gershgorin
 from .spectra import LEVEL_GAP, block_eigenvalues, level_order
 
-REALITY_TOL = 1e-8  # reality detection threshold, two orders above solver dust
+REALITY_TOL = 1e-8  # reality detection threshold in units of omega, two orders above solver dust
 GRID_STATES = 1 << 17  # grid points x basis states in a pass of gamma_grids: memory stays flat in grid size
 
 
@@ -49,7 +49,7 @@ def pt_transform(h: OperatorMatrix) -> OperatorMatrix:
     conjugated; a spin-flip entry stays in place, conjugated and negated.
     """
     basis, (rows, cols, values) = h.basis, h.triplets
-    partner, same = basis.index(-basis.spin, basis.n1, basis.n2), basis.spin[rows] == basis.spin[cols]
+    partner, same = basis.spin_partner, basis.spin[rows] == basis.spin[cols]
     rows, cols = (np.where(same, partner[k], k) for k in (rows, cols))
     return OperatorMatrix.from_triplets(h.basis, rows, cols, np.where(same, values.T, -values.T).conj().T)
 
@@ -116,8 +116,8 @@ class RealityReport:
     """Reality of the k lowest-by-real-part levels across a gamma grid.
 
     detected_threshold is the first grid value whose low-lying spectrum
-    acquires an imaginary part beyond REALITY_TOL, or None if reality
-    survives the whole scanned range.
+    acquires an imaginary part beyond REALITY_TOL * omega, or None if
+    reality survives the whole scanned range.
     """
 
     gamma_values: tuple[float, ...]
@@ -143,12 +143,7 @@ def gamma_grids(basis: Basis, gamma_grid) -> list[np.ndarray]:
     return np.split(gammas, range(rows, gammas.size, rows))
 
 
-def reality_scan(
-    params_template: ModelParams,
-    basis: Basis,
-    gamma_grid,
-    k: int = 4,
-) -> RealityReport:
+def reality_scan(params_template: ModelParams, basis: Basis, gamma_grid, k: int = 4) -> RealityReport:
     """Solve the imaginary-coupling Hamiltonian on a gamma grid, pass by pass of gamma_grids, where its k lowest lie.
 
     Records max |Im| over the k lowest-by-real-part eigenvalues per grid
@@ -175,5 +170,5 @@ def reality_scan(
             reach = np.partition(vals.real, k - 1)[:, k - 1] + (vals.shape[1] + 1) * LEVEL_GAP * scale
         gammas += chunk.tolist()
         max_imag += np.abs(np.take_along_axis(vals, level_order(vals, scale)[:, :k], -1).imag).max(-1).tolist()
-    threshold = next((g for g, worst in zip(gammas, max_imag) if worst > REALITY_TOL), None)
+    threshold = next((g for g, worst in zip(gammas, max_imag) if worst > REALITY_TOL * params_template.omega), None)
     return RealityReport(tuple(gammas), tuple(max_imag), k, threshold)

@@ -21,6 +21,7 @@ def subtract(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
         raise ValueError("operators live on different bases")
     (r1, c1, v1), (r2, c2, v2) = a.triplets, b.triplets
     rows, cols, values = _summed(np.r_[r1, r2], np.r_[c1, c2], np.r_[v1, -v2], a.dimension)
+    values = values[:, 0]  # the one matrix's column
     keep = np.any(values != 0, axis=tuple(range(1, values.ndim)))
     return OperatorMatrix.from_triplets(a.basis, rows[keep], cols[keep], values[keep])
 

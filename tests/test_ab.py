@@ -40,7 +40,7 @@ def test_a_tied_round_counts_for_neither_side():
 def test_a_round_runs_in_its_own_process_and_a_different_output_stops_the_run(tmp_path):
     package = ab.ROOT / "src" / "jtrwa"
     result = ab.compare("table1", 0, 2, 2, (package, package))
-    assert sorted(result["results"]) == ["pass", "table1"]
+    assert sorted(result["results"]) == ["first pass", "pass", "table1"]
     for row in result["results"].values():
         assert len(row["base_ms"]) == len(row["head_ms"]) == 2 and row["verdict"] == "unresolved"
     assert "jtrwa_head" not in sys.modules  # the trees were loaded in the rounds' processes only
@@ -49,6 +49,21 @@ def test_a_round_runs_in_its_own_process_and_a_different_output_stops_the_run(tm
     cli.write_text(cli.read_text().replace('"%.9g"', '"%.8g"'))
     with pytest.raises(SystemExit, match="outputs differ on `jtrwa table1"):
         ab.compare("table1", 0, 1, 1, (changed, package))
+
+
+def test_a_one_time_cost_shows_in_its_own_trees_first_pass_only(tmp_path):
+    # the head sleeps 0.3 s in its first command of a process: loaded alone for its first pass it shows it there, and
+    # the base, loaded alone too, does not take it on; the warm passes, after both trees' warm-up, show it in neither
+    package = ab.ROOT / "src" / "jtrwa"
+    slow = shutil.copytree(package, tmp_path / "jtrwa", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = slow / "cli.py"
+    run = "        def run(fmt: str, out: str | None, **values):\n"
+    cli.write_text(cli.read_text().replace(run, run + "            __import__('time').sleep(_ONCE.pop() if _ONCE else 0.0)\n")
+                   + "\n_ONCE = [0.3]\n")
+    result = ab.compare("table1", 0, 2, 1, (package, slow))["results"]
+    for base, head in zip(result["first pass"]["base_ms"], result["first pass"]["head_ms"], strict=True):
+        assert head - base > 250.0
+    assert all(head - base < 250.0 for base, head in zip(result["pass"]["base_ms"], result["pass"]["head_ms"]))
 
 
 def test_src_lines_is_the_wc_total_of_the_package_modules(tmp_path):

@@ -88,6 +88,28 @@ def test_transform_path_leaves_scipy_unloaded():
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_no_command_imports_numpy_ma():
+    # every command in one fresh interpreter, each spectrum model and each table1 format: no bare np.unique (its
+    # hash path probes np.ma.is_masked) nor anything else loads numpy.ma, 10-16 ms and about 1 MB per process
+    code = (
+        "import sys\n"
+        "from jtrwa.cli import FORMATS, MODELS, cli\n"
+        "runs = [['table1', '--kappa2', '0.5', '--format', fmt] for fmt in FORMATS]\n"
+        "runs += [['spectrum', '--model', model, '--total-nmax', '6'] for model in MODELS]\n"
+        "runs += [['converge', '--grid', '4:8:2'], ['transform-residual'], ['pseudoherm'], ['reality-scan']]\n"
+        "assert {args[0] for args in runs} == set(cli.commands), sorted(cli.commands)\n"
+        "for args in runs:\n"
+        "    try:\n"
+        "        cli([*args, '--out', sys.argv[1]])\n"
+        "    except SystemExit as done:\n"
+        "        assert done.code == 0, (args, done.code)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_reality_scan_header_and_zero_row(tmp_path):
     out = tmp_path / "scan.csv"
     result = run_cli(["reality-scan", "--grid", "0:0.1:0.05", "--nmax", "4"], out)

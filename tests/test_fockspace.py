@@ -164,6 +164,14 @@ def test_term_algebra_equals_dense_products(spec, words):
     assert np.all(np.diff(rows * spec.dimension + cols) > 0)  # one entry per position, row-major
 
 
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(1), BasisSpec.per_mode(3, 2), BasisSpec.total_number(5)])
+def test_the_spin_partner_is_the_other_spins_state_found_once_read_only(spec):
+    basis = make_basis(spec)
+    partner = basis.spin_partner
+    assert np.array_equal(partner, basis.index(-basis.spin, basis.n1, basis.n2))
+    assert basis.spin_partner is partner and not partner.flags.writeable
+
+
 def test_creation_is_exact_adjoint():
     basis = make_basis(BasisSpec.total_number(3))
     for mode in (1, 2):

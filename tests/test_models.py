@@ -645,3 +645,36 @@ def test_real_coefficients_give_real_values_the_real_parts_of_the_complex_sum(mo
     for t, coefficient in enumerate(coefficients):
         summed += terms[(..., t, *(None,) * grid)] * np.asarray(coefficient, dtype=np.complex128)
     assert _bits(values) == _bits(summed.real if real else summed)
+
+
+def _union_of_term_triplets(basis, model):
+    """The former model_terms formula, the oracle: each term summed alone (a sort of its positions and an add.at, in
+    monomial order), the sorted union of their positions, and each term's values placed by a search into it."""
+    dim, terms = basis.dimension, []
+    for term in models.MODELS[model].terms(fockspace.elementary_ops(basis)):
+        rows = np.concatenate([target[:-1] for target, _ in term.monomials])
+        values = np.concatenate([value[:-1] for _, value in term.monomials])
+        keep, cols = rows >= 0, np.tile(np.arange(dim), len(term.monomials))
+        positions, slot = np.unique(rows[keep] * dim + cols[keep], return_inverse=True)
+        summed = np.zeros(positions.size, dtype=values.dtype)
+        np.add.at(summed, slot, values[keep])
+        terms.append((positions, summed))
+    union = np.unique(np.concatenate([positions for positions, _ in terms]))
+    values = np.zeros((union.size, len(terms)), order="F")
+    for t, (positions, summed) in enumerate(terms):
+        values[np.searchsorted(union, positions), t] = summed
+    return union // dim, union % dim, values
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.per_mode(1), BasisSpec.per_mode(3, 5), BasisSpec.per_mode(8),
+                                  BasisSpec.total_number(1), BasisSpec.total_number(7), BasisSpec.total_number(40)],
+                         ids=str)
+@pytest.mark.parametrize("model", sorted(models.MODELS))
+def test_model_terms_equal_the_union_of_each_terms_triplets_bit_for_bit(spec, model):
+    # one sorted pass over every term's monomials gives the per-term sums and their union in one, -0.0 and zeros
+    # included, and in the same column-major layout
+    basis = make_basis(spec)
+    triplets = models.model_terms(basis, model)[0].triplets
+    for got, expected in zip(triplets, _union_of_term_triplets(basis, model), strict=True):
+        assert got.dtype == expected.dtype and got.shape == expected.shape and _bits(got) == _bits(expected)
+    assert triplets[2].flags.f_contiguous

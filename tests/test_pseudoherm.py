@@ -298,6 +298,17 @@ def test_reality_scan_validation():
             reality_scan(params, BASIS, grid, k=2)
 
 
+@pytest.mark.parametrize("k", [-40, -24, -10, 0, 20])
+def test_the_reality_threshold_scales_with_the_energy_unit(k):
+    # omega and the gamma grid times lambda = 2^k scale every level by lambda exactly, so the threshold too: with
+    # REALITY_TOL absolute, lambda = 2^-24 detected 0.375 lambda and 2^-40 nothing, against 0.355 at lambda = 1
+    unit, basis, grid = 2.0**k, make_basis(BasisSpec.per_mode(8)), 0.005 * np.arange(101)
+    reference = reality_scan(ModelParams(omega=1.0), basis, grid)
+    scaled = reality_scan(ModelParams(omega=unit), basis, unit * grid)
+    assert np.array_equal(np.divide(scaled.max_imag_lowk, unit), reference.max_imag_lowk)
+    assert scaled.detected_threshold / unit == reference.detected_threshold == 0.355
+
+
 def test_reality_scan_in_several_passes_equals_one_pass(monkeypatch):
     params, grid = ModelParams(omega=1.0, omega0=0.1), np.linspace(0.0, 0.5, 23)
     whole = reality_scan(params, BASIS, grid)

@@ -406,3 +406,35 @@ def test_the_partner_rule_flags_a_second_call_site(tmp_path):
                                               ("check", 10)]
     assert _partner_finders([*SOURCES, source]) - _partner_finders(SOURCES) == {
         ("probe.py", "OperatorMatrix.validate"), ("probe.py", "check"), ("probe.py", "OperatorMatrix.difference")}
+
+
+OUTPUTS = ("return_index", "return_inverse", "return_counts")
+
+
+def _bare_unique_calls(path):
+    """Line of every call of `unique` (np.unique, numpy.unique or an imported unique) in `path` that asks for no index
+    or count output: no return_index, return_inverse or return_counts passed as True."""
+    def bare(node):
+        return (isinstance(node, ast.Call) and "unique" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None))
+                and not any(k.arg in OUTPUTS and getattr(k.value, "value", None) is True for k in node.keywords))
+
+    return list(_lines_outside(path, None, bare))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_unique_call_asks_for_an_index_or_count(path):
+    # numpy 2.4's np.unique with no index or count output takes the hash path, whose np.ma.is_masked probe imports
+    # numpy.ma: 10-16 ms and about 1 MB in every process; the sorted path with an output costs neither
+    assert _bare_unique_calls(path) == []
+
+
+def test_the_unique_rule_flags_a_bare_call(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\nfrom numpy import unique\n\n"
+        "def union(keys):\n    return np.unique(keys), unique(keys, return_counts=False)\n\n"
+        "def slots(keys):\n    return np.unique(keys, return_inverse=True), numpy.unique(keys, return_counts=True)\n\n"
+        "def sizes(keys):\n    return np.unique(keys, axis=0), unique(keys, return_index=True)\n"
+    )
+    assert _bare_unique_calls(source) == [5, 5, 11]

@@ -4,23 +4,28 @@
     python3 tools/ab.py --base HEAD~1 --workload all --out BENCH_$(git rev-parse --short HEAD).json
 
 The base revision's `src/jtrwa` is exported with `git archive` to a
-temporary directory.  Each round runs in a fresh spawned process, which
-loads it and this checkout's `src/jtrwa` under distinct package names (the
-package imports itself by relative imports only), the head first in every
-other round, so that neither tree keeps the same place in a process from
-round to round.  A pass is the list of operations that `bench/workloads.py`
-draws for (workload, seed, pass index), invoked through click's `CliRunner`
-as `bench/run.py` invokes them, and timed the same way: the sum of the
-operations' wall times.  Within a round each pass runs on both trees, one
-after the other, the tree that goes first alternating from pass to pass,
-each after an untimed full garbage collection.  Every operation's exit
-code, stdout and stderr must be identical between the two trees, else the
-script stops with exit 1.
+temporary directory.  A pass is the list of operations that
+`bench/workloads.py` draws for (workload, seed, pass index), invoked through
+click's `CliRunner` as `bench/run.py` invokes them, and timed the same way:
+the sum of the operations' wall times.  A round first times each tree's
+first pass (pass index 0) in a fresh spawned process that loads only that
+tree, the head first in every other round, so that its one-time costs
+(structure builds, lazy imports) show and the other tree's cannot hide
+them.  Then it runs in one fresh spawned process, which loads the base and
+this checkout's `src/jtrwa` under distinct package names (the package
+imports itself by relative imports only), the head first in every other
+round, so that neither tree keeps the same place in a process from round to
+round.  There, after an untimed warm-up pass each, each pass runs on both
+trees, one after the other, the tree that goes first alternating from pass
+to pass, each after an untimed full garbage collection.  Every operation's
+exit code, stdout and stderr must be identical between the two trees, else
+the script stops with exit 1.
 
-A round's median pass of each tree is one pair of runs, and so is its
-median wall time of each command within a pass (its operations summed; the
-two `spectrum` models of `large-cutoff` apart), so that a change to one
-command shows apart from the others.  Over the rounds, `verdict` applies
+A round's first passes are one pair of runs ("first pass"), its median
+pass of each tree another, and so is its median wall time of each command
+within a pass (its operations summed; the two `spectrum` models of
+`large-cutoff` apart), so that a change to one command shows apart from the
+others.  Over the rounds, `verdict` applies
 the benchmark's claim rule to the pairs: faster or slower only with at
 least MIN_ROUNDS pairs, nine tenths of them won by one side (ties count for
 neither) and the medians apart by more than the interquartile range of the
@@ -108,6 +113,28 @@ class Tree:
         return walls, outputs
 
 
+def spawned(function, *args):
+    """function(*args) in a fresh spawned process of its own."""
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        return pool.submit(function, *args).result()
+
+
+def same_outputs(ops, base: list[tuple], head: list[tuple]) -> None:
+    """Stop the script unless both trees gave every operation the same outputs."""
+    for op, one, other in zip(ops, base, head, strict=True):
+        if one != other:
+            raise SystemExit(f"ab: outputs differ on `jtrwa {' '.join(op.args)}`:\n  base {one!r}\n  head {other!r}")
+
+
+def first_pass(at: int, package: Path, workload: str, seed: int) -> tuple[float, list[tuple]]:
+    """In a process that loads only this tree (base 0, head 1): its first pass, one-time costs included, in ms, and
+    the operations' outputs."""
+    tree = Tree(("jtrwa_base", "jtrwa_head")[at], package)
+    gc.collect()
+    walls, outputs = tree.run_pass(ops_for_pass(workload, seed, 0))
+    return 1e3 * sum(walls.values()), outputs
+
+
 def run_round(packages: tuple[Path, Path], head_first: bool, workload: str, seed: int, first: int, passes: int):
     """One round in this process: the trees (base, head) loaded, the head first if `head_first`, and after a warm-up
     pass each, passes `first`, `first` + 1, ... run on both; per tree the median pass and each command's median (ms)."""
@@ -121,10 +148,7 @@ def run_round(packages: tuple[Path, Path], head_first: bool, workload: str, seed
             gc.collect()  # else the collector, counting allocations, runs in one tree's passes more than the other's
             wall, outputs[at] = trees[at].run_pass(ops)
             walls[at].append({"pass": sum(wall.values()), **wall})
-        for op, one, other in zip(ops, *outputs, strict=True):
-            if one != other:
-                raise SystemExit(f"ab: outputs differ on `jtrwa {' '.join(op.args)}`:\n  base {one!r}\n"
-                                 f"  head {other!r}")
+        same_outputs(ops, *outputs)
     return {name: [1e3 * statistics.median(p[name] for p in tree) for tree in walls] for name in walls[0][0]}
 
 
@@ -143,13 +167,15 @@ def verdict(base: list[float], head: list[float]) -> str:
 
 
 def compare(workload: str, seed: int, rounds: int, passes: int, packages: tuple[Path, Path]) -> dict:
-    """`rounds` rounds of `passes` alternating passes, each round in a fresh spawned process; per name (the pass, each
-    command) the round medians of each tree (ms), the rounds won and lost by the head, and the verdict."""
+    """`rounds` rounds, each of a first pass per tree in a process of its own and then `passes` alternating passes in a
+    fresh spawned process; per name (the first pass, the pass, each command) the round's times of each tree (ms, a
+    median but for the first pass), the rounds won and lost by the head, and the verdict."""
     medians = []
     for r in range(rounds):
-        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-            medians.append(pool.submit(run_round, packages, r % 2 == 1, workload, seed, 1 + r * passes,
-                                       passes).result())
+        firsts = {at: spawned(first_pass, at, packages[at], workload, seed) for at in ((1, 0) if r % 2 else (0, 1))}
+        same_outputs(ops_for_pass(workload, seed, 0), firsts[0][1], firsts[1][1])
+        medians.append({"first pass": [firsts[0][0], firsts[1][0]],
+                        **spawned(run_round, packages, r % 2 == 1, workload, seed, 1 + r * passes, passes)})
         for name, (base, head) in medians[-1].items():
             print(f"{workload:<16} round {r + 1:<2} {name:<22} base {base:8.3f} ms  head {head:8.3f} ms  "
                   f"{100 * (head / base - 1.0):+6.1f} %", flush=True)
