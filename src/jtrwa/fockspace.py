@@ -113,21 +113,18 @@ class BasisSpec:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Enumerated basis: state k is |spin[k], n1[k], n2[k]>, in the canonical order; the arrays are read-only."""
+    """Enumerated basis: state k is |spin[k], n1[k], n2[k]>, in the canonical order, and spin_partner[k] is the state
+    of the other spin with the same (n1, n2), half the basis away; the arrays are read-only."""
 
     spec: BasisSpec
     spin: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
+    spin_partner: np.ndarray
 
     @property
     def dimension(self) -> int:
         return self.spin.size
-
-    @cached_property
-    def spin_partner(self) -> np.ndarray:
-        """Per state, the position of its (n1, n2) with the other spin, half the basis away; found once, read-only."""
-        return _read_only((np.arange(self.dimension) + self.dimension // 2) % self.dimension)[0]
 
     def index(self, spin, n1, n2):
         """Position of |spin, n1, n2> by offset arithmetic, elementwise on arrays; raises ValueError if outside."""
@@ -161,7 +158,8 @@ def make_basis(spec: BasisSpec) -> Basis:
     if spec.truncation is Truncation.TOTAL_NUMBER:
         inside = n1 + n2 <= spec.n_max_1
         n1, n2 = n1[inside], n2[inside]
-    return Basis(spec, *_read_only(np.repeat((SPIN_UP, SPIN_DOWN), n1.size), np.tile(n1, 2), np.tile(n2, 2)))
+    spin, spin_partner = np.repeat((SPIN_UP, SPIN_DOWN), n1.size), np.roll(np.arange(2 * n1.size), n1.size)
+    return Basis(spec, *_read_only(spin, np.tile(n1, 2), np.tile(n2, 2), spin_partner))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -379,7 +379,9 @@ def block_solve(n1: int, n2: int, params: ModelParams) -> BlockSolution:
     )
 
 
-def assemble_eigenstate(n1: int, n2: int, c1: complex, c2: complex, basis: Basis) -> np.ndarray:
+def assemble_eigenstate(
+    n1: int, n2: int, c1: complex, c2: complex, basis: Basis
+) -> np.ndarray:
     """Embed the two-component block state into the full basis.
 
     The state is c1 |up, n1, n2> + c2 |down, n1+1, n2>; the coefficients

@@ -58,8 +58,8 @@ def test_a_one_time_cost_shows_in_its_own_trees_first_pass_only(tmp_path):
     slow = shutil.copytree(package, tmp_path / "jtrwa", ignore=shutil.ignore_patterns("__pycache__"))
     cli = slow / "cli.py"
     run = "        def run(fmt: str, out: str | None, **values):\n"
-    cli.write_text(cli.read_text().replace(run, run + "            __import__('time').sleep(_ONCE.pop() if _ONCE else 0.0)\n")
-                   + "\n_ONCE = [0.3]\n")
+    sleep = "            __import__('time').sleep(_ONCE.pop() if _ONCE else 0.0)\n"
+    cli.write_text(cli.read_text().replace(run, run + sleep) + "\n_ONCE = [0.3]\n")
     result = ab.compare("table1", 0, 2, 1, (package, slow))["results"]
     for base, head in zip(result["first pass"]["base_ms"], result["first pass"]["head_ms"], strict=True):
         assert head - base > 250.0

@@ -434,7 +434,7 @@ def test_the_unique_rule_flags_a_bare_call(tmp_path):
     source.write_text(
         "import numpy as np\nfrom numpy import unique\n\n"
         "def union(keys):\n    return np.unique(keys), unique(keys, return_counts=False)\n\n"
-        "def slots(keys):\n    return np.unique(keys, return_inverse=True), numpy.unique(keys, return_counts=True)\n\n"
+        "def slots(keys):\n    return np.unique(keys, return_inverse=True), numpy.unique(a, return_counts=True)\n\n"
         "def sizes(keys):\n    return np.unique(keys, axis=0), unique(keys, return_index=True)\n"
     )
     assert _bare_unique_calls(source) == [5, 5, 11]
